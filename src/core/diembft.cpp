@@ -144,7 +144,8 @@ void DiemBftReplica::on_timer_fired(Round round) {
 void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   smr::Block& block = msg.block;
   // Validity: well-formed regular block from the designated leader.
-  if (!block.id_consistent() || block.height != 0 || block.view != 0) return;
+  // (Block::decode already bound the id to the fields.)
+  if (block.height != 0 || block.view != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
   if (!cached_verify(block.parent)) return;
   if (msg.tc && cached_verify(*msg.tc)) handle_tc(*msg.tc);

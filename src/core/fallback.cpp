@@ -252,7 +252,7 @@ void FallbackReplica::spam_timeouts() {
 
 void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   smr::Block& block = msg.block;
-  if (!block.id_consistent() || block.height != 0) return;
+  if (block.height != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
   if (!cached_verify(block.parent)) return;
   install_attached_coins(msg.coins);
@@ -505,6 +505,8 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
   note_block_born(block.id);
   smr::FbProposalMsg msg;
   msg.block = std::move(block);
+  // kTamperFBlocks: the wire block no longer matches its id.
+  if (fault().tampers_fblocks()) msg.block.payload.push_back(0xee);
   msg.ftc = ftc;
   msg.coins = evidence_for(parent);
   ++stats_.proposals_sent;
@@ -514,7 +516,6 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
 
 void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& msg) {
   smr::Block& block = msg.block;
-  if (!block.id_consistent()) return;
   // F-blocks always inline their payload: the fallback runs precisely
   // when the network is bad, so its liveness must not hinge on a second
   // dissemination round-trip. A reference here is a protocol violation.

@@ -55,6 +55,12 @@ enum class FaultKind : std::uint8_t {
   /// path: a block stored via catch-up must never become a vote
   /// candidate, or the forged ancestry would be certified and committed.
   kGhostChain,
+  /// Multicasts each of its f-blocks with the payload mutated after
+  /// Block::make, so the id no longer binds the fields (the genuine block
+  /// is never sent). Stresses the decode-boundary id check: honest
+  /// replicas must reject the frame when they decode it, and the sender
+  /// must not seed a shared decode cache with its unchecked decoded form.
+  kTamperFBlocks,
 };
 
 struct FaultSpec {
@@ -70,6 +76,7 @@ struct FaultSpec {
   bool impersonates_shares() const { return kind == FaultKind::kImpersonateShares; }
   bool forges_fbqc() const { return kind == FaultKind::kForgeFbQc; }
   bool forges_ghost_chain() const { return kind == FaultKind::kGhostChain; }
+  bool tampers_fblocks() const { return kind == FaultKind::kTamperFBlocks; }
 };
 
 }  // namespace repro::core

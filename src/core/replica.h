@@ -106,6 +106,9 @@ struct ReplicaStats {
   /// over replicas this equals NetStats::multicasts (the benches print
   /// the ratio as serializations/multicast = 1).
   obs::Counter multicast_encodes;
+  /// Outgoing messages left out of the decode cache because a block they
+  /// carry fails its id check (only a faulty sender builds one).
+  obs::Counter cache_seeds_refused;
   /// Share accumulators (optimistic quorum assembly): per-share
   /// verify_share calls actually paid, shares buffered without immediate
   /// verification, certificates formed by a single combine-then-verify,
@@ -164,6 +167,7 @@ void for_each_counter(const ReplicaStats& s, Fn&& fn) {
   fn("repro_decode_hits_total", &s.decode_hits);
   fn("repro_decode_misses_total", &s.decode_misses);
   fn("repro_multicast_encodes_total", &s.multicast_encodes);
+  fn("repro_cache_seeds_refused_total", &s.cache_seeds_refused);
   fn("repro_shares_verified_total", &s.shares_verified);
   fn("repro_shares_deferred_total", &s.shares_deferred);
   fn("repro_combines_optimistic_total", &s.combines_optimistic);

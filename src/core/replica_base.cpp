@@ -72,7 +72,7 @@ void ReplicaBase::persist_vote_state() {
   enc.u64(v_cur_);
   qc_high_.encode(enc);
   enc.u32(static_cast<std::uint32_t>(coins_.size()));
-  for (const auto& [view, coin] : coins_) coin.encode(enc);
+  for (const auto& [view, coin] : coins_) coin.qc.encode(enc);
   encode_extra_state(enc);
   // Unresolved batch waiters: blocks stored but still awaiting their
   // referenced batch. Restored into recovered_batch_waiters_ so a restart
@@ -105,11 +105,11 @@ bool ReplicaBase::recover_from_wal() {
     LOG_ERROR("replica %u: corrupted WAL snapshot; starting fresh", id_);
     return false;
   }
-  std::map<View, smr::CoinQC> coins;
+  std::map<View, InstalledCoin> coins;
   for (std::uint32_t i = 0; i < *coin_count; ++i) {
     auto coin = smr::CoinQC::decode(dec);
     if (!coin) return false;
-    coins.emplace(coin->view, *coin);
+    coins.emplace(coin->view, InstalledCoin{*coin, coin->leader(*crypto_)});
   }
   r_vote_ = *r_vote;
   rank_lock_ = smr::Rank{*lock_view, *lock_endorsed, *lock_round};
@@ -174,8 +174,11 @@ void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
   // Decode-once: byte-identical payloads (a multicast seen by n replicas
   // through the shared cache, or a self-delivery the sender pre-populated
   // at encode time) parse once; any mutated byte changes the content key
-  // and takes the full decode-and-verify path independently.
-  on_message_keyed(from, payload, smr::DecodeCache::key_of(payload));
+  // and takes the full decode-and-verify path independently. A buffer the
+  // sender seeded (the one shared buffer of a simulator multicast, a TCP
+  // self-delivery) is hashed once, at encode time, not once per delivery.
+  const auto known = dcache_->buffer_key(payload);
+  on_message_keyed(from, payload, known ? *known : smr::DecodeCache::key_of(payload));
 }
 
 void ReplicaBase::on_message_keyed(ReplicaId from, const Bytes& payload,
@@ -291,8 +294,17 @@ SharedBytes ReplicaBase::encode_signed(smr::Message& msg) {
   // The sender already holds the decoded form: seed the cache so the
   // loopback delivery (and shared-cache recipients) skip the re-parse.
   // Marking ourselves signature-verified is sound — we produced the
-  // signature over exactly these bytes.
-  dcache_->insert(smr::DecodeCache::key_of(*payload), std::move(msg), id_);
+  // signature over exactly these bytes. The seed must equal what decoding
+  // the bytes would give, so it passes the decoder's block-id check too:
+  // a faulty sender's inconsistent block is left for every recipient's
+  // own decode to reject.
+  if (!smr::blocks_id_consistent(msg)) {
+    ++stats_.cache_seeds_refused;
+    return payload;
+  }
+  const crypto::Digest key = smr::DecodeCache::key_of(*payload);
+  dcache_->insert(key, std::move(msg), id_);
+  dcache_->remember_buffer(payload, key);
   return payload;
 }
 
@@ -358,7 +370,7 @@ bool ReplicaBase::is_endorsed(const smr::Certificate& cert) const {
   if (cert.kind != smr::CertKind::kFallback) return false;
   auto it = coins_.find(cert.view);
   if (it == coins_.end()) return false;
-  return it->second.leader(*crypto_) == cert.proposer;
+  return it->second.leader == cert.proposer;
 }
 
 bool ReplicaBase::counts_for_commit(const smr::Certificate& cert) const {
@@ -368,8 +380,8 @@ bool ReplicaBase::counts_for_commit(const smr::Certificate& cert) const {
 }
 
 bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
-  const bool fresh = coins_.emplace(coin.view, coin).second;
-  if (!fresh) return false;
+  if (coins_.count(coin.view) != 0) return false;
+  coins_.emplace(coin.view, InstalledCoin{coin, coin.leader(*crypto_)});
   // Endorsements of recorded f-QCs of this view may have flipped on:
   // rescan them for commit (the Exit Fallback "check for commit").
   for (const auto& cert : store_.certificates()) {
@@ -382,7 +394,7 @@ bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
 
 const smr::CoinQC* ReplicaBase::coin_for(View view) const {
   auto it = coins_.find(view);
-  return it == coins_.end() ? nullptr : &it->second;
+  return it == coins_.end() ? nullptr : &it->second.qc;
 }
 
 void ReplicaBase::note_certificate(const smr::Certificate& cert, ReplicaId hint) {
@@ -423,10 +435,8 @@ bool ReplicaBase::ensure_block(const smr::BlockId& id, ReplicaId hint) {
 }
 
 const smr::Block* ReplicaBase::store_block(smr::Block block, ReplicaId from) {
-  if (!block.id_consistent()) {
-    LOG_WARN("replica %u: dropping id-inconsistent block from %u", id_, from);
-    return nullptr;
-  }
+  // Every block reaching here was decoded (Block::decode checked its id)
+  // or built locally; BlockStore::insert asserts consistency regardless.
   const smr::BlockId id = block.id;
   if (!store_.insert(std::move(block))) return store_.get(id);
   outstanding_fetches_.erase(id);

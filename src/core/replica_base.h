@@ -89,8 +89,14 @@ class ReplicaBase : public IReplica {
   const smr::Certificate& qc_high() const { return qc_high_; }
   smr::Rank rank_lock() const { return rank_lock_; }
   Round r_vote() const { return r_vote_; }
+  /// A learned coin-QC and the leader it elects. The leader is derived
+  /// once, on install: is_endorsed asks for it on every commit-rule step.
+  struct InstalledCoin {
+    smr::CoinQC qc;
+    ReplicaId leader = 0;
+  };
   /// Coin-QCs this replica has learned (view -> coin).
-  const std::map<View, smr::CoinQC>& coins() const { return coins_; }
+  const std::map<View, InstalledCoin>& coins() const { return coins_; }
   /// Whether construction restored a WAL snapshot.
   bool recovered() const { return recovered_; }
   bool halted() const { return halted_; }
@@ -562,7 +568,7 @@ class ReplicaBase : public IReplica {
   /// kGhostChain: one forged chain per round.
   Round last_ghost_round_ = 0;
 
-  std::map<View, smr::CoinQC> coins_;
+  std::map<View, InstalledCoin> coins_;
   std::unordered_set<smr::BlockId, smr::BlockIdHash> outstanding_fetches_;
   /// Certificates whose commit scan stalled on a missing block body.
   std::unordered_map<smr::BlockId, std::vector<smr::Certificate>, smr::BlockIdHash>

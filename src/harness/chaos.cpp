@@ -54,6 +54,7 @@ const char* fault_token(core::FaultKind k) {
     case core::FaultKind::kImpersonateShares: return "impersonate";
     case core::FaultKind::kForgeFbQc: return "forgeqc";
     case core::FaultKind::kGhostChain: return "ghost";
+    case core::FaultKind::kTamperFBlocks: return "tamperfb";
   }
   return "?";
 }
@@ -70,6 +71,7 @@ bool parse_fault_token(const std::string& s, core::FaultKind* out) {
   else if (s == "impersonate") *out = core::FaultKind::kImpersonateShares;
   else if (s == "forgeqc") *out = core::FaultKind::kForgeFbQc;
   else if (s == "ghost") *out = core::FaultKind::kGhostChain;
+  else if (s == "tamperfb") *out = core::FaultKind::kTamperFBlocks;
   else return false;
   return true;
 }

@@ -31,11 +31,16 @@ InvariantReport check_invariants(const Experiment& exp) {
   std::map<View, ReplicaId> leaders;
   for (const auto* r : honest) {
     for (const auto& [view, coin] : r->coins()) {
-      if (!verify_coin_qc(exp.crypto_sys(), vcache, coin)) {
+      if (!verify_coin_qc(exp.crypto_sys(), vcache, coin.qc)) {
         report.fail("invalid coin-QC stored at replica " + std::to_string(r->id()));
         continue;
       }
-      leaders.emplace(view, coin.leader(exp.crypto_sys()));
+      const ReplicaId leader = coin.qc.leader(exp.crypto_sys());
+      if (coin.leader != leader) {
+        report.fail("memoized coin leader disagrees with its coin-QC at replica " +
+                    std::to_string(r->id()));
+      }
+      leaders.emplace(view, leader);
     }
   }
 

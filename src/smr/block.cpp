@@ -91,6 +91,10 @@ std::optional<Block> Block::decode(Decoder& dec) {
   b.proposer = *proposer;
   b.payload_kind = *payload_kind;
   b.payload = std::move(*payload);
+  // Id consistency is a codec property: a wire block whose id does not
+  // bind its fields never decodes, so the decode cache memoizes the check
+  // together with the parse and handlers need not repeat it.
+  if (!b.id_consistent()) return std::nullopt;
   return b;
 }
 

@@ -51,7 +51,7 @@ struct Block {
   bool payload_resolved() const { return !is_batch_ref() || !resolved_payload.empty(); }
 
   /// The referenced batch id (payload must be exactly 32 bytes; enforced
-  /// by id_consistent for received blocks).
+  /// by Block::decode for received blocks).
   BatchId batch_ref() const;
 
   /// The transaction bytes this block orders: the inline payload, or the
@@ -78,11 +78,12 @@ struct Block {
   /// The unique genesis block (round 0, view 0, parented on itself).
   static const Block& genesis();
 
-  /// True iff id matches the other fields (first validity check on any
-  /// received block).
+  /// True iff id matches the other fields. Block::decode rejects any
+  /// block that fails it, so every received block passed it.
   bool id_consistent() const;
 
   void encode(Encoder& enc) const;
+  /// nullopt on malformed bytes or an id-inconsistent block.
   static std::optional<Block> decode(Decoder& dec);
 };
 

@@ -2,8 +2,10 @@
 
 namespace repro::smr {
 
-BlockId genesis_id() {
-  return crypto::sha256_tagged("repro/genesis", BytesView{});
+const BlockId& genesis_id() {
+  // Hashed once: Block::is_genesis() compares against it on every chain walk.
+  static const BlockId id = crypto::sha256_tagged("repro/genesis", BytesView{});
+  return id;
 }
 
 Certificate genesis_certificate() {

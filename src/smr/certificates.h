@@ -23,8 +23,8 @@ namespace repro::smr {
 
 using BlockId = crypto::Digest;
 
-/// The well-known genesis block id.
-BlockId genesis_id();
+/// The well-known genesis block id (computed once).
+const BlockId& genesis_id();
 
 enum class CertKind : std::uint8_t {
   kGenesis = 0,   ///< pseudo-certificate for the genesis block

@@ -22,6 +22,19 @@
 // as strong as re-verifying — a replayed payload from a *different*
 // sender is not in the memo and pays the full check (and fails).
 //
+// Block-id consistency rides along: decode_message rejects any block
+// whose id does not bind its fields, so a cached entry stands for a
+// checked one, and senders seed the cache only with messages that pass
+// the same check (smr::blocks_id_consistent).
+//
+// A sender that seeds an entry may also remember which buffer holds those
+// bytes. Deliveries of that very buffer — every recipient of one simulator
+// multicast, the TCP self-inbox — then look the content key up by address
+// instead of re-hashing the payload. The memo holds a weak_ptr, so it
+// never keeps a buffer's bytes alive (at most its small control block,
+// one per entry); an expired or unknown buffer falls back to hashing, and
+// evicting the entry drops its buffer mapping.
+//
 // Bounded LRU, mirroring crypto::VerifierCache. Shared by all replicas of
 // one simulation (they observe the same broadcast bytes); per-node in the
 // TCP transport (processes share nothing).
@@ -29,6 +42,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -111,7 +125,36 @@ class DecodeCache {
     v.push_back(sender);
   }
 
+  /// Remember that `buffer` holds the bytes whose content key is `key`.
+  /// Precondition: key == key_of(*buffer). No-op unless `key` has an
+  /// entry; an entry remembers at most one buffer (the latest).
+  void remember_buffer(const SharedBytes& buffer, const crypto::Digest& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return;
+    Entry& entry = it->second->second;
+    if (entry.buffer != nullptr) unmap_buffer(entry.buffer);
+    unmap_buffer(buffer.get());  // a dead buffer that lived at this address
+    buffers_.emplace(buffer.get(), BufferRef{buffer, key});
+    entry.buffer = buffer.get();
+  }
+
+  /// Content key of `payload` if it is a live buffer passed to
+  /// remember_buffer whose entry is still cached; nullopt otherwise.
+  std::optional<crypto::Digest> buffer_key(const Bytes& payload) {
+    auto it = buffers_.find(&payload);
+    if (it == buffers_.end()) return std::nullopt;
+    // Expired: the remembered buffer died and `payload` merely reuses its
+    // address. A live one is `payload` itself — two live buffers cannot
+    // share an address.
+    if (it->second.buffer.expired()) {
+      unmap_buffer(&payload);
+      return std::nullopt;
+    }
+    return it->second.key;
+  }
+
   std::size_t size() const { return index_.size(); }
+  std::size_t buffer_count() const { return buffers_.size(); }
   std::size_t capacity() const { return capacity_; }
   const Stats& stats() const { return stats_; }
 
@@ -121,6 +164,13 @@ class DecodeCache {
     /// Senders whose envelope signature over these bytes verified. Tiny
     /// in practice: a payload has one legitimate signer.
     std::vector<ReplicaId> verified_senders;
+    /// The buffer remember_buffer mapped to this key, if any.
+    const Bytes* buffer = nullptr;
+  };
+
+  struct BufferRef {
+    std::weak_ptr<const Bytes> buffer;
+    crypto::Digest key;
   };
 
   struct DigestHash {
@@ -129,8 +179,19 @@ class DecodeCache {
     }
   };
 
+  /// Drop the mapping for `addr` and its entry's back-pointer.
+  void unmap_buffer(const Bytes* addr) {
+    auto it = buffers_.find(addr);
+    if (it == buffers_.end()) return;
+    if (auto e = index_.find(it->second.key); e != index_.end()) {
+      e->second->second.buffer = nullptr;
+    }
+    buffers_.erase(it);
+  }
+
   void insert_entry(const crypto::Digest& key, Entry entry) {
     if (index_.size() >= capacity_) {
+      if (order_.back().second.buffer != nullptr) buffers_.erase(order_.back().second.buffer);
       index_.erase(order_.back().first);
       order_.pop_back();
       ++stats_.evictions;
@@ -144,6 +205,8 @@ class DecodeCache {
   /// Most-recently-used first.
   std::list<std::pair<crypto::Digest, Entry>> order_;
   std::unordered_map<crypto::Digest, decltype(order_)::iterator, DigestHash> index_;
+  /// Buffer address -> content key; one mapping per entry at most.
+  std::unordered_map<const Bytes*, BufferRef> buffers_;
   Stats stats_;
 };
 

@@ -428,6 +428,17 @@ Bytes encode_message(const Message& msg) {
   return std::move(enc).result();
 }
 
+bool blocks_id_consistent(const Message& msg) {
+  if (const auto* p = std::get_if<ProposalMsg>(&msg)) return p->block.id_consistent();
+  if (const auto* f = std::get_if<FbProposalMsg>(&msg)) return f->block.id_consistent();
+  if (const auto* r = std::get_if<BlockResponseMsg>(&msg)) {
+    for (const Block& b : r->blocks) {
+      if (!b.id_consistent()) return false;
+    }
+  }
+  return true;
+}
+
 std::optional<Message> decode_message(BytesView data) {
   Decoder dec(data);
   auto tag = dec.u8();

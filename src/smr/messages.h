@@ -169,8 +169,14 @@ std::size_t encoded_size(const Message& msg);
 Bytes encode_message(const Message& msg);
 
 /// Parse; nullopt on malformed input (malformed wire data must never
-/// crash a replica).
+/// crash a replica), including any carried block that fails
+/// Block::id_consistent.
 std::optional<Message> decode_message(BytesView data);
+
+/// True iff every block `msg` carries is id-consistent — exactly the
+/// block check decode_message applies. Lets a sender that seeds a decode
+/// cache with its own decoded form hold it to the same rule.
+bool blocks_id_consistent(const Message& msg);
 
 /// Sign / verify the ⟨m⟩_i-authenticated messages in place. For message
 /// types without an outer signature these are no-ops returning true.

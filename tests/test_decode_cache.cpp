@@ -1,8 +1,9 @@
 // Decode-once delivery cache: content-keyed hits must be
 // indistinguishable from fresh decodes, mutated bytes must miss and be
 // judged independently, the LRU bound must hold under floods of distinct
-// payloads, and the per-sender signature memo must never leak a
-// verification to a different sender.
+// payloads, the per-sender signature memo must never leak a
+// verification to a different sender, and the buffer -> key memo must
+// only ever answer for the live buffer it was given.
 #include <gtest/gtest.h>
 
 #include "crypto/dealer.h"
@@ -135,6 +136,90 @@ TEST(DecodeCache, SenderMemoDoesNotLeakAcrossSenders) {
   const auto ghost = DecodeCache::key_of(Bytes{9, 9, 9});
   cache.note_sender_verified(ghost, 2);  // no-op, no crash
   EXPECT_FALSE(cache.sender_verified(ghost, 2));
+}
+
+// ---- buffer -> content key memo ------------------------------------------------
+
+/// A cache entry seeded the way a sender seeds it, plus its buffer.
+SharedBytes seed(DecodeCache& cache, View view) {
+  SharedBytes buf = make_shared_bytes(wire_coin_share(view, 1, view));
+  const auto key = DecodeCache::key_of(*buf);
+  cache.insert(key, *decode_message(*buf), /*signer=*/1);
+  cache.remember_buffer(buf, key);
+  return buf;
+}
+
+TEST(DecodeCache, BufferKeyAnswersOnlyForTheRememberedBuffer) {
+  DecodeCache cache(16);
+  const SharedBytes buf = seed(cache, 4);
+  const auto key = DecodeCache::key_of(*buf);
+  EXPECT_EQ(cache.buffer_key(*buf), key);
+
+  // The same bytes in another buffer get no key by address, but still hit
+  // through the content key once the caller hashes them.
+  const Bytes copy = *buf;
+  EXPECT_FALSE(cache.buffer_key(copy).has_value());
+  bool hit = false;
+  ASSERT_TRUE(cache.decode(DecodeCache::key_of(copy), copy, &hit).has_value());
+  EXPECT_TRUE(hit);
+
+  // No entry for the key, no mapping.
+  const SharedBytes orphan = make_shared_bytes(wire_coin_share(9, 1, 9));
+  cache.remember_buffer(orphan, DecodeCache::key_of(*orphan));
+  EXPECT_FALSE(cache.buffer_key(*orphan).has_value());
+  EXPECT_EQ(cache.buffer_count(), 1u);
+}
+
+TEST(DecodeCache, ReusedAddressOfAFreedBufferGetsNoStaleKey) {
+  DecodeCache cache(16);
+  // Non-owning handles on one storage slot force the address reuse an
+  // allocator may or may not produce.
+  Bytes slot = wire_coin_share(5, 1, 5);
+  auto handle = [&slot] { return SharedBytes(&slot, [](const Bytes*) {}); };
+  {
+    SharedBytes first = handle();
+    const auto key = DecodeCache::key_of(*first);
+    cache.insert(key, *decode_message(*first), 1);
+    cache.remember_buffer(first, key);
+    EXPECT_EQ(cache.buffer_key(slot), key);
+  }
+  // The first buffer is gone; different bytes now live at its address.
+  slot = wire_coin_share(6, 1, 6);
+  const SharedBytes second = handle();
+  EXPECT_FALSE(cache.buffer_key(*second).has_value());
+  EXPECT_EQ(cache.buffer_count(), 0u);  // the dead mapping is dropped
+}
+
+TEST(DecodeCache, EvictionDropsTheBufferMapping) {
+  constexpr std::size_t kCap = 4;
+  DecodeCache cache(kCap);
+  const SharedBytes buf = seed(cache, 0);
+  ASSERT_TRUE(cache.buffer_key(*buf).has_value());
+  bool hit = false;
+  for (View v = 1; v <= kCap; ++v) {
+    const Bytes wire = wire_coin_share(v, 2, v);
+    cache.decode(DecodeCache::key_of(wire), wire, &hit);
+  }
+  // The buffer is still alive, but its entry was evicted: no key, and the
+  // memo holds nothing for it.
+  EXPECT_FALSE(cache.buffer_key(*buf).has_value());
+  EXPECT_EQ(cache.buffer_count(), 0u);
+}
+
+TEST(DecodeCache, BufferMemoStaysWithinTheEntryBound) {
+  constexpr std::size_t kCap = 8;
+  DecodeCache cache(kCap);
+  std::vector<SharedBytes> live;
+  for (View v = 0; v < 10 * kCap; ++v) live.push_back(seed(cache, v));
+  EXPECT_LE(cache.buffer_count(), kCap);
+  EXPECT_EQ(cache.buffer_key(*live.back()), DecodeCache::key_of(*live.back()));
+
+  // Re-seeding the same bytes from a new buffer moves the mapping.
+  const SharedBytes again = make_shared_bytes(Bytes(*live.back()));
+  cache.remember_buffer(again, DecodeCache::key_of(*again));
+  EXPECT_TRUE(cache.buffer_key(*again).has_value());
+  EXPECT_FALSE(cache.buffer_key(*live.back()).has_value());
+  EXPECT_LE(cache.buffer_count(), kCap);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // §3 chain-adoption optimization, and the always-fallback baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "harness/experiment.h"
 
 namespace repro::harness {
@@ -225,6 +228,67 @@ TEST(Fallback, MuteLeaderForcesFallbackButProgressContinues) {
   ASSERT_TRUE(exp.run_until_commits(25, 600'000'000));
   EXPECT_TRUE(exp.check_safety().ok);
   check_chain_invariants(exp);
+}
+
+// A faulty replica multicasts f-blocks mutated after Block::make, so the
+// id no longer binds the fields. Block::decode rejects every such frame:
+// no honest replica dispatches, stores or votes on one. The sender also
+// refuses to seed the shared decode cache with its unchecked decoded
+// form; a seeded entry would let recipients skip the decode and trip
+// BlockStore::insert's id assertion.
+TEST(Fallback, TamperedFBlocksAreNeverStoredOrVotedOn) {
+  constexpr ReplicaId kTamperer = 15;
+  auto cfg = fb_config(Protocol::kFallback3, 16, 5);
+  cfg.scenario = NetScenario::kAsynchronous;
+  cfg.faults[kTamperer] = core::FaultKind::kTamperFBlocks;
+  cfg.span_capacity = 1 << 18;
+  Experiment exp(cfg);
+
+  // Watch every f-proposal frame the tamperer's multicasts deliver.
+  std::set<smr::BlockId> claimed;
+  std::size_t frames = 0, decoded = 0;
+  for (ReplicaId id = 0; id < exp.n(); ++id) {
+    exp.network().register_handler(id, [&, id](ReplicaId from, const Bytes& payload) {
+      if (from == kTamperer && payload.size() > 32 &&
+          payload[0] == static_cast<std::uint8_t>(smr::MsgType::kFbProposal)) {
+        ++frames;
+        if (smr::decode_message(payload)) ++decoded;
+        smr::BlockId bid{};  // Block::encode leads with the id
+        std::copy_n(payload.begin() + 1, bid.size(), bid.begin());
+        claimed.insert(bid);
+      }
+      exp.replica(id).on_message(from, payload);
+    });
+  }
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(5, 4'000'000'000ull));
+  EXPECT_TRUE(exp.check_safety().ok);
+  check_chain_invariants(exp);
+
+  ASSERT_GT(frames, 0u) << "the tamperer never proposed an f-block";
+  EXPECT_EQ(decoded, 0u);
+  EXPECT_GT(exp.replica(kTamperer).stats().cache_seeds_refused, 0u);
+
+  std::set<std::uint64_t> keys;
+  for (const auto& bid : claimed) {
+    keys.insert(crypto::digest_prefix_u64(bid));
+    for (ReplicaId id = 0; id < exp.n(); ++id) {
+      if (!exp.is_honest(id)) continue;
+      const auto& base = dynamic_cast<const core::ReplicaBase&>(exp.replica(id));
+      EXPECT_FALSE(base.store().contains(bid)) << "replica " << id;
+    }
+  }
+  ASSERT_EQ(exp.spans()->dropped(), 0u);
+  std::size_t honest_fb_votes = 0;
+  for (const auto& ev : exp.span_events()) {
+    if (!exp.is_honest(ev.replica)) continue;
+    const bool fb_vote = ev.stage == obs::SpanStage::kVoteSend && ev.aux > 0;
+    if (fb_vote) ++honest_fb_votes;
+    if (fb_vote || ev.stage == obs::SpanStage::kDispatch) {
+      EXPECT_EQ(keys.count(ev.key), 0u) << "replica " << ev.replica << " took a tampered f-block";
+    }
+  }
+  EXPECT_GT(honest_fb_votes, 0u) << "no honest f-vote recorded: the check above saw nothing";
 }
 
 // ---- variants -----------------------------------------------------------------------

@@ -421,6 +421,26 @@ TEST(CoinShareHorizon, SharesAtTheHorizonStillCombine) {
   EXPECT_FALSE(rig.sent<smr::CoinQcMsg>().empty());
 }
 
+TEST(BlockRetrieval, ResponseWithOneTamperedBlockStoresNothing) {
+  // The catch-up channel stores whatever blocks a response carries, so
+  // the decoder's id check is what keeps a tampered one out — and it
+  // drops the whole frame, honest blocks included.
+  Rig rig;
+  const Block a = Block::make(smr::genesis_certificate(), 1, 0, 0, 1, Bytes{1});
+  Block bad = Block::make(smr::genesis_certificate(), 2, 0, 0, 2, Bytes{2});
+  bad.payload.push_back(3);
+  smr::BlockResponseMsg resp;
+  resp.blocks = {bad, a};
+  rig.inject(1, resp);
+  EXPECT_FALSE(rig.replica->store().contains(a.id));
+  EXPECT_FALSE(rig.replica->store().contains(bad.id));
+
+  smr::BlockResponseMsg honest;
+  honest.blocks = {a};
+  rig.inject(1, honest);
+  EXPECT_TRUE(rig.replica->store().contains(a.id));
+}
+
 TEST(ExitFallback, StaleCoinDoesNotRegressView) {
   Rig rig;
   rig.replica->start();

@@ -106,6 +106,63 @@ TEST(Block, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(dec.done());
 }
 
+bool wire_block_decodes(const Block& b) {
+  Encoder enc;
+  b.encode(enc);
+  Decoder dec(enc.result());
+  return Block::decode(dec).has_value();
+}
+
+TEST(Block, DecodeRejectsEachTamperedField) {
+  // Wire-level twin of IdBindsAllFields: received blocks get their id
+  // checked in Block::decode, so a block with any field changed after
+  // Block::make never decodes.
+  const Block base = Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes{1, 2});
+  EXPECT_TRUE(wire_block_decodes(base));
+  EXPECT_TRUE(wire_block_decodes(Block::genesis()));
+
+  const std::pair<const char*, void (*)(Block&)> tampers[] = {
+      {"id", [](Block& b) { b.id[0] ^= 0x01; }},
+      {"parent", [](Block& b) { b.parent.round = 7; }},
+      {"round", [](Block& b) { b.round = 2; }},
+      {"view", [](Block& b) { b.view = 1; }},
+      {"height", [](Block& b) { b.height = 1; }},
+      {"proposer", [](Block& b) { b.proposer = 3; }},
+      {"payload_kind", [](Block& b) { b.payload_kind = kBatchRefPayload; }},
+      {"payload", [](Block& b) { b.payload = Bytes{1, 3}; }},
+  };
+  for (const auto& [field, tamper] : tampers) {
+    Block tampered = base;
+    tamper(tampered);
+    EXPECT_FALSE(wire_block_decodes(tampered)) << field;
+  }
+
+  // Id-consistent but malformed: a batch reference must be 32 bytes and
+  // the payload kind must be known.
+  EXPECT_FALSE(wire_block_decodes(
+      Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(31, 7), kBatchRefPayload)));
+  EXPECT_FALSE(wire_block_decodes(Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes{1}, 2)));
+  EXPECT_TRUE(wire_block_decodes(
+      Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(32, 7), kBatchRefPayload)));
+}
+
+TEST(Block, BlockResponseWithOneTamperedBlockIsRejected) {
+  const Block a = Block::make(genesis_certificate(), 1, 0, 0, 1, Bytes{1});
+  Block bad = Block::make(genesis_certificate(), 2, 0, 0, 2, Bytes{2});
+  bad.payload.push_back(3);
+  const Block c = Block::make(genesis_certificate(), 3, 0, 0, 3, Bytes{4});
+
+  BlockResponseMsg good;
+  good.blocks = {a, c};
+  EXPECT_TRUE(decode_message(encode_message(Message{good})).has_value());
+  EXPECT_TRUE(blocks_id_consistent(Message{good}));
+
+  BlockResponseMsg resp;
+  resp.blocks = {a, bad, c};
+  EXPECT_FALSE(decode_message(encode_message(Message{resp})).has_value());
+  EXPECT_FALSE(blocks_id_consistent(Message{resp}));
+}
+
 TEST(Block, DistinctPayloadsDistinctIds) {
   const Block a = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{1});
   const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{2});

@@ -44,7 +44,7 @@ void usage() {
       "                 (default 2000; cap tracks at 4x the mean)\n"
       "  --faults LIST  comma-separated, applied to the last replicas:\n"
       "                 crash | mute | equiv | withhold | spam | badshare |\n"
-      "                 impersonate | forgeqc | ghost\n"
+      "                 impersonate | forgeqc | ghost | tamperfb\n"
       "  --eager        verify every threshold share on arrival (default is\n"
       "                 optimistic combine-then-verify accumulation)\n"
       "  --no-adopt     disable the strict higher-position adoption rule in\n"
@@ -87,6 +87,7 @@ bool parse_fault(const std::string& s, core::FaultKind* out) {
   else if (s == "impersonate") *out = core::FaultKind::kImpersonateShares;
   else if (s == "forgeqc") *out = core::FaultKind::kForgeFbQc;
   else if (s == "ghost") *out = core::FaultKind::kGhostChain;
+  else if (s == "tamperfb") *out = core::FaultKind::kTamperFBlocks;
   else return false;
   return true;
 }
