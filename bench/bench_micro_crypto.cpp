@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "crypto/dealer.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/verifier_cache.h"
 #include "smr/block.h"
 #include "smr/certificates.h"
@@ -23,6 +24,19 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+// The same digests through the portable kernel: BM_Sha256 / this is the
+// SHA-NI gain on a CPU that has the extensions (DESIGN.md §16).
+void BM_Sha256Portable(benchmark::State& state) {
+  const std::size_t size = state.range(0);
+  Bytes data(size, 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::kernels::sha256_with(crypto::kernels::compress_portable, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(1);

@@ -5,27 +5,13 @@
 //   $ ./build/examples/byzantine_leaders
 #include <cstdio>
 
+#include "harness/chaos.h"
 #include "harness/experiment.h"
 
 using namespace repro;
 using namespace repro::harness;
 
 namespace {
-
-const char* fault_name(core::FaultKind k) {
-  switch (k) {
-    case core::FaultKind::kNone: return "honest";
-    case core::FaultKind::kCrash: return "crash";
-    case core::FaultKind::kMuteLeader: return "mute leader";
-    case core::FaultKind::kEquivocate: return "equivocating proposer";
-    case core::FaultKind::kWithholdVotes: return "vote withholder";
-    case core::FaultKind::kTimeoutSpam: return "timeout spammer";
-    case core::FaultKind::kInvalidTxns: return "invalid-txn proposer";
-    case core::FaultKind::kBadShares: return "bad-share flooder";
-    case core::FaultKind::kImpersonateShares: return "share impersonator";
-  }
-  return "?";
-}
 
 void demo(std::uint32_t n, std::vector<core::FaultKind> faults, NetScenario scenario,
           const char* net_name) {
@@ -38,7 +24,7 @@ void demo(std::uint32_t n, std::vector<core::FaultKind> faults, NetScenario scen
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const ReplicaId id = static_cast<ReplicaId>(n - 1 - i);
     cfg.faults[id] = faults[i];
-    std::printf(" #%u=%s", id, fault_name(faults[i]));
+    std::printf(" #%u=%s", id, fault_token(faults[i]));
   }
   std::printf("\n");
 

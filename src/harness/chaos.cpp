@@ -41,6 +41,8 @@ bool parse_kind(const std::string& s, ChaosEvent::Kind* out) {
   return true;
 }
 
+}  // namespace
+
 const char* fault_token(core::FaultKind k) {
   switch (k) {
     case core::FaultKind::kNone: return "none";
@@ -75,6 +77,8 @@ bool parse_fault_token(const std::string& s, core::FaultKind* out) {
   else return false;
   return true;
 }
+
+namespace {
 
 const char* protocol_token(Protocol p) {
   switch (p) {

@@ -20,6 +20,13 @@
 
 namespace repro::harness {
 
+/// The one token table for core::FaultKind ("none", "crash", "mute",
+/// "equiv", ...): replay artifacts, bftlab --faults and the property-sweep
+/// test names all spell faults this way.
+const char* fault_token(core::FaultKind k);
+/// Inverse of fault_token(); false (and *out untouched) on an unknown token.
+bool parse_fault_token(const std::string& s, core::FaultKind* out);
+
 /// One timed mutation of the running system.
 struct ChaosEvent {
   enum class Kind : std::uint8_t {

@@ -1,9 +1,12 @@
 // Unit tests for the crypto substrate: SHA-256 against FIPS 180-4
-// vectors, field arithmetic laws, Shamir reconstruction, threshold
-// signatures and the common coin.
+// vectors and its two compression kernels against each other, field
+// arithmetic laws, Shamir reconstruction, threshold signatures and the
+// common coin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -11,6 +14,7 @@
 #include "crypto/field.h"
 #include "crypto/shamir.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 #include "crypto/threshold.h"
 #include "crypto/verifier_cache.h"
@@ -79,6 +83,111 @@ TEST(Sha256, PaddingBoundaries) {
     EXPECT_TRUE(std::find(seen.begin(), seen.end(), d) == seen.end());
     seen.push_back(d);
   }
+}
+
+TEST(Sha256, DigestPrefixIsFirstEightBytesLittleEndian) {
+  // sha256("abc") starts ba 78 16 bf 8f 01 cf ea.
+  EXPECT_EQ(digest_prefix_u64(sha256(str_bytes("abc"))), 0xeacf018fbf1678baull);
+}
+
+// ---- SHA-256 kernels (portable oracle vs SHA-NI vs dispatched) ------------
+
+Bytes random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(size);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+/// `hash` against the portable oracle on every length 0..1024 and 64 KiB.
+void expect_matches_portable(const std::function<Digest(BytesView)>& hash) {
+  const Bytes data = random_bytes(64 * 1024, 21);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const BytesView view(data.data(), len);
+    ASSERT_EQ(hash(view), kernels::sha256_with(kernels::compress_portable, view))
+        << "len=" << len;
+  }
+  EXPECT_EQ(hash(data), kernels::sha256_with(kernels::compress_portable, data));
+}
+
+TEST(Sha256Kernels, PortableOracleMatchesFipsVectors) {
+  EXPECT_EQ(to_hex(kernels::sha256_with(kernels::compress_portable, BytesView{})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(kernels::sha256_with(
+                kernels::compress_portable,
+                str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Kernels, DispatchedMatchesPortableOnEveryLength) {
+  expect_matches_portable([](BytesView v) { return sha256(v); });
+}
+
+TEST(Sha256Kernels, ShaniMatchesPortableOnEveryLength) {
+  const kernels::CompressFn shani = kernels::shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "this CPU has no SHA extensions";
+  expect_matches_portable([shani](BytesView v) { return kernels::sha256_with(shani, v); });
+}
+
+TEST(Sha256Kernels, DispatchPrefersShani) {
+  const kernels::CompressFn shani = kernels::shani_kernel();
+  EXPECT_EQ(kernels::active_kernel(), shani != nullptr ? shani : kernels::compress_portable);
+}
+
+TEST(Sha256Kernels, OneMultiBlockCallEqualsSingleBlockCalls) {
+  std::vector<kernels::CompressFn> all = {kernels::compress_portable};
+  if (kernels::shani_kernel() != nullptr) all.push_back(kernels::shani_kernel());
+  const Bytes data = random_bytes(64 * 37, 22);
+  Rng rng(23);
+  std::uint32_t start[8];
+  for (auto& w : start) w = static_cast<std::uint32_t>(rng.next());
+  for (const kernels::CompressFn kernel : all) {
+    std::uint32_t batched[8], stepped[8];
+    std::memcpy(batched, start, sizeof start);
+    std::memcpy(stepped, start, sizeof start);
+    kernel(batched, data.data(), 37);
+    for (std::size_t i = 0; i < 37; ++i) kernel(stepped, data.data() + 64 * i, 1);
+    EXPECT_TRUE(std::equal(batched, batched + 8, stepped));
+    if (kernel != kernels::compress_portable) {
+      std::uint32_t oracle[8];
+      std::memcpy(oracle, start, sizeof start);
+      kernels::compress_portable(oracle, data.data(), 37);
+      EXPECT_TRUE(std::equal(batched, batched + 8, oracle));
+    }
+  }
+}
+
+TEST(Sha256Kernels, RandomUpdateSplitsMatchOneShot) {
+  const Bytes data = random_bytes(3000, 24);
+  Rng rng(25);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = rng.uniform(data.size() + 1);
+    Sha256 ctx;
+    std::size_t fed = 0;
+    while (fed < len) {
+      // Pieces from empty to a few blocks, so buffered, whole-block and
+      // mixed update() calls all occur.
+      const std::size_t piece = std::min<std::size_t>(rng.uniform(200), len - fed);
+      ctx.update(BytesView(data.data() + fed, piece));
+      fed += piece;
+    }
+    const BytesView whole(data.data(), len);
+    ASSERT_EQ(ctx.finalize(), kernels::sha256_with(kernels::compress_portable, whole))
+        << "trial=" << trial << " len=" << len;
+  }
+}
+
+TEST(Sha256Kernels, EmptyUpdateAfterPartialBlockIsANoOp) {
+  Sha256 ctx;
+  ctx.update(str_bytes("abc"));
+  ctx.update(BytesView{});
+  EXPECT_EQ(to_hex(ctx.finalize()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  // sha256_tagged with an empty payload takes the same path.
+  const std::string_view tag = "repro/genesis";
+  Bytes framed = {static_cast<std::uint8_t>(tag.size())};
+  framed.insert(framed.end(), tag.begin(), tag.end());
+  EXPECT_EQ(sha256_tagged(tag, {}), kernels::sha256_with(kernels::compress_portable, framed));
 }
 
 // ---- GF(2^61 - 1) ----------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "harness/chaos.h"
 #include "harness/experiment.h"
 
 namespace repro::harness {
@@ -28,18 +29,6 @@ struct SweepCase {
   SimTime horizon;
 };
 
-std::string fault_tag(core::FaultKind k) {
-  switch (k) {
-    case core::FaultKind::kNone: return "none";
-    case core::FaultKind::kCrash: return "crash";
-    case core::FaultKind::kMuteLeader: return "mute";
-    case core::FaultKind::kEquivocate: return "equiv";
-    case core::FaultKind::kWithholdVotes: return "withhold";
-    case core::FaultKind::kTimeoutSpam: return "spam";
-  }
-  return "?";
-}
-
 std::string scenario_tag(NetScenario s) {
   switch (s) {
     case NetScenario::kSynchronous: return "sync";
@@ -54,7 +43,7 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
   std::string name = std::string(protocol_name(c.protocol)) + "_" +
                      scenario_tag(c.scenario) + "_n" + std::to_string(c.n);
-  for (auto f : c.faults) name += "_" + fault_tag(f);
+  for (auto f : c.faults) name += std::string("_") + fault_token(f);
   name += "_s" + std::to_string(c.seed);
   for (auto& ch : name) {
     if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';

@@ -43,8 +43,8 @@ void usage() {
       "  --async-mean MS  mean delay for async/psync scenarios, ms\n"
       "                 (default 2000; cap tracks at 4x the mean)\n"
       "  --faults LIST  comma-separated, applied to the last replicas:\n"
-      "                 crash | mute | equiv | withhold | spam | badshare |\n"
-      "                 impersonate | forgeqc | ghost | tamperfb\n"
+      "                 none | crash | mute | equiv | withhold | spam | invalid |\n"
+      "                 badshare | impersonate | forgeqc | ghost | tamperfb\n"
       "  --eager        verify every threshold share on arrival (default is\n"
       "                 optimistic combine-then-verify accumulation)\n"
       "  --no-adopt     disable the strict higher-position adoption rule in\n"
@@ -73,21 +73,6 @@ bool parse_net(const std::string& s, NetScenario* out) {
   else if (s == "async") *out = NetScenario::kAsynchronous;
   else if (s == "psync") *out = NetScenario::kPartialSynchrony;
   else if (s == "attack") *out = NetScenario::kLeaderAttack;
-  else return false;
-  return true;
-}
-
-bool parse_fault(const std::string& s, core::FaultKind* out) {
-  if (s == "crash") *out = core::FaultKind::kCrash;
-  else if (s == "mute") *out = core::FaultKind::kMuteLeader;
-  else if (s == "equiv") *out = core::FaultKind::kEquivocate;
-  else if (s == "withhold") *out = core::FaultKind::kWithholdVotes;
-  else if (s == "spam") *out = core::FaultKind::kTimeoutSpam;
-  else if (s == "badshare") *out = core::FaultKind::kBadShares;
-  else if (s == "impersonate") *out = core::FaultKind::kImpersonateShares;
-  else if (s == "forgeqc") *out = core::FaultKind::kForgeFbQc;
-  else if (s == "ghost") *out = core::FaultKind::kGhostChain;
-  else if (s == "tamperfb") *out = core::FaultKind::kTamperFBlocks;
   else return false;
   return true;
 }
@@ -342,7 +327,7 @@ int main(int argc, char** argv) {
         const std::string tok = list.substr(pos, comma - pos);
         core::FaultKind kind;
         if (!tok.empty()) {
-          if (!parse_fault(tok, &kind)) { usage(); return 2; }
+          if (!parse_fault_token(tok, &kind)) { usage(); return 2; }
           faults.push_back(kind);
         }
         if (comma == std::string::npos) break;
