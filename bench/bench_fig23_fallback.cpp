@@ -34,8 +34,6 @@ struct FallbackStats {
   std::uint64_t entered = 0;
   std::uint64_t exited = 0;
   std::uint64_t fallback_time_us = 0;  ///< summed enter->exit durations
-  std::uint64_t verify_hits = 0;       ///< certificate verifications answered by cache
-  std::uint64_t verify_misses = 0;     ///< full threshold verifications paid
   // Data path (zero-copy multicast + decode-once delivery).
   std::uint64_t decode_hits = 0;       ///< deliveries served from the decode cache
   std::uint64_t decode_misses = 0;     ///< full decode_message parses paid
@@ -59,12 +57,6 @@ struct FallbackStats {
 
   double mean_duration_ms() const {
     return obs::ratio(fallback_time_us, exited) / 1000.0;
-  }
-
-  /// Factor by which the verified-certificate cache cuts full threshold
-  /// verifications: without it every lookup (hit + miss) would pay one.
-  double verify_reduction() const {
-    return verify_misses ? double(verify_hits + verify_misses) / verify_misses : 1.0;
   }
 
   /// Factor by which decode-once cuts full parses: every delivery would
@@ -125,8 +117,6 @@ FallbackStats measure(Protocol p, std::uint32_t n, int seeds, std::size_t commit
       agg.entered += exp.replica(id).stats().fallbacks_entered;
       agg.exited += exp.replica(id).stats().fallbacks_exited;
       agg.fallback_time_us += exp.replica(id).stats().fallback_time_total_us;
-      agg.verify_hits += exp.replica(id).stats().cert_verify_hits;
-      agg.verify_misses += exp.replica(id).stats().cert_verify_misses;
     }
     // Data-path counters sum over every replica (faulty senders multicast
     // too, and their traffic rides the same zero-copy path), so the
@@ -223,24 +213,6 @@ int main(int argc, char** argv) {
     const FallbackStats& st = sweep.back().second;
     std::printf("    %-6u %18.1f %14llu\n", n, st.mean_duration_ms(),
                 static_cast<unsigned long long>(st.exited));
-  }
-
-  std::printf("\n--- verified-certificate cache: full verifications avoided -----\n");
-  std::printf("    (the fallback floods each replica with n copies of every QC /\n");
-  std::printf("    f-TC / coin-QC; only the first copy pays the threshold math;\n");
-  std::printf("    Fig-2 rows reuse the duration-sweep runs above) ------------\n\n");
-  std::printf("    %-22s %-6s %12s %12s %12s %10s\n", "protocol", "n", "cache hits",
-              "full (miss)", "would-pay", "reduction");
-  auto print_cache_row = [](const char* label, std::uint32_t n, const FallbackStats& st) {
-    std::printf("    %-22s %-6u %12llu %12llu %12llu %9.1fx\n", label, n,
-                static_cast<unsigned long long>(st.verify_hits),
-                static_cast<unsigned long long>(st.verify_misses),
-                static_cast<unsigned long long>(st.verify_hits + st.verify_misses),
-                st.verify_reduction());
-  };
-  for (const auto& [n, st] : sweep) print_cache_row("fallback (Fig 2)", n, st);
-  for (std::uint32_t n : {4u, 7u, 10u}) {
-    print_cache_row("always-fallback", n, measure(Protocol::kAlwaysFallback, n, 6, 4));
   }
 
   std::printf("\n--- data path: zero-copy multicast + decode-once delivery ------\n");

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "crypto/dealer.h"
 #include "crypto/sha256_kernels.h"
-#include "crypto/verifier_cache.h"
 #include "smr/block.h"
 #include "smr/certificates.h"
 #include "smr/messages.h"
@@ -175,11 +174,10 @@ smr::Certificate bench_certificate(const crypto::CryptoSystem& sys) {
 }
 
 void BM_CertVerifyFull(benchmark::State& state) {
-  // Baseline: every delivery pays the full threshold verification. Note
-  // the GF(2^61-1) model scheme verifies in O(1) field ops, so full and
-  // cached-hit times are comparable here; with a production threshold
-  // scheme (BLS) a verification is a pairing (~ms), which is why the
-  // macro benches report the verification-*count* reduction.
+  // What every delivered certificate pays: one SHA-256 of the ~60-byte
+  // signing message and one field multiply in the GF(2^61-1) model
+  // scheme. A lookup keyed on a hash of the same bytes cannot beat it,
+  // which is why replicas verify every copy (docs/PROTOCOL.md §7).
   auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
   const smr::Certificate cert = bench_certificate(*sys);
   for (auto _ : state) {
@@ -187,59 +185,6 @@ void BM_CertVerifyFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertVerifyFull);
-
-void BM_CertVerifyCachedHit(benchmark::State& state) {
-  // Hot path after the first delivery of a certificate: one tagged SHA-256
-  // over ~50 bytes plus an LRU lookup, no threshold math.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  const smr::Certificate cert = bench_certificate(*sys);
-  crypto::VerifierCache cache;
-  smr::verify_certificate(*sys, cache, cert);  // warm: populates the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::verify_certificate(*sys, cache, cert));
-  }
-  state.counters["hits"] = static_cast<double>(cache.stats().hits);
-  state.counters["misses"] = static_cast<double>(cache.stats().misses);
-}
-BENCHMARK(BM_CertVerifyCachedHit);
-
-void BM_CertVerifyCachedMiss(benchmark::State& state) {
-  // Worst case for the cache: every certificate is distinct, so each
-  // verification pays key derivation + lookup + insert ON TOP of the full
-  // verification. Compare against BM_CertVerifyFull for the overhead.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  std::vector<smr::Certificate> certs;
-  for (Round r = 1; r <= 512; ++r) {
-    const smr::BlockId id = crypto::sha256(Bytes{std::uint8_t(r), std::uint8_t(r >> 8)});
-    const Bytes msg = smr::cert_signing_message(smr::CertKind::kQuorum, id, r, 0, 0, 0);
-    std::vector<crypto::PartialSig> shares;
-    for (ReplicaId i = 0; i < sys->params.quorum(); ++i) {
-      shares.push_back(sys->quorum_sigs.sign_share(i, msg));
-    }
-    certs.push_back(*smr::combine_certificate(*sys, smr::CertKind::kQuorum, id, r, 0, 0, 0,
-                                              shares));
-  }
-  crypto::VerifierCache cache(256);  // half the working set: all misses + evictions
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::verify_certificate(*sys, cache, certs[i]));
-    i = (i + 1) % certs.size();
-  }
-  state.counters["misses"] = static_cast<double>(cache.stats().misses);
-  state.counters["evictions"] = static_cast<double>(cache.stats().evictions);
-}
-BENCHMARK(BM_CertVerifyCachedMiss);
-
-void BM_CertCacheKey(benchmark::State& state) {
-  // The fixed per-call overhead the cache adds: one domain-separated
-  // SHA-256 over the signing message + signature.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  const smr::Certificate cert = bench_certificate(*sys);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::cert_cache_key(cert));
-  }
-}
-BENCHMARK(BM_CertCacheKey);
 
 void BM_CoinElection(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -273,6 +218,21 @@ void BM_BlockIdCompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockIdCompute)->Arg(0)->Arg(1024);
+
+// The id check BlockStore::insert asserts on every stored block. A block
+// from Block::make or Block::decode answers from its id memo; the same
+// fields with the payload in a fresh buffer miss the memo and rehash,
+// which is what every check cost before the memo.
+void BM_BlockIdCheck(benchmark::State& state, bool memoized) {
+  const Bytes txn(static_cast<std::size_t>(state.range(0)), 0x22);
+  smr::Block block = smr::Block::make(smr::genesis_certificate(), 1, 0, 0, 0, txn);
+  if (!memoized) block.payload = make_shared_bytes(Bytes(txn));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(block.id_consistent());
+  }
+}
+BENCHMARK_CAPTURE(BM_BlockIdCheck, memoized, true)->Arg(1024);
+BENCHMARK_CAPTURE(BM_BlockIdCheck, rehash, false)->Arg(1024);
 
 void BM_ProposalEncodeDecode(benchmark::State& state) {
   auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);

@@ -71,15 +71,10 @@ struct ProtocolConfig {
   /// 3-chain and hand over).
   std::uint32_t leader_rotation = 4;
 
-  /// Capacity of the verified-certificate cache (LRU entries). Bounded so
-  /// a Byzantine flood of distinct valid certificates cannot grow replica
-  /// memory without limit; the working set of a view is far smaller.
-  std::size_t cert_cache_capacity = 1024;
-
-  /// Capacity of the decode-once delivery cache (LRU entries), bounded
-  /// for the same reason as the certificate cache. Only consulted when a
-  /// replica constructs its own cache; harness-shared caches size
-  /// themselves.
+  /// Capacity of the decode-once delivery cache (LRU entries). Bounded
+  /// so a Byzantine flood of distinct valid messages cannot grow replica
+  /// memory without limit. Only consulted when a replica constructs its
+  /// own cache; harness-shared caches size themselves.
   std::size_t decode_cache_capacity = 1024;
 
   /// Optimistic quorum assembly (combine-then-verify): buffer incoming

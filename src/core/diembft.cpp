@@ -36,7 +36,7 @@ void DiemBftReplica::handle_message(ReplicaId from, smr::Message&& msg) {
   } else if (auto* t = std::get_if<smr::DiemTimeoutMsg>(&msg)) {
     handle_timeout(from, *t);
   } else if (auto* tc = std::get_if<smr::DiemTcMsg>(&msg)) {
-    if (cached_verify(tc->tc)) handle_tc(tc->tc);
+    if (verify(tc->tc)) handle_tc(tc->tc);
   }
   // Fallback-protocol message types are ignored by the baseline.
 }
@@ -147,8 +147,8 @@ void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   // (Block::decode already bound the id to the fields.)
   if (block.height != 0 || block.view != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
-  if (!cached_verify(block.parent)) return;
-  if (msg.tc && cached_verify(*msg.tc)) handle_tc(*msg.tc);
+  if (!verify(block.parent)) return;
+  if (msg.tc && verify(*msg.tc)) handle_tc(*msg.tc);
 
   const smr::Certificate parent = block.parent;
   const Round r = block.round;
@@ -219,7 +219,6 @@ void DiemBftReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
   qc.block_id = msg.block_id;
   qc.round = msg.round;
   qc.sig = *sig;
-  note_verified(qc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kQcFormed, 0, msg.round);
   span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id), 0,
        msg.round);
@@ -230,7 +229,7 @@ void DiemBftReplica::handle_timeout(ReplicaId from, const smr::DiemTimeoutMsg& m
   // Catch up on the attached qc_high first (kind-check is free and skips
   // the hash/verify work for non-QC certificates entirely); the QC stands
   // on its own verification regardless of the share's validity.
-  if (msg.qc_high.kind == smr::CertKind::kQuorum && cached_verify(msg.qc_high)) {
+  if (msg.qc_high.kind == smr::CertKind::kQuorum && verify(msg.qc_high)) {
     lock_step(msg.qc_high, from);
   }
 
@@ -240,7 +239,6 @@ void DiemBftReplica::handle_timeout(ReplicaId from, const smr::DiemTimeoutMsg& m
                        [&] { return smr::tc_signing_message(msg.round); });
   if (!sig) return;
   const smr::TimeoutCert tc{msg.round, *sig};
-  note_verified(tc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kTcFormed, 0, msg.round);
   highest_tc_formed_ = msg.round;
   handle_tc(tc);

@@ -115,7 +115,7 @@ void FallbackReplica::handle_message(ReplicaId from, smr::Message&& msg) {
   } else if (auto* cs = std::get_if<smr::CoinShareMsg>(&msg)) {
     handle_coin_share(from, *cs);
   } else if (auto* cq = std::get_if<smr::CoinQcMsg>(&msg)) {
-    if (!cached_verify(cq->qc)) {
+    if (!verify(cq->qc)) {
       blame_cert(from);  // forged coin-QC
       return;
     }
@@ -129,7 +129,7 @@ void FallbackReplica::handle_message(ReplicaId from, smr::Message&& msg) {
     if (cq->leader_best) {
       const smr::Certificate& best = *cq->leader_best;
       if (best.kind == smr::CertKind::kFallback && best.view == cq->qc.view &&
-          cached_verify(best)) {
+          verify(best)) {
         frontier_.observe(best);  // ignored unless it is the current view
         note_certificate(best, from);
       } else {
@@ -254,7 +254,7 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   smr::Block& block = msg.block;
   if (block.height != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
-  if (!cached_verify(block.parent)) return;
+  if (!verify(block.parent)) return;
   install_attached_coins(msg.coins);
 
   const smr::Certificate parent = block.parent;
@@ -333,7 +333,6 @@ void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
   qc.round = msg.round;
   qc.view = msg.view;
   qc.sig = *sig;
-  note_verified(qc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kQcFormed, msg.view, msg.round);
   span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
        msg.view, msg.round);
@@ -377,7 +376,7 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
   // lazily — an invalid share must not suppress the catch-up either way).
   install_attached_coins(msg.coins);
   // "Upon receiving a valid timeout message, execute Lock" (on qc_high).
-  if (cached_verify(msg.qc_high)) lock_full(msg.qc_high, from);
+  if (verify(msg.qc_high)) lock_full(msg.qc_high, from);
 
   if (msg.view < v_cur_) return;  // stale view; shares cannot help anymore
   if (any_ftc_formed_ && msg.view <= highest_ftc_formed_) return;
@@ -386,7 +385,6 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
                        [&] { return smr::ftc_signing_message(msg.view); });
   if (!sig) return;
   const smr::FallbackTC ftc{msg.view, *sig};
-  note_verified(ftc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kFtcFormed, msg.view, 0);
   highest_ftc_formed_ = msg.view;
   any_ftc_formed_ = true;
@@ -506,7 +504,11 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
   smr::FbProposalMsg msg;
   msg.block = std::move(block);
   // kTamperFBlocks: the wire block no longer matches its id.
-  if (fault().tampers_fblocks()) msg.block.payload.push_back(0xee);
+  if (fault().tampers_fblocks()) {
+    Bytes tampered = *msg.block.payload;
+    tampered.push_back(0xee);
+    msg.block.payload = make_shared_bytes(std::move(tampered));
+  }
   msg.ftc = ftc;
   msg.coins = evidence_for(parent);
   ++stats_.proposals_sent;
@@ -522,7 +524,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   if (block.is_batch_ref()) return;
   if (block.height < 1 || block.height > fb_.chain_len) return;
   if (block.proposer != from) return;
-  if (!cached_verify(block.parent)) {
+  if (!verify(block.parent)) {
     blame_cert(from);  // f-block built on a forged certificate
     return;
   }
@@ -530,7 +532,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
 
   // An attached valid f-TC can pull us into the fallback (Enter Fallback
   // triggers on receiving an f-TC from any message).
-  if (msg.ftc && cached_verify(*msg.ftc)) handle_ftc(*msg.ftc);
+  if (msg.ftc && verify(*msg.ftc)) handle_ftc(*msg.ftc);
 
   const smr::Certificate parent = block.parent;
   const FallbackHeight h = block.height;
@@ -557,7 +559,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     // has no timeouts, hence no f-TC to check.)
     const bool ftc_ok =
         fb_.always_fallback ||
-        (msg.ftc && cached_verify(*msg.ftc) && msg.ftc->view == v_cur_);
+        (msg.ftc && verify(*msg.ftc) && msg.ftc->view == v_cur_);
     if (!ftc_ok) return;
     if (parent.kind == smr::CertKind::kFallback && !is_endorsed(parent)) return;
     if (rank_of(parent) < rank_lock()) return;
@@ -588,7 +590,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     }
   }
 
-  if (!externally_valid(store().get(block_id)->payload)) return;
+  if (!externally_valid(*store().get(block_id)->payload)) return;
   if (fault().withholds_votes()) return;
   r_vote_bar_[j] = r;
   h_vote_bar_[j] = h;
@@ -634,7 +636,6 @@ void FallbackReplica::handle_fb_vote(ReplicaId from, const smr::FbVoteMsg& msg) 
   fqc.height = msg.height;
   fqc.proposer = id();
   fqc.sig = *sig;
-  note_verified(fqc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kFBlockCertified, msg.view, msg.round, msg.height);
   span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
        msg.view, msg.round, msg.height);
@@ -690,7 +691,7 @@ void FallbackReplica::handle_fb_qc(ReplicaId from, const smr::FbQcMsg& msg) {
     blame_cert(from);  // honest replicas only multicast well-formed top f-QCs
     return;
   }
-  if (!cached_verify(fqc)) {
+  if (!verify(fqc)) {
     blame_cert(from);  // forged certificate — the adoption attack vector
     return;
   }
@@ -740,7 +741,6 @@ void FallbackReplica::handle_coin_share(ReplicaId from, const smr::CoinShareMsg&
                        [&] { return crypto::CommonCoin::coin_message(msg.view); });
   if (!sig) return;
   const smr::CoinQC coin{msg.view, *sig};
-  note_verified(coin);  // the accumulator verified the combined signature
   trace(obs::EventKind::kCoinQcFormed, msg.view, 0);
   process_coin(coin);
 }
@@ -832,7 +832,7 @@ std::vector<smr::CoinQC> FallbackReplica::evidence_for(const smr::Certificate& c
 
 void FallbackReplica::install_attached_coins(const std::vector<smr::CoinQC>& coins) {
   for (const auto& c : coins) {
-    if (cached_verify(c)) process_coin(c);
+    if (verify(c)) process_coin(c);
   }
 }
 

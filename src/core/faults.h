@@ -44,7 +44,7 @@ enum class FaultKind : std::uint8_t {
   /// it multicasts FbQcMsg certificates for fabricated f-blocks — two
   /// *different* fakes to the two halves of the network (equivocation) —
   /// with garbage threshold signatures. Stresses the adoption rule's
-  /// verification gate: honest replicas must reject (cached_verify fails),
+  /// verification gate: honest replicas must reject (verification fails),
   /// blame the sender, and never adopt or count the fake toward election.
   kForgeFbQc,
   /// On every steady-state proposal it receives, multicasts a fabricated

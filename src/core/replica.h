@@ -90,11 +90,6 @@ struct ReplicaStats {
   /// Total simulated time spent inside fallbacks (enter -> exit), summed
   /// over completed fallbacks. Mean duration = total / fallbacks_exited.
   obs::Counter fallback_time_total_us;
-  /// Verified-certificate cache: hits avoided a full threshold
-  /// verification; misses performed one. Covers QCs/f-QCs, TCs, f-TCs
-  /// and coin-QCs routed through the cached verify path.
-  obs::Counter cert_verify_hits;
-  obs::Counter cert_verify_misses;
   /// Decode-once delivery cache, counted per delivery at this replica: a
   /// hit reused an already-decoded message (no parse), a miss ran a full
   /// decode_message. With the harness-shared cache, one multicast costs
@@ -162,8 +157,6 @@ void for_each_counter(const ReplicaStats& s, Fn&& fn) {
   fn("repro_fallbacks_exited_total", &s.fallbacks_exited);
   fn("repro_blocks_fetched_total", &s.blocks_fetched);
   fn("repro_fallback_time_us_total", &s.fallback_time_total_us);
-  fn("repro_cert_verify_hits_total", &s.cert_verify_hits);
-  fn("repro_cert_verify_misses_total", &s.cert_verify_misses);
   fn("repro_decode_hits_total", &s.decode_hits);
   fn("repro_decode_misses_total", &s.decode_misses);
   fn("repro_multicast_encodes_total", &s.multicast_encodes);

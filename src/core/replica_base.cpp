@@ -22,44 +22,12 @@ ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
       on_commit_(ctx.on_commit),
       fallback_duration_hist_(ctx.fallback_duration_hist),
       wal_(ctx.wal),
-      vcache_(ctx.config.cert_cache_capacity),
       dcache_(ctx.decode_cache
                   ? ctx.decode_cache
                   : std::make_shared<smr::DecodeCache>(ctx.config.decode_cache_capacity)),
       batch_store_(ctx.config.batch_store_bytes) {
   REPRO_ASSERT(sim_ != nullptr && net_ != nullptr && crypto_ != nullptr);
   qc_high_ = smr::genesis_certificate();
-}
-
-bool ReplicaBase::cached_verify(const smr::Certificate& cert) {
-  const bool ok = smr::verify_certificate(*crypto_, vcache_, cert);
-  // Genesis short-circuits before the cache; don't let it skew counters.
-  if (cert.kind != smr::CertKind::kGenesis) {
-    stats_.cert_verify_hits = vcache_.stats().hits;
-    stats_.cert_verify_misses = vcache_.stats().misses;
-  }
-  return ok;
-}
-
-bool ReplicaBase::cached_verify(const smr::TimeoutCert& tc) {
-  const bool ok = smr::verify_tc(*crypto_, vcache_, tc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
-}
-
-bool ReplicaBase::cached_verify(const smr::FallbackTC& ftc) {
-  const bool ok = smr::verify_ftc(*crypto_, vcache_, ftc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
-}
-
-bool ReplicaBase::cached_verify(const smr::CoinQC& qc) {
-  const bool ok = smr::verify_coin_qc(*crypto_, vcache_, qc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
 }
 
 void ReplicaBase::persist_vote_state() {
@@ -383,11 +351,12 @@ bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
   if (coins_.count(coin.view) != 0) return false;
   coins_.emplace(coin.view, InstalledCoin{coin, coin.leader(*crypto_)});
   // Endorsements of recorded f-QCs of this view may have flipped on:
-  // rescan them for commit (the Exit Fallback "check for commit").
-  for (const auto& cert : store_.certificates()) {
-    if (cert.kind == smr::CertKind::kFallback && cert.view == coin.view) {
-      try_commit_from(cert, cert.proposer);
-    }
+  // rescan them for commit (the Exit Fallback "check for commit"): the
+  // ones recorded before this install, in the order they arrived.
+  const std::vector<std::size_t> positions = store_.fallback_certificates(coin.view);
+  for (std::size_t pos : positions) {
+    const smr::Certificate cert = store_.certificates()[pos];
+    try_commit_from(cert, cert.proposer);
   }
   return true;
 }

@@ -100,9 +100,6 @@ class ReplicaBase : public IReplica {
   /// Whether construction restored a WAL snapshot.
   bool recovered() const { return recovered_; }
   bool halted() const { return halted_; }
-  /// Verified-certificate cache occupancy (tests pin its bound).
-  std::size_t cert_cache_size() const { return vcache_.size(); }
-  std::size_t cert_cache_capacity() const { return vcache_.capacity(); }
   /// The decode-once cache this replica delivers through (harness-shared
   /// in simulations, private otherwise).
   const smr::DecodeCache& decode_cache() const { return *dcache_; }
@@ -173,23 +170,16 @@ class ReplicaBase : public IReplica {
   void send(ReplicaId to, smr::Message msg);
   void multicast(smr::Message msg);
 
-  // Cached certificate verification --------------------------------------
-  // Equivalent to the free verify_* functions but routed through the
-  // replica's verified-certificate cache: each distinct certificate pays
-  // the full threshold verification once; repeats (the fallback floods n
-  // copies of every QC/f-TC/coin-QC) are digest lookups. Successful
-  // verifications and self-combined certificates populate the cache;
-  // failures are never cached. Counters land in stats().cert_verify_*.
-  bool cached_verify(const smr::Certificate& cert);
-  bool cached_verify(const smr::TimeoutCert& tc);
-  bool cached_verify(const smr::FallbackTC& ftc);
-  bool cached_verify(const smr::CoinQC& qc);
-
-  /// Insert a certificate we built ourselves from verified shares.
-  template <typename Cert>
-  void note_verified(const Cert& cert) {
-    smr::note_verified(vcache_, cert);
+  // Certificate verification ---------------------------------------------
+  // The full threshold check, on every copy: in this scheme it is one
+  // SHA-256 of a short signing message and one field multiply, so no
+  // lookup keyed on those bytes could be cheaper (docs/PROTOCOL.md §7).
+  bool verify(const smr::Certificate& cert) const {
+    return smr::verify_certificate(*crypto_, cert);
   }
+  bool verify(const smr::TimeoutCert& tc) const { return smr::verify_tc(*crypto_, tc); }
+  bool verify(const smr::FallbackTC& ftc) const { return smr::verify_ftc(*crypto_, ftc); }
+  bool verify(const smr::CoinQC& qc) const { return smr::verify_coin_qc(*crypto_, qc); }
 
   // Optimistic quorum assembly ------------------------------------------
   // Feed one share into a SharePool under this replica's share
@@ -231,7 +221,7 @@ class ReplicaBase : public IReplica {
   /// Per-signer blame counters for rejected shares (flood diagnosis).
   const std::vector<std::uint64_t>& share_blame() const { return share_stats_.blame; }
 
-  /// Charge `from` for a relayed certificate that failed cached_verify
+  /// Charge `from` for a relayed certificate that failed verify
   /// (forged f-QC / coin-QC advertisement). Senders are envelope-
   /// authenticated, so the blame is attributable.
   void blame_cert(ReplicaId from) {
@@ -514,7 +504,6 @@ class ReplicaBase : public IReplica {
   storage::Wal* wal_ = nullptr;
   bool recovered_ = false;
   bool halted_ = false;
-  crypto::VerifierCache vcache_;
   std::shared_ptr<smr::DecodeCache> dcache_;
   crypto::LagrangeCache lagrange_;
   smr::ShareStats share_stats_;

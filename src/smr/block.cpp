@@ -2,6 +2,32 @@
 
 namespace repro::smr {
 
+struct Block::IdMemo {
+  BlockId id;
+  Certificate parent;
+  Round round;
+  View view;
+  FallbackHeight height;
+  ReplicaId proposer;
+  std::uint8_t payload_kind;
+  SharedBytes payload;
+
+  bool matches(const Block& b) const {
+    return payload == b.payload && round == b.round && view == b.view && height == b.height &&
+           proposer == b.proposer && payload_kind == b.payload_kind && parent == b.parent;
+  }
+};
+
+const SharedBytes& Block::empty_payload() {
+  static const SharedBytes empty = make_shared_bytes(Bytes{});
+  return empty;
+}
+
+void Block::memoize_id(const BlockId& hashed) {
+  id_memo_ = std::make_shared<const IdMemo>(
+      IdMemo{hashed, parent, round, view, height, proposer, payload_kind, payload});
+}
+
 BlockId Block::compute_id(const Certificate& parent, Round round, View view,
                           FallbackHeight height, ReplicaId proposer, BytesView payload,
                           std::uint8_t payload_kind) {
@@ -25,15 +51,16 @@ Block Block::make(const Certificate& parent, Round round, View view, FallbackHei
   b.height = height;
   b.proposer = proposer;
   b.payload_kind = payload_kind;
-  b.payload = std::move(payload);
-  b.id = compute_id(b.parent, b.round, b.view, b.height, b.proposer, b.payload,
+  b.payload = make_shared_bytes(std::move(payload));
+  b.id = compute_id(b.parent, b.round, b.view, b.height, b.proposer, *b.payload,
                     b.payload_kind);
+  b.memoize_id(b.id);
   return b;
 }
 
 BatchId Block::batch_ref() const {
   BatchId out{};
-  if (payload.size() == out.size()) std::copy(payload.begin(), payload.end(), out.begin());
+  if (payload->size() == out.size()) std::copy(payload->begin(), payload->end(), out.begin());
   return out;
 }
 
@@ -53,10 +80,13 @@ const Block& Block::genesis() {
 
 bool Block::id_consistent() const {
   if (is_genesis()) return *this == genesis();
-  if (payload_kind == kBatchRefPayload && payload.size() != 32) return false;
+  if (payload_kind == kBatchRefPayload && payload->size() != 32) return false;
   if (payload_kind > kBatchRefPayload) return false;
-  return id == compute_id(parent, round, view, height, proposer, payload, payload_kind);
+  if (id_memoized()) return id == id_memo_->id;
+  return id == compute_id(parent, round, view, height, proposer, *payload, payload_kind);
 }
+
+bool Block::id_memoized() const { return id_memo_ != nullptr && id_memo_->matches(*this); }
 
 void Block::encode(Encoder& enc) const {
   enc.raw(BytesView(id.data(), id.size()));
@@ -66,7 +96,7 @@ void Block::encode(Encoder& enc) const {
   enc.u32(height);
   enc.u32(proposer);
   enc.u8(payload_kind);
-  enc.bytes(payload);
+  enc.bytes(*payload);
 }
 
 std::optional<Block> Block::decode(Decoder& dec) {
@@ -90,11 +120,14 @@ std::optional<Block> Block::decode(Decoder& dec) {
   b.height = *height;
   b.proposer = *proposer;
   b.payload_kind = *payload_kind;
-  b.payload = std::move(*payload);
+  b.payload = make_shared_bytes(std::move(*payload));
   // Id consistency is a codec property: a wire block whose id does not
   // bind its fields never decodes, so the decode cache memoizes the check
-  // together with the parse and handlers need not repeat it.
+  // together with the parse and handlers need not repeat it. The block
+  // carries the hashed fields onward, so later checks of any copy
+  // (BlockStore::insert, a sender's cache seed) need not rehash either.
   if (!b.id_consistent()) return std::nullopt;
+  b.memoize_id(b.id);
   return b;
 }
 

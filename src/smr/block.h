@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "common/bytes.h"
@@ -36,7 +37,11 @@ struct Block {
   FallbackHeight height = 0;  ///< 0 = regular block; 1..3 = fallback-block
   ReplicaId proposer = 0;
   std::uint8_t payload_kind = kInlinePayload;
-  Bytes payload;  ///< transaction batch, or its 32-byte batch id (kBatchRefPayload)
+  /// Transaction batch, or its 32-byte batch id (kBatchRefPayload). One
+  /// immutable buffer that every copy of the block shares (decode-cache
+  /// hits, the block store, block responses): change a payload by
+  /// assigning a new buffer, never by writing through this one.
+  SharedBytes payload = empty_payload();
 
   /// Resolved transaction bytes of a kBatchRefPayload block. NOT part of
   /// the wire format or the id: each replica fills it locally from its
@@ -56,14 +61,18 @@ struct Block {
 
   /// The transaction bytes this block orders: the inline payload, or the
   /// locally resolved batch. Only meaningful once payload_resolved().
-  const Bytes& txns() const { return is_batch_ref() ? resolved_payload : payload; }
+  const Bytes& txns() const { return is_batch_ref() ? resolved_payload : *payload; }
 
-  /// Wire fields only — resolved_payload is local state, not identity.
+  /// Wire fields only (payloads by content) — resolved_payload and the id
+  /// memo are local state, not identity.
   bool operator==(const Block& o) const {
     return id == o.id && parent == o.parent && round == o.round && view == o.view &&
            height == o.height && proposer == o.proposer && payload_kind == o.payload_kind &&
-           payload == o.payload;
+           (payload == o.payload || *payload == *o.payload);
   }
+
+  /// The shared empty payload (genesis, default-constructed blocks).
+  static const SharedBytes& empty_payload();
 
   /// Recomputes what the id must be for the other fields.
   static BlockId compute_id(const Certificate& parent, Round round, View view,
@@ -79,12 +88,27 @@ struct Block {
   static const Block& genesis();
 
   /// True iff id matches the other fields. Block::decode rejects any
-  /// block that fails it, so every received block passed it.
+  /// block that fails it, so every received block passed it. Blocks from
+  /// make() and decode() carry a record of the fields they hashed; while
+  /// every wire field still equals that record (the payload by buffer
+  /// identity) the answer is read from it, otherwise the id is rehashed.
   bool id_consistent() const;
+  /// True iff id_consistent() would answer from the id memo, not a hash.
+  bool id_memoized() const;
 
   void encode(Encoder& enc) const;
   /// nullopt on malformed bytes or an id-inconsistent block.
   static std::optional<Block> decode(Decoder& dec);
+
+ private:
+  /// The wire fields as of the last id hash, and the id they hash to.
+  /// Immutable and shared by every copy of the block; it holds the
+  /// payload by its shared pointer, so a buffer it names stays alive and
+  /// no other buffer can take its address.
+  struct IdMemo;
+  std::shared_ptr<const IdMemo> id_memo_;
+  /// Record the current fields with `hashed` as the id they hash to.
+  void memoize_id(const BlockId& hashed);
 };
 
 }  // namespace repro::smr

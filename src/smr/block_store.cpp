@@ -13,8 +13,10 @@ BlockStore::BlockStore() {
 }
 
 bool BlockStore::insert(Block block) {
+  // Free for blocks from Block::make / Block::decode (their id memo).
   REPRO_ASSERT_MSG(block.id_consistent(), "inserting id-inconsistent block");
-  return blocks_.emplace(block.id, std::move(block)).second;
+  const BlockId id = block.id;
+  return blocks_.try_emplace(id, std::move(block)).second;
 }
 
 const Block* BlockStore::get(const BlockId& id) const {
@@ -23,9 +25,16 @@ const Block* BlockStore::get(const BlockId& id) const {
 }
 
 bool BlockStore::add_certificate(const Certificate& cert) {
-  const bool inserted = certs_.emplace(cert.block_id, cert).second;
-  if (inserted) cert_log_.push_back(cert);
-  return inserted;
+  if (!certs_.try_emplace(cert.block_id, cert).second) return false;
+  if (cert.kind == CertKind::kFallback) fqcs_by_view_[cert.view].push_back(cert_log_.size());
+  cert_log_.push_back(cert);
+  return true;
+}
+
+const std::vector<std::size_t>& BlockStore::fallback_certificates(View view) const {
+  static const std::vector<std::size_t> kNone;
+  auto it = fqcs_by_view_.find(view);
+  return it == fqcs_by_view_.end() ? kNone : it->second;
 }
 
 const Certificate* BlockStore::certificate_for(const BlockId& id) const {

@@ -3,6 +3,7 @@
 // replica implementations.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -46,8 +47,12 @@ class BlockStore {
   const Certificate* certificate_for(const BlockId& id) const;
   bool is_certified(const BlockId& id) const { return certs_.count(id) != 0; }
 
-  /// All certificates seen, in insertion order (commit scans iterate it).
+  /// All certificates seen, in insertion order.
   const std::vector<Certificate>& certificates() const { return cert_log_; }
+
+  /// Positions in certificates() of the f-QCs of `view`, in insertion
+  /// order (a coin install rescans exactly these).
+  const std::vector<std::size_t>& fallback_certificates(View view) const;
 
   /// Walk parent links from `id` toward genesis, newest first. Stops at
   /// the first missing block (the walk then ends with that missing id in
@@ -64,6 +69,7 @@ class BlockStore {
   std::unordered_map<BlockId, Block, BlockIdHash> blocks_;
   std::unordered_map<BlockId, Certificate, BlockIdHash> certs_;
   std::vector<Certificate> cert_log_;
+  std::map<View, std::vector<std::size_t>> fqcs_by_view_;
 };
 
 }  // namespace repro::smr

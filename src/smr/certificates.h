@@ -16,7 +16,6 @@
 #include "common/types.h"
 #include "crypto/dealer.h"
 #include "crypto/sha256.h"
-#include "crypto/verifier_cache.h"
 #include "smr/rank.h"
 
 namespace repro::smr {
@@ -119,41 +118,5 @@ struct CoinQC {
 bool verify_coin_qc(const crypto::CryptoSystem& crypto, const CoinQC& qc);
 std::optional<CoinQC> combine_coin_qc(const crypto::CryptoSystem& crypto, View view,
                                       std::span<const crypto::PartialSig> shares);
-
-// ---------------------------------------------------------------------------
-// Cached verification (the message hot path)
-// ---------------------------------------------------------------------------
-//
-// Each function below is equivalent to its uncached counterpart, but
-// consults a VerifierCache first and records successful verifications in
-// it. The cache key is a domain-separated digest over exactly the bytes
-// full verification checks — the signing message plus the combined
-// signature value — so a hit implies a prior full verification of
-// byte-identical content (see docs/PROTOCOL.md §7 for the safety
-// argument). Failed verifications are never cached.
-
-/// Cache key for a certificate: digest over (kind domain, signing
-/// message, signature). Genesis has no signature and is never cached.
-crypto::Digest cert_cache_key(const Certificate& cert);
-crypto::Digest tc_cache_key(const TimeoutCert& tc);
-crypto::Digest ftc_cache_key(const FallbackTC& ftc);
-crypto::Digest coin_qc_cache_key(const CoinQC& qc);
-
-bool verify_certificate(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                        const Certificate& cert);
-bool verify_tc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-               const TimeoutCert& tc);
-bool verify_ftc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                const FallbackTC& ftc);
-bool verify_coin_qc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                    const CoinQC& qc);
-
-/// Record certificates we combined ourselves (from individually verified
-/// shares) as pre-verified, so our own QCs never pay a redundant full
-/// verification when they come back to us in messages.
-void note_verified(crypto::VerifierCache& cache, const Certificate& cert);
-void note_verified(crypto::VerifierCache& cache, const TimeoutCert& tc);
-void note_verified(crypto::VerifierCache& cache, const FallbackTC& ftc);
-void note_verified(crypto::VerifierCache& cache, const CoinQC& qc);
 
 }  // namespace repro::smr

@@ -25,7 +25,10 @@
 // Block-id consistency rides along: decode_message rejects any block
 // whose id does not bind its fields, so a cached entry stands for a
 // checked one, and senders seed the cache only with messages that pass
-// the same check (smr::blocks_id_consistent).
+// the same check (smr::blocks_id_consistent). A decoded block holds its
+// payload as one shared immutable buffer and carries the record of the
+// id hash Block::decode ran, so every copy a hit hands out shares the
+// bytes and the check instead of duplicating or rehashing them.
 //
 // A sender that seeds an entry may also remember which buffer holds those
 // bytes. Deliveries of that very buffer — every recipient of one simulator
@@ -35,9 +38,9 @@
 // one per entry); an expired or unknown buffer falls back to hashing, and
 // evicting the entry drops its buffer mapping.
 //
-// Bounded LRU, mirroring crypto::VerifierCache. Shared by all replicas of
-// one simulation (they observe the same broadcast bytes); per-node in the
-// TCP transport (processes share nothing).
+// Bounded LRU. Shared by all replicas of one simulation (they observe
+// the same broadcast bytes); per-node in the TCP transport (processes
+// share nothing).
 #pragma once
 
 #include <cstdint>

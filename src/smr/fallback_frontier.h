@@ -11,9 +11,9 @@
 //  * global: the frontier — the highest certified f-block position any
 //    chain has reached this view, which is what adoption extends.
 //
-// Only *verified* certificates may be observed; callers run them through
-// the replica's VerifierCache first (a forged certificate must never move
-// the frontier — see the Byzantine-adoption tests).
+// Only *verified* certificates may be observed; callers run the full
+// threshold check first (a forged certificate must never move the
+// frontier — see the Byzantine-adoption tests).
 #pragma once
 
 #include <algorithm>

@@ -333,7 +333,7 @@ std::size_t coins_size(const std::vector<CoinQC>& coins) {
 }
 
 std::size_t block_size(const Block& b) {
-  return 32 + kCertSize + 8 + 8 + 4 + 4 + 1 + 4 + b.payload.size();
+  return 32 + kCertSize + 8 + 8 + 4 + 4 + 1 + 4 + b.payload->size();
 }
 
 std::size_t body_size(const ProposalMsg& m) {

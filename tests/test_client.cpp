@@ -153,7 +153,7 @@ TEST(ClientSwarm, CommittedPayloadsMatchSubmittedTxns) {
   for (const auto& rec : rig.exp->replica(0).ledger().records()) {
     const smr::Block* b = base.store().get(rec.id);
     ASSERT_NE(b, nullptr);
-    txns += TxnPools::decode_txn_ids(b->payload).size();
+    txns += TxnPools::decode_txn_ids(*b->payload).size();
   }
   EXPECT_GT(txns, 0u);
   EXPECT_LE(txns, rig.swarm->stats().submitted);

@@ -3,10 +3,12 @@
 // judged independently, the LRU bound must hold under floods of distinct
 // payloads, the per-sender signature memo must never leak a
 // verification to a different sender, and the buffer -> key memo must
-// only ever answer for the live buffer it was given.
+// only ever answer for the live buffer it was given. Decoded blocks hand
+// out one shared payload buffer, however many recipients take a copy.
 #include <gtest/gtest.h>
 
 #include "crypto/dealer.h"
+#include "harness/experiment.h"
 #include "smr/decode_cache.h"
 
 namespace repro::smr {
@@ -220,6 +222,52 @@ TEST(DecodeCache, BufferMemoStaysWithinTheEntryBound) {
   EXPECT_TRUE(cache.buffer_key(*again).has_value());
   EXPECT_FALSE(cache.buffer_key(*live.back()).has_value());
   EXPECT_LE(cache.buffer_count(), kCap);
+}
+
+TEST(DecodeCache, HitsShareOnePayloadBuffer) {
+  DecodeCache cache(16);
+  const Block block = Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(512, 0x5a));
+  const Bytes wire = encode_message(Message{ProposalMsg{block, std::nullopt, {}, {}}});
+  const auto key = DecodeCache::key_of(wire);
+  bool hit = false;
+  ASSERT_TRUE(cache.decode(key, wire, &hit).has_value());
+  auto first = cache.decode(key, wire, &hit);
+  ASSERT_TRUE(hit);
+  auto second = cache.decode(key, wire, &hit);
+  ASSERT_TRUE(hit);
+  const Block& a = std::get<ProposalMsg>(*first).block;
+  const Block& b = std::get<ProposalMsg>(*second).block;
+  EXPECT_EQ(a.payload.get(), b.payload.get());
+  EXPECT_EQ(*a.payload, *block.payload);
+  EXPECT_TRUE(a.id_memoized());
+}
+
+TEST(DecodeCache, SimulatedReplicasStoreOneSharedPayloadBuffer) {
+  // The simulator's replicas share one decode cache, so a proposal's
+  // payload is one buffer in every replica's store: the proposer's own
+  // (its encode seeds the cache) and each recipient's.
+  harness::ExperimentConfig cfg;
+  cfg.n = 4;
+  cfg.protocol = harness::Protocol::kFallback3;
+  cfg.seed = 11;
+  harness::Experiment exp(cfg);
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(20, 120'000'000));
+  auto store = [&exp](ReplicaId id) -> const BlockStore& {
+    return dynamic_cast<const core::ReplicaBase&>(exp.replica(id)).store();
+  };
+  std::size_t compared = 0;
+  for (const auto& rec : exp.replica(1).ledger().records()) {
+    const Block* b1 = store(1).get(rec.id);
+    const Block* b2 = store(2).get(rec.id);
+    ASSERT_NE(b1, nullptr);
+    if (b2 == nullptr) continue;
+    EXPECT_FALSE(b1->payload->empty());
+    EXPECT_EQ(b1->payload.get(), b2->payload.get()) << "round " << rec.round;
+    EXPECT_TRUE(b1->id_memoized());
+    ++compared;
+  }
+  EXPECT_GE(compared, 20u);
 }
 
 }  // namespace

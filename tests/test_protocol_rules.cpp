@@ -336,56 +336,6 @@ TEST(ExitFallback, CoinQcExitsAndAdvancesView) {
   EXPECT_FALSE(rig.sent<smr::CoinQcMsg>().empty());
 }
 
-// ---- verified-certificate cache (message hot path) ---------------------------
-
-TEST(VerifierCacheRules, DuplicateCertificateDeliveryHitsCache) {
-  // The fallback floods each replica with n copies of every QC (qc_high
-  // rides on every fb-timeout): only the first copy may pay a full
-  // threshold verification.
-  ProtocolConfig pcfg;
-  pcfg.leader_rotation = 1;
-  Rig rig({}, pcfg);
-  rig.replica->start();
-  rig.settle();
-  const auto proposals = rig.sent<smr::ProposalMsg>();
-  ASSERT_FALSE(proposals.empty());
-  const Certificate qc1 = rig.make_qc(proposals.front().block);
-
-  auto timeout_with_qc = [&](ReplicaId i) {
-    smr::FbTimeoutMsg m = rig.timeout_from(i, 1);
-    m.qc_high = qc1;
-    return m;
-  };
-  rig.inject(1, timeout_with_qc(1));
-  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 1u);
-  EXPECT_EQ(rig.replica->stats().cert_verify_hits, 0u);
-  rig.inject(2, timeout_with_qc(2));
-  rig.inject(3, timeout_with_qc(3));
-  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 1u);  // still one full verify
-  EXPECT_GE(rig.replica->stats().cert_verify_hits, 2u);
-}
-
-TEST(VerifierCacheRules, CacheStaysBoundedUnderDistinctCertFlood) {
-  // A Byzantine peer streaming never-repeating (valid) certificates must
-  // not grow the replica's cache past its configured capacity.
-  ProtocolConfig pcfg;
-  pcfg.leader_rotation = 1;
-  pcfg.cert_cache_capacity = 4;
-  Rig rig({}, pcfg);
-  rig.replica->start();
-  rig.settle();
-
-  for (std::uint8_t i = 0; i < 12; ++i) {
-    const Block b = Block::make(smr::genesis_certificate(), 1, 0, 0, 0, Bytes{i});
-    smr::FbTimeoutMsg m = rig.timeout_from(1, 1);
-    m.qc_high = rig.make_qc(b);  // distinct block id -> distinct cache key
-    rig.inject(1, m);
-  }
-  EXPECT_EQ(rig.replica->cert_cache_capacity(), 4u);
-  EXPECT_LE(rig.replica->cert_cache_size(), 4u);
-  EXPECT_GE(rig.replica->stats().cert_verify_misses, 12u);
-}
-
 // ---- coin-share view horizon --------------------------------------------------
 
 TEST(CoinShareHorizon, FarFutureSharesAreRejected) {
@@ -428,7 +378,7 @@ TEST(BlockRetrieval, ResponseWithOneTamperedBlockStoresNothing) {
   Rig rig;
   const Block a = Block::make(smr::genesis_certificate(), 1, 0, 0, 1, Bytes{1});
   Block bad = Block::make(smr::genesis_certificate(), 2, 0, 0, 2, Bytes{2});
-  bad.payload.push_back(3);
+  bad.payload = make_shared_bytes(Bytes{2, 3});
   smr::BlockResponseMsg resp;
   resp.blocks = {bad, a};
   rig.inject(1, resp);

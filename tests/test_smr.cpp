@@ -79,7 +79,7 @@ TEST(Block, IdBindsAllFields) {
   tampered.round = 2;
   EXPECT_FALSE(tampered.id_consistent());
   tampered = base;
-  tampered.payload = Bytes{1, 3};
+  tampered.payload = make_shared_bytes(Bytes{1, 3});
   EXPECT_FALSE(tampered.id_consistent());
   tampered = base;
   tampered.proposer = 3;
@@ -106,12 +106,26 @@ TEST(Block, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(dec.done());
 }
 
-bool wire_block_decodes(const Block& b) {
+std::optional<Block> wire_round_trip(const Block& b) {
   Encoder enc;
   b.encode(enc);
   Decoder dec(enc.result());
-  return Block::decode(dec).has_value();
+  return Block::decode(dec);
 }
+
+bool wire_block_decodes(const Block& b) { return wire_round_trip(b).has_value(); }
+
+/// One mutation of each wire field of a block.
+const std::pair<const char*, void (*)(Block&)> kFieldTampers[] = {
+    {"id", [](Block& b) { b.id[0] ^= 0x01; }},
+    {"parent", [](Block& b) { b.parent.round = 7; }},
+    {"round", [](Block& b) { b.round = 2; }},
+    {"view", [](Block& b) { b.view = 1; }},
+    {"height", [](Block& b) { b.height = 1; }},
+    {"proposer", [](Block& b) { b.proposer = 3; }},
+    {"payload_kind", [](Block& b) { b.payload_kind = kBatchRefPayload; }},
+    {"payload", [](Block& b) { b.payload = make_shared_bytes(Bytes{1, 3}); }},
+};
 
 TEST(Block, DecodeRejectsEachTamperedField) {
   // Wire-level twin of IdBindsAllFields: received blocks get their id
@@ -121,17 +135,7 @@ TEST(Block, DecodeRejectsEachTamperedField) {
   EXPECT_TRUE(wire_block_decodes(base));
   EXPECT_TRUE(wire_block_decodes(Block::genesis()));
 
-  const std::pair<const char*, void (*)(Block&)> tampers[] = {
-      {"id", [](Block& b) { b.id[0] ^= 0x01; }},
-      {"parent", [](Block& b) { b.parent.round = 7; }},
-      {"round", [](Block& b) { b.round = 2; }},
-      {"view", [](Block& b) { b.view = 1; }},
-      {"height", [](Block& b) { b.height = 1; }},
-      {"proposer", [](Block& b) { b.proposer = 3; }},
-      {"payload_kind", [](Block& b) { b.payload_kind = kBatchRefPayload; }},
-      {"payload", [](Block& b) { b.payload = Bytes{1, 3}; }},
-  };
-  for (const auto& [field, tamper] : tampers) {
+  for (const auto& [field, tamper] : kFieldTampers) {
     Block tampered = base;
     tamper(tampered);
     EXPECT_FALSE(wire_block_decodes(tampered)) << field;
@@ -146,10 +150,50 @@ TEST(Block, DecodeRejectsEachTamperedField) {
       Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(32, 7), kBatchRefPayload)));
 }
 
+TEST(Block, IdMemoVouchesOnlyForTheFieldsItHashed) {
+  // Blocks from make() and decode() carry a record of the fields they
+  // hashed, so checking them again costs no hash. The record must never
+  // vouch for anything else: each mutated wire field, and a payload
+  // swapped for different bytes, fails the check on either kind of block.
+  const Block made = Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes{1, 2});
+  const std::optional<Block> decoded = wire_round_trip(made);
+  ASSERT_TRUE(decoded.has_value());
+  for (const Block* base : {&made, &*decoded}) {
+    EXPECT_TRUE(base->id_memoized());
+    EXPECT_TRUE(base->id_consistent());
+    for (const auto& [field, tamper] : kFieldTampers) {
+      Block tampered = *base;
+      tamper(tampered);
+      EXPECT_FALSE(tampered.id_consistent()) << field;
+    }
+    // Equal bytes in a fresh buffer: the memo no longer applies (buffers
+    // compare by identity), and the rehash accepts the block.
+    Block fresh = *base;
+    fresh.payload = make_shared_bytes(Bytes(*base->payload));
+    EXPECT_FALSE(fresh.id_memoized());
+    EXPECT_TRUE(fresh.id_consistent());
+    // Copies share the buffer and the memo.
+    const Block copy = *base;
+    EXPECT_EQ(copy.payload.get(), base->payload.get());
+    EXPECT_TRUE(copy.id_memoized());
+  }
+  // A hand-built block has no memo and is judged by the hash alone.
+  Block manual;
+  manual.parent = made.parent;
+  manual.round = made.round;
+  manual.proposer = made.proposer;
+  manual.payload = made.payload;
+  manual.id = made.id;
+  EXPECT_FALSE(manual.id_memoized());
+  EXPECT_TRUE(manual.id_consistent());
+  manual.round = 9;
+  EXPECT_FALSE(manual.id_consistent());
+}
+
 TEST(Block, BlockResponseWithOneTamperedBlockIsRejected) {
   const Block a = Block::make(genesis_certificate(), 1, 0, 0, 1, Bytes{1});
   Block bad = Block::make(genesis_certificate(), 2, 0, 0, 2, Bytes{2});
-  bad.payload.push_back(3);
+  bad.payload = make_shared_bytes(Bytes{2, 3});
   const Block c = Block::make(genesis_certificate(), 3, 0, 0, 3, Bytes{4});
 
   BlockResponseMsg good;
@@ -436,6 +480,34 @@ TEST(BlockStore, CertificateLogKeepsFirstPerBlock) {
   EXPECT_FALSE(store.add_certificate(qc));
   ASSERT_NE(store.certificate_for(b.id), nullptr);
   EXPECT_EQ(store.certificate_for(b.id)->block_id, b.id);
+}
+
+TEST(BlockStore, FallbackCertificatesIndexEachViewInArrivalOrder) {
+  // A coin install rescans only its view's f-QCs, in the order the log
+  // holds them: the index must name exactly those positions.
+  auto sys = test_crypto();
+  BlockStore store;
+  const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{});
+  const Certificate qc = make_qc(*sys, b.id, 1, 0);
+  std::vector<Certificate> fqcs;
+  for (ReplicaId p = 0; p < 3; ++p) {
+    const Block f = Block::make(qc, 2, p == 2 ? 2 : 1, 1, p, Bytes{});
+    fqcs.push_back(make_fqc(*sys, f.id, 2, f.view, 1, p));
+  }
+  EXPECT_TRUE(store.add_certificate(fqcs[0]));  // view 1
+  EXPECT_TRUE(store.add_certificate(qc));
+  EXPECT_TRUE(store.add_certificate(fqcs[2]));  // view 2
+  EXPECT_TRUE(store.add_certificate(fqcs[1]));  // view 1
+  EXPECT_FALSE(store.add_certificate(fqcs[0]));  // duplicate: no new position
+
+  const auto& log = store.certificates();
+  ASSERT_EQ(store.fallback_certificates(1).size(), 2u);
+  EXPECT_EQ(log[store.fallback_certificates(1)[0]], fqcs[0]);
+  EXPECT_EQ(log[store.fallback_certificates(1)[1]], fqcs[1]);
+  ASSERT_EQ(store.fallback_certificates(2).size(), 1u);
+  EXPECT_EQ(log[store.fallback_certificates(2)[0]], fqcs[2]);
+  EXPECT_TRUE(store.fallback_certificates(0).empty());
+  EXPECT_TRUE(store.fallback_certificates(3).empty());
 }
 
 // ---- Ledger ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ void expect_all_committed_valid(Experiment& exp) {
     for (const auto& rec : exp.replica(id).ledger().records()) {
       const smr::Block* b = base.store().get(rec.id);
       ASSERT_NE(b, nullptr);
-      EXPECT_TRUE(no_ff_prefix(b->payload)) << "invalid batch committed!";
+      EXPECT_TRUE(no_ff_prefix(*b->payload)) << "invalid batch committed!";
     }
   }
 }

@@ -375,7 +375,6 @@ int main(int argc, char** argv) {
   const auto& st = exp.network().stats();
   const std::size_t decisions = exp.min_honest_commits();
   std::uint64_t fallbacks = 0, fb_time = 0, fb_exits = 0;
-  std::uint64_t vhits = 0, vmiss = 0;
   std::uint64_t dhits = 0, dmiss = 0;
   std::uint64_t sh_verified = 0, sh_deferred = 0, sh_opt = 0, sh_fb = 0, sh_bad = 0;
   std::uint64_t thinned = 0, relays_skipped = 0, bad_certs = 0;
@@ -387,8 +386,6 @@ int main(int argc, char** argv) {
     fallbacks += exp.replica(id).stats().fallbacks_entered;
     fb_exits += exp.replica(id).stats().fallbacks_exited;
     fb_time += exp.replica(id).stats().fallback_time_total_us;
-    vhits += exp.replica(id).stats().cert_verify_hits;
-    vmiss += exp.replica(id).stats().cert_verify_misses;
     dhits += exp.replica(id).stats().decode_hits;
     dmiss += exp.replica(id).stats().decode_misses;
     sh_verified += exp.replica(id).stats().shares_verified;
@@ -426,11 +423,6 @@ int main(int argc, char** argv) {
   std::printf("self-delivery      : %llu msgs (%llu bytes), excluded from totals\n",
               static_cast<unsigned long long>(st.self_messages),
               static_cast<unsigned long long>(st.self_bytes));
-  std::printf("cert verifications : %llu full, %llu cache hits",
-              static_cast<unsigned long long>(vmiss),
-              static_cast<unsigned long long>(vhits));
-  if (vmiss > 0) std::printf(" (%.1fx fewer full verifies)", double(vhits + vmiss) / vmiss);
-  std::printf("\n");
   std::printf("payload decodes    : %llu full, %llu cache hits",
               static_cast<unsigned long long>(dmiss),
               static_cast<unsigned long long>(dhits));
