@@ -53,9 +53,6 @@ struct RunResult {
   double frames_per_writev() const {
     return obs::ratio(net.writev_frames, net.writev_batches);
   }
-  double frames_per_verify_batch() const {
-    return obs::ratio(net.verify_frames, net.verify_batches);
-  }
 };
 
 struct RunOpts {
@@ -64,7 +61,6 @@ struct RunOpts {
   /// storm of f-blocks/votes/coin shares — the worst-case write load for
   /// the per-peer send queues.
   bool always_fallback = false;
-  std::size_t verify_threads = 0;
   /// Digest-referenced payload dissemination (ProtocolConfig::batch_refs);
   /// false pins the inline wire format for A/B rows.
   bool batch_refs = true;
@@ -93,7 +89,6 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     cfg.pcfg.base_timeout_us = 150'000;
     cfg.pcfg.batch_bytes = batch_bytes;
     cfg.pcfg.batch_refs = opts.batch_refs;
-    cfg.verify_threads = opts.verify_threads;
     cfg.spans = opts.spans;
     nodes.push_back(std::make_unique<TcpNode>(cfg, [fb](const core::ReplicaContext& ctx) {
       return std::make_unique<core::FallbackReplica>(ctx, fb);
@@ -134,11 +129,6 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     r.net.writev_bytes += st.writev_bytes;
     r.net.sendq_dropped_frames += st.sendq_dropped_frames;
     r.net.sendq_dropped_bytes += st.sendq_dropped_bytes;
-    r.net.verify_batches += st.verify_batches;
-    r.net.verify_frames += st.verify_frames;
-    r.net.verify_bypass_frames += st.verify_bypass_frames;
-    r.net.verify_inline_frames += st.verify_inline_frames;
-    r.net.verify_dropped_at_stop += st.verify_dropped_at_stop;
     const core::ReplicaStats& rs = node->replica().stats();
     r.batches_sealed += rs.batches_sealed;
     r.batches_announced += rs.batches_announced;
@@ -148,16 +138,6 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     r.batch_ref_misses += rs.batch_ref_misses;
   }
   return r;
-}
-
-/// Shared emitter for the verify-pool data-path fields of a JSON row.
-void add_verify_fields(bench::JsonLine& line, const RunResult& r) {
-  line.field("verify_batches", r.net.verify_batches)
-      .field("verify_frames", r.net.verify_frames)
-      .field("frames_per_verify_batch", r.frames_per_verify_batch())
-      .field("verify_bypass_frames", r.net.verify_bypass_frames)
-      .field("verify_inline_frames", r.net.verify_inline_frames)
-      .field("verify_dropped_at_stop", r.net.verify_dropped_at_stop);
 }
 
 }  // namespace
@@ -173,51 +153,36 @@ int main(int argc, char** argv) {
   std::printf("==============================================================\n\n");
 
   std::printf("--- throughput vs cluster size (1s wall clock each, empty blocks) ---\n");
-  std::printf("    %-6s %-4s %14s %12s %12s %14s %10s\n", "n", "vt", "blocks/s",
-              "consistent", "fallbacks", "frames/writev", "drops");
+  std::printf("    %-6s %14s %12s %12s %14s %10s\n", "n", "blocks/s", "consistent",
+              "fallbacks", "frames/writev", "drops");
   for (std::uint32_t n : {4u, 7u, 10u}) {
-    // These rows feed the 0.97-slack verify gate
-    // (tools/check_verify_gate.py). Two noise sources on a shared runner
-    // would swamp that margin if each (n, vt) were a single 1-second
-    // sample: per-run jitter (~5%) and slow machine-wide drift over the
-    // bench's lifetime (vt2 always measured after vt0 would eat a
-    // systematic penalty). Interleave the vt0/vt2 repetitions so drift
-    // hits both sides equally, and report the median of three per side.
-    RunResult runs[2][3];
-    for (int rep = 0; rep < 3; ++rep) {
-      for (std::size_t vi = 0; vi < 2; ++vi) {
-        RunOpts opts;
-        opts.verify_threads = vi == 0 ? 0 : 2;
-        runs[vi][rep] = run_cluster(n, 1000, 0, opts);
-      }
-    }
-    for (std::size_t vi = 0; vi < 2; ++vi) {
-      const std::size_t vt = vi == 0 ? 0 : 2;
-      std::sort(std::begin(runs[vi]), std::end(runs[vi]),
-                [](const RunResult& a, const RunResult& b) {
-                  return a.blocks_per_sec < b.blocks_per_sec;
-                });
-      const RunResult& r = runs[vi][1];
-      std::printf("    %-6u %-4zu %14.0f %12s %12llu %14.2f %10llu\n", n, vt,
-                  r.blocks_per_sec, r.consistent ? "yes" : "NO",
-                  static_cast<unsigned long long>(r.fallbacks), r.frames_per_writev(),
-                  static_cast<unsigned long long>(r.net.sendq_dropped_frames));
-      if (json_path != nullptr) {
-        bench::JsonLine line("tcp_cluster");
-        line.field("n", std::uint64_t{n})
-            .field("verify_threads", std::uint64_t{vt})
-            .field("blocks_per_sec", r.blocks_per_sec)
-            .field("messages", r.net.messages)
-            .field("bytes", r.net.bytes)
-            .field("multicasts", r.net.multicasts)
-            .field("payload_copies_avoided", r.net.payload_copies_avoided)
-            .field("writev_batches", r.net.writev_batches)
-            .field("writev_frames", r.net.writev_frames)
-            .field("frames_per_writev", r.frames_per_writev())
-            .field("sendq_dropped_frames", r.net.sendq_dropped_frames);
-        add_verify_fields(line, r);
-        line.field("wall_time_s", r.wall_seconds).append_to(json_path);
-      }
+    // The n=10 row feeds the throughput floor
+    // (tools/check_throughput_gate.py); a single 1-second sample carries
+    // ~5% per-run jitter on a shared runner, so report the median of three.
+    RunResult runs[3];
+    for (RunResult& run : runs) run = run_cluster(n, 1000, 0);
+    std::sort(std::begin(runs), std::end(runs), [](const RunResult& a, const RunResult& b) {
+      return a.blocks_per_sec < b.blocks_per_sec;
+    });
+    const RunResult& r = runs[1];
+    std::printf("    %-6u %14.0f %12s %12llu %14.2f %10llu\n", n, r.blocks_per_sec,
+                r.consistent ? "yes" : "NO", static_cast<unsigned long long>(r.fallbacks),
+                r.frames_per_writev(),
+                static_cast<unsigned long long>(r.net.sendq_dropped_frames));
+    if (json_path != nullptr) {
+      bench::JsonLine line("tcp_cluster");
+      line.field("n", std::uint64_t{n})
+          .field("blocks_per_sec", r.blocks_per_sec)
+          .field("messages", r.net.messages)
+          .field("bytes", r.net.bytes)
+          .field("multicasts", r.net.multicasts)
+          .field("payload_copies_avoided", r.net.payload_copies_avoided)
+          .field("writev_batches", r.net.writev_batches)
+          .field("writev_frames", r.net.writev_frames)
+          .field("frames_per_writev", r.frames_per_writev())
+          .field("sendq_dropped_frames", r.net.sendq_dropped_frames)
+          .field("wall_time_s", r.wall_seconds)
+          .append_to(json_path);
     }
   }
 
@@ -272,37 +237,32 @@ int main(int argc, char** argv) {
   std::printf("    every view multicasts f-blocks, f-votes and coin shares from\n");
   std::printf("    all n replicas (O(n^2) frames/decision) — the send queues must\n");
   std::printf("    coalesce bursts or the poll threads drown in write syscalls.\n");
-  std::printf("    sweep over verify_threads: 0 = inline verification on the node\n");
-  std::printf("    thread; >0 = batched, sender-sharded off-thread verification.\n");
-  std::printf("    %-14s %12s %14s %16s %12s %12s\n", "verify_threads", "blocks/s",
-              "frames/writev", "frames/vbatch", "consistent", "drops");
-  for (std::size_t vt : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  std::printf("    %12s %14s %12s %12s\n", "blocks/s", "frames/writev", "consistent",
+              "drops");
+  {
     RunOpts opts;
     opts.always_fallback = true;
-    opts.verify_threads = vt;
     const RunResult r = run_cluster(7, 1000, 0, opts);
-    std::printf("    %-14zu %12.0f %14.2f %16.2f %12s %12llu\n", vt, r.blocks_per_sec,
-                r.frames_per_writev(), r.frames_per_verify_batch(),
+    std::printf("    %12.0f %14.2f %12s %12llu\n", r.blocks_per_sec, r.frames_per_writev(),
                 r.consistent ? "yes" : "NO",
                 static_cast<unsigned long long>(r.net.sendq_dropped_frames));
     if (json_path != nullptr) {
       bench::JsonLine line("tcp_cluster_multicast_load");
       line.field("n", std::uint64_t{7})
           .field("always_fallback", std::uint64_t{1})
-          .field("verify_threads", std::uint64_t{vt})
           .field("blocks_per_sec", r.blocks_per_sec)
           .field("writev_batches", r.net.writev_batches)
           .field("writev_frames", r.net.writev_frames)
           .field("frames_per_writev", r.frames_per_writev())
           .field("payload_copies_avoided", r.net.payload_copies_avoided)
-          .field("sendq_dropped_frames", r.net.sendq_dropped_frames);
-      add_verify_fields(line, r);
-      line.field("wall_time_s", r.wall_seconds).append_to(json_path);
+          .field("sendq_dropped_frames", r.net.sendq_dropped_frames)
+          .field("wall_time_s", r.wall_seconds)
+          .append_to(json_path);
     }
   }
 
   std::printf("\n--- commit-lifecycle spans: overhead + critical path -----------\n");
-  std::printf("    n=16 always-fallback, vt=2 — the worst-case span volume (every\n");
+  std::printf("    n=16 always-fallback — the worst-case span volume (every\n");
   std::printf("    view is an O(n^2) proposal/vote storm). Interleaved best-of-5\n");
   std::printf("    spans-off vs spans-on (noise only lowers throughput, so the\n");
   std::printf("    best sample per side is the stable estimator — same statistic\n");
@@ -323,7 +283,6 @@ int main(int argc, char** argv) {
         const std::size_t si = (rep % 2 == 0) ? pos : 1 - pos;
         RunOpts opts;
         opts.always_fallback = true;
-        opts.verify_threads = 2;
         if (si == 1) {
           // Fresh ring per run so each sample pays full recording cost
           // and the analyzed window is one clean run.
@@ -387,7 +346,6 @@ int main(int argc, char** argv) {
       bench::JsonLine line("tcp_span_overhead");
       line.field("n", std::uint64_t{n})
           .field("always_fallback", std::uint64_t{1})
-          .field("verify_threads", std::uint64_t{2})
           .field("blocks_per_sec_off", best[0])
           .field("blocks_per_sec_on", best[1])
           .field("overhead_frac", overhead)

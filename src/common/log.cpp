@@ -53,8 +53,8 @@ bool log_enabled(LogLevel level) { return static_cast<int>(level) >= static_cast
 void log_write(LogLevel level, const char* fmt, ...) {
   // Format the whole line into one buffer and emit it with a single
   // fwrite: stdio locks the stream per call, so concurrent writers (the
-  // VerifyPool workers, the admin thread, the node loop) never interleave
-  // within a line.
+  // node threads of an in-process cluster, the admin thread) never
+  // interleave within a line.
   char line[1024];
   const std::uint64_t t = us_since_start();
   int off = std::snprintf(line, sizeof line, "[%5llu.%06llu] [t%u] [%s] ",

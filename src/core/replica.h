@@ -201,9 +201,10 @@ class IReplica {
   virtual void on_message(ReplicaId from, const Bytes& payload) = 0;
 
   /// Deliver a payload whose decode-cache content key the caller already
-  /// computed (the TCP verify pool hashes frames off-thread; re-hashing
-  /// on delivery would waste the work). `key` MUST equal
-  /// smr::DecodeCache::key_of(payload). Default: ignore the hint.
+  /// computed (ReplicaBase::on_message looks up the key its sender seeded
+  /// for a shared multicast buffer, so delivery does not re-hash it).
+  /// `key` MUST equal smr::DecodeCache::key_of(payload). Default: ignore
+  /// the hint.
   virtual void on_message_keyed(ReplicaId from, const Bytes& payload,
                                 const crypto::Digest& key) {
     (void)key;

@@ -69,21 +69,6 @@ struct NetStats {
   /// machinery recovers, exactly as for frames racing a connection drop).
   obs::Counter sendq_dropped_frames;
   obs::Counter sendq_dropped_bytes;
-  /// TCP transport only, verify pool (NodeConfig::verify_threads > 0):
-  /// batches handed to the pool (one lock + one notify each), frames in
-  /// them, frames that skipped the pool on a decode-cache hit with the
-  /// sender already verified, and frames still undelivered when the pool
-  /// stopped (submitted but never drained — a stop mid-burst; the loss is
-  /// equivalent to frames racing the connection teardown).
-  obs::Counter verify_batches;
-  obs::Counter verify_frames;
-  obs::Counter verify_bypass_frames;
-  /// Frames routed inline by the adaptive bypass (measured per-frame
-  /// verify cost below the pool's round-trip latency — see
-  /// VerifyPool::prefers_inline), as opposed to the cache-hit bypass
-  /// counted above.
-  obs::Counter verify_inline_frames;
-  obs::Counter verify_dropped_at_stop;
 
   NetStats operator-(const NetStats& o) const {
     NetStats d;
@@ -102,11 +87,6 @@ struct NetStats {
     d.writev_bytes = writev_bytes - o.writev_bytes;
     d.sendq_dropped_frames = sendq_dropped_frames - o.sendq_dropped_frames;
     d.sendq_dropped_bytes = sendq_dropped_bytes - o.sendq_dropped_bytes;
-    d.verify_batches = verify_batches - o.verify_batches;
-    d.verify_frames = verify_frames - o.verify_frames;
-    d.verify_bypass_frames = verify_bypass_frames - o.verify_bypass_frames;
-    d.verify_inline_frames = verify_inline_frames - o.verify_inline_frames;
-    d.verify_dropped_at_stop = verify_dropped_at_stop - o.verify_dropped_at_stop;
     return d;
   }
 };
@@ -126,11 +106,6 @@ void for_each_counter(const NetStats& s, Fn&& fn) {
   fn("repro_net_writev_bytes_total", &s.writev_bytes);
   fn("repro_net_sendq_dropped_frames_total", &s.sendq_dropped_frames);
   fn("repro_net_sendq_dropped_bytes_total", &s.sendq_dropped_bytes);
-  fn("repro_verify_batches_total", &s.verify_batches);
-  fn("repro_verify_frames_total", &s.verify_frames);
-  fn("repro_verify_bypass_frames_total", &s.verify_bypass_frames);
-  fn("repro_verify_inline_frames_total", &s.verify_inline_frames);
-  fn("repro_verify_dropped_at_stop_total", &s.verify_dropped_at_stop);
 }
 
 /// Attach every NetStats counter to `reg`; by-type tallies get a

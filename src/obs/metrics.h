@@ -5,8 +5,8 @@
 // relaxed atomic operations — no locks, no allocation, no branches beyond
 // the bucket index. The Registry itself is only locked on registration
 // and snapshot, never on update. Counters are therefore safe to bump from
-// the simulator's single thread, the TCP node thread and the VerifyPool
-// workers alike, and safe to *read* concurrently from an admin thread
+// the simulator's single thread and the TCP node threads alike, and safe
+// to *read* concurrently from an admin thread
 // (each read is an independent relaxed load; a snapshot is per-metric
 // atomic, not a cross-metric transaction).
 //

@@ -23,7 +23,6 @@ constexpr StageName kStageNames[] = {
     {SpanStage::kProposalEncode, "proposal_encode"},
     {SpanStage::kSendFlush, "send_flush"},
     {SpanStage::kSocketRead, "socket_read"},
-    {SpanStage::kVerifyDequeue, "verify_dequeue"},
     {SpanStage::kDispatch, "dispatch"},
     {SpanStage::kVoteSend, "vote_send"},
     {SpanStage::kQcFormed, "qc_formed"},
@@ -37,8 +36,7 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) == kSpanStageCount);
 constexpr const char* kChainStageNames[SpanChain::kMilestones - 1] = {
     "sendq_wait",   // proposal encode -> send-queue flush
     "wire",         // flush -> critical voter's socket read
-    "verify_wait",  // socket read -> verify-pool dequeue
-    "dispatch",     // dequeue -> proposal handler entry
+    "dispatch",     // socket read -> proposal handler entry
     "vote_handler", // handler entry -> vote send
     "quorum",       // vote send -> QC formed
     "commit_rule",  // QC formed -> commit (the k-chain rule's trailing wait)
@@ -369,7 +367,6 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
   std::map<std::uint64_t, std::map<std::pair<ReplicaId, ReplicaId>, std::uint64_t>>
       flushes;                                                   // payload key
   std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> reads;     // payload
-  std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> dequeues;  // payload
   std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> dispatches;  // block
   std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> votes;       // block
   std::map<std::uint64_t, std::uint64_t> qcs;                              // block
@@ -401,9 +398,6 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
       }
       case SpanStage::kSocketRead:
         keep_min(reads[ev.key], ev.replica, ev.t_us);
-        break;
-      case SpanStage::kVerifyDequeue:
-        keep_min(dequeues[ev.key], ev.replica, ev.t_us);
         break;
       case SpanStage::kDispatch:
         keep_min(dispatches[ev.key], ev.replica, ev.t_us);
@@ -502,11 +496,10 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
       if (jt != fit->second.end()) chain.t[1] = jt->second;
     }
     chain.t[2] = lookup(reads, enc.payload_key, critical);
-    chain.t[3] = lookup(dequeues, enc.payload_key, critical);
-    chain.t[4] = lookup(dispatches, key, critical);
-    chain.t[5] = found ? best_t : 0;
-    chain.t[6] = t_qc;
-    chain.t[7] = commit.t;
+    chain.t[3] = lookup(dispatches, key, critical);
+    chain.t[4] = found ? best_t : 0;
+    chain.t[5] = t_qc;
+    chain.t[6] = commit.t;
 
     // Telescope: each stage measures from the previous *present* milestone,
     // so the stage sum covers encode -> commit even with gaps. Negative
@@ -623,7 +616,7 @@ std::string chrome_trace_json(const SpanReport& report) {
       // Stages up to the wire hop run at the proposer; receive-side stages
       // at the critical voter; quorum assembly and the commit-rule wait
       // are attributed back to the proposer's lane.
-      const ReplicaId tid = (stage >= 2 && stage <= 4) ? chain.critical
+      const ReplicaId tid = (stage >= 2 && stage <= 3) ? chain.critical
                                                        : chain.proposer;
       std::snprintf(buf, sizeof buf,
                     "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"

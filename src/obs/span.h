@@ -2,8 +2,8 @@
 // committed block's microseconds went.
 //
 // Every lifecycle milestone — batch announce, proposal encode, send-queue
-// flush, socket read, verify-pool dequeue, handler dispatch, vote send,
-// QC formation, commit, client confirm — is recorded as a SpanEvent keyed
+// flush, socket read, handler dispatch, vote send, QC formation, commit,
+// client confirm — is recorded as a SpanEvent keyed
 // by a 64-bit correlation key (block-id prefix for protocol milestones,
 // a cheap payload content hash for transport milestones, bridged by the
 // kProposalEncode record which carries both). No wire-format change:
@@ -17,7 +17,7 @@
 //
 // analyze_spans() stitches the events into one critical-path chain per
 // committed block: proposer encode -> flush to the *critical* voter (the
-// last vote that made the QC) -> that voter's read/verify/dispatch/vote
+// last vote that made the QC) -> that voter's read/dispatch/vote
 // -> QC -> commit, telescoping so the stage sum accounts for the whole
 // encode->commit interval even when individual milestones are missing.
 #pragma once
@@ -39,7 +39,6 @@ enum class SpanStage : std::uint8_t {
   kProposalEncode,     ///< key = block-id prefix, aux = payload span key (the bridge)
   kSendFlush,          ///< key = payload span key, peer = dest, aux = queue-wait us
   kSocketRead,         ///< key = payload span key, peer = source, aux = frame bytes
-  kVerifyDequeue,      ///< key = payload span key, aux = verify-pool wait us
   kDispatch,           ///< key = block-id prefix (proposal entered the handler)
   kVoteSend,           ///< key = block-id prefix, aux = fallback height
   kQcFormed,           ///< key = block-id prefix, aux = fallback height
@@ -47,7 +46,7 @@ enum class SpanStage : std::uint8_t {
   kClientConfirm,      ///< key = block-id prefix, aux = client confirm latency us
   kClockOffset,        ///< key = peer id, aux = bit-cast int64 offset us (peer-local)
 };
-inline constexpr std::size_t kSpanStageCount = 11;
+inline constexpr std::size_t kSpanStageCount = 10;
 
 /// Stable wire name for a span stage (NDJSON `stage` field).
 const char* span_stage_name(SpanStage s);
@@ -84,7 +83,7 @@ std::uint64_t span_key_of(const std::uint8_t* data, std::size_t size);
 inline std::uint64_t span_key_of(BytesView v) { return span_key_of(v.data(), v.size()); }
 
 /// Lock-free bounded span log shared by every writer thread in a process
-/// (node threads, verify-pool drain, client swarm). Each slot is a
+/// (node threads, client swarm). Each slot is a
 /// seqlock: writers claim a ticket with one relaxed fetch_add, invalidate
 /// the slot, store the packed payload words relaxed, then publish the
 /// sequence with a release store. Readers validate the sequence before
@@ -162,9 +161,9 @@ struct SpanChain {
   ReplicaId proposer = 0;
   ReplicaId critical = 0;  ///< the voter whose vote completed the QC
 
-  /// Milestones, reference-clock us: encode, flush, read, dequeue,
-  /// dispatch, vote, qc, commit (0 = not captured; [0] and [7] always set).
-  static constexpr std::size_t kMilestones = 8;
+  /// Milestones, reference-clock us: encode, flush, read, dispatch, vote,
+  /// qc, commit (0 = not captured; [0] and [6] always set).
+  static constexpr std::size_t kMilestones = 7;
   std::uint64_t t[kMilestones] = {};
 
   /// Stage durations between consecutive *present* milestones; stage i
@@ -173,11 +172,11 @@ struct SpanChain {
   std::uint64_t stage_us[kMilestones - 1] = {};
   bool stage_set[kMilestones - 1] = {};
 
-  std::uint64_t total_us = 0;  ///< t[7] - t[0]
+  std::uint64_t total_us = 0;  ///< t[6] - t[0]
   double coverage = 0;         ///< sum(stage_us) / total_us (1.0 when monotone)
 };
 
-/// Human-readable stage name for SpanChain::stage_us index (0..6).
+/// Human-readable stage name for SpanChain::stage_us index (0..5).
 const char* span_chain_stage_name(std::size_t i);
 
 struct SpanReport {

@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "common/assert.h"
-#include "common/log.h"
 
 namespace repro::transport {
 namespace {
@@ -126,21 +125,7 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len, SimTime budget
   return true;
 }
 
-/// Extra zero-timeout poll passes per loop iteration: after the blocking
-/// poll wakes, the loop re-polls and keeps reading while more input is
-/// already pending, so a burst of frames (an always-fallback view fans
-/// several multicasts at every replica) is processed — and its responses
-/// queued — before the single flush_writes() of the iteration. Bounded so
-/// a firehose peer cannot starve timers; one sweep costs one poll(0).
-constexpr int kMaxReadSweeps = 4;
-
-}  // namespace
-
-// ---- VerifyPool -------------------------------------------------------------
-
-namespace {
-
-/// Monotonic microsecond tick for handoff-latency accounting. TCP-only
+/// Monotonic microsecond tick for send-queue wait accounting. TCP-only
 /// plumbing — never feeds protocol logic, so wall-clock nondeterminism is
 /// fine here.
 std::uint64_t steady_tick_us() {
@@ -150,154 +135,15 @@ std::uint64_t steady_tick_us() {
           .count());
 }
 
+/// Extra zero-timeout poll passes per loop iteration: after the blocking
+/// poll wakes, the loop re-polls and keeps reading while more input is
+/// already pending, so a burst of frames (an always-fallback view fans
+/// several multicasts at every replica) is processed — and its responses
+/// queued — before the single flush_writes() of the iteration. Bounded so
+/// a firehose peer cannot starve timers; one sweep costs one poll(0).
+constexpr int kMaxReadSweeps = 4;
+
 }  // namespace
-
-VerifyPool::VerifyPool(std::shared_ptr<const crypto::CryptoSystem> crypto, std::size_t threads,
-                       std::function<void()> wake)
-    : crypto_(std::move(crypto)), wake_(std::move(wake)) {
-  REPRO_ASSERT(crypto_ != nullptr && threads > 0);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-VerifyPool::~VerifyPool() { shutdown(); }
-
-std::size_t VerifyPool::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  // Everything submitted but not drained is now undeliverable.
-  return in_flight_.load(std::memory_order_relaxed);
-}
-
-void VerifyPool::submit_batch(std::vector<Item> batch) {
-  if (batch.empty()) return;
-  const std::uint64_t now_us = steady_tick_us();
-  batch_size_.observe(batch.size());
-  in_flight_.fetch_add(batch.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Item& it : batch) {
-      Shard& shard = shards_[it.from];
-      Slot& s = shard.slots.emplace_back();
-      s.r.from = it.from;
-      s.r.key = it.key;
-      s.r.payload = std::move(it.payload);
-      s.has_key = it.has_key;
-      s.submitted_tick_us = now_us;
-      jobs_.push_back(&s);
-    }
-  }
-  // One notify for the whole burst; a woken worker chains the next while
-  // jobs remain, so extra workers still engage for large batches.
-  cv_.notify_one();
-}
-
-void VerifyPool::submit(ReplicaId from, Bytes payload) {
-  std::vector<Item> one(1);
-  one[0].from = from;
-  one[0].payload = std::move(payload);
-  submit_batch(std::move(one));
-}
-
-std::vector<VerifyPool::Result> VerifyPool::drain_ready() {
-  std::vector<Result> out;
-  // Clear the latch first: a completion racing this drain triggers a
-  // fresh wake (at worst one spurious poll wakeup, never a lost result).
-  wake_pending_.store(false, std::memory_order_release);
-  std::uint64_t now_us = 0;  // stamped lazily; most calls drain nothing
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [from, shard] : shards_) {
-      while (!shard.slots.empty() && shard.slots.front().done) {
-        Slot& s = shard.slots.front();
-        if (now_us == 0) now_us = steady_tick_us();
-        const std::uint64_t lat_us = now_us - s.submitted_tick_us;
-        handoff_us_.observe(lat_us);
-        // Adaptive-bypass cost model: per-frame pool round trip, EWMA with
-        // alpha = 1/8 (node thread only; relaxed is fine).
-        const std::uint64_t old = handoff_ns_ewma_.load(std::memory_order_relaxed);
-        const std::uint64_t lat_ns = lat_us * 1000;
-        const std::uint64_t next = old == 0 ? lat_ns : old - old / 8 + lat_ns / 8;
-        handoff_ns_ewma_.store(next, std::memory_order_relaxed);
-        s.r.wait_us = lat_us;
-        out.push_back(std::move(s.r));
-        shard.slots.pop_front();
-      }
-    }
-  }
-  in_flight_.fetch_sub(out.size(), std::memory_order_relaxed);
-  handoff_frames_measured_.fetch_add(out.size(), std::memory_order_relaxed);
-  return out;
-}
-
-void VerifyPool::worker_loop() {
-  std::vector<Slot*> chunk;
-  for (;;) {
-    chunk.clear();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
-      if (stop_) return;
-      const auto take =
-          static_cast<std::ptrdiff_t>(std::min(jobs_.size(), kChunkFrames));
-      chunk.assign(jobs_.begin(), jobs_.begin() + take);
-      jobs_.erase(jobs_.begin(), jobs_.begin() + take);
-      if (!jobs_.empty()) cv_.notify_one();  // chain the next worker
-    }
-    // Verify the whole chunk outside the lock: one handoff round for up
-    // to kChunkFrames frames. The envelope check runs against the wire
-    // bytes in hand (signed prefix of the payload) — no re-encode.
-    const auto chunk_start = std::chrono::steady_clock::now();
-    for (Slot* s : chunk) {
-      Result& r = s->r;
-      if (!s->has_key) r.key = smr::DecodeCache::key_of(r.payload);
-      r.msg = smr::decode_message(r.payload);
-      r.sig_ok =
-          r.msg && smr::verify_message_signature_wire(*crypto_, r.from, *r.msg, r.payload);
-    }
-    if (!chunk.empty()) {
-      // Feed the adaptive-bypass cost model: per-frame decode+verify time,
-      // EWMA with alpha = 1/8 (relaxed load/store — a lost race between
-      // workers costs one smoothing step, nothing more).
-      const std::uint64_t chunk_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - chunk_start)
-              .count());
-      const std::uint64_t per_frame = chunk_ns / chunk.size();
-      const std::uint64_t old = verify_ns_ewma_.load(std::memory_order_relaxed);
-      const std::uint64_t next = old == 0 ? per_frame : old - old / 8 + per_frame / 8;
-      verify_ns_ewma_.store(next, std::memory_order_relaxed);
-      verify_frames_measured_.fetch_add(chunk.size(), std::memory_order_relaxed);
-    }
-    bool drainable = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (Slot* s : chunk) s->done = true;
-      // Results became drainable iff some completed slot now heads its
-      // sender's shard (later slots ride out with it on the same drain).
-      for (Slot* s : chunk) {
-        const Shard& shard = shards_.find(s->r.from)->second;
-        if (!shard.slots.empty() && &shard.slots.front() == s) {
-          drainable = true;
-          break;
-        }
-      }
-    }
-    // Collapse wakes: one wake-pipe write per drain cycle, not one per
-    // completion — the node drains whole batches per poll iteration.
-    if (drainable && !wake_pending_.exchange(true, std::memory_order_acq_rel) && wake_) {
-      wake_();
-    }
-  }
-}
 
 // ---- SendQueue --------------------------------------------------------------
 
@@ -702,101 +548,10 @@ void TcpNode::on_frame(ReplicaId from, Bytes payload) {
     ev.aux = payload.size();
     cfg_.spans->push(ev);
   }
-  if (verify_pool_) {
-    VerifyPool::Item item;
-    item.from = from;
-    if (verify_pending_by_sender_[from] == 0) {
-      // Adaptive bypass (DESIGN.md §12.4): when the measured per-frame
-      // verify cost sits below the pool's round-trip latency — the
-      // steady-state trickle of one small vote or proposal per wakeup,
-      // where the futex handoff dwarfs the two SHA-256s it offloads —
-      // deliver inline on the node thread. Only legal for an idle sender
-      // (same per-sender-FIFO argument as the cache bypass below). A
-      // slowly backed-off fraction of eligible frames (1/512 down to
-      // 1/8192) still goes through the pool as probes so the handoff
-      // EWMA tracks the current regime; a multicast burst marks the
-      // sender busy, piles its frames into the pool via the ordering
-      // rule (refreshing the EWMAs without any probe), and the flipped
-      // decision resets the probe cadence.
-      const bool adaptive = verify_pool_->prefers_inline();
-      if (adaptive) {
-        const std::uint32_t mask = (1u << probe_shift_) - 1;
-        if ((++bypass_probe_ & mask) != 0) {
-          network_->stats().verify_inline_frames += 1;
-          if (replica_) replica_->on_message_uncached(from, payload);
-          return;
-        }
-        // This frame is a probe: it pays the handoff so the EWMA stays
-        // honest. Each probe that leaves the bypass engaged halves the
-        // probe rate — steady trickle converges to near-zero probe cost.
-        if (probe_shift_ < kProbeShiftMax) ++probe_shift_;
-      } else {
-        probe_shift_ = kProbeShiftBase;
-      }
-      // Idle sender: probe the decode cache. A hit with this sender
-      // already marked verified makes delivery a pure cache lookup, so the
-      // pool round-trip would be pure overhead — deliver inline. Safe for
-      // per-sender ordering precisely because nothing from `from` is in
-      // flight. The key is computed here either way and rides along on the
-      // Item, so a miss costs the workers no second hash. Calibration
-      // probes (the 1-in-256 frames falling through while the adaptive
-      // bypass is engaged) skip this shortcut: they exist to feed the
-      // handoff EWMA a fresh sample, and a cache-hit inline delivery would
-      // starve it — pinning the inline route on stale measurements.
-      item.key = smr::DecodeCache::key_of(payload);
-      item.has_key = true;
-      if (!adaptive && decode_cache_->sender_verified(item.key, from)) {
-        network_->stats().verify_bypass_frames += 1;
-        if (replica_) replica_->on_message_keyed(from, payload, item.key);
-        return;
-      }
-    }
-    // Buffer for the end-of-sweep submit_batch — one lock + one notify for
-    // the whole read burst instead of one per frame.
-    item.payload = std::move(payload);
-    pending_batch_.push_back(std::move(item));
-    ++verify_pending_by_sender_[from];
-    return;
-  }
-  // Inline path: a peer frame is never byte-shared with another delivery,
-  // so skip the decode-cache probe (hash + LRU insert) entirely.
+  // The one intake path: a peer frame is never byte-shared with another
+  // delivery, so skip the decode-cache probe (hash + LRU insert) and let
+  // the replica decode and check the envelope signature here, in order.
   if (replica_) replica_->on_message_uncached(from, payload);
-}
-
-void TcpNode::flush_verify_batch() {
-  if (!verify_pool_ || pending_batch_.empty()) return;
-  net::NetStats& stats = network_->stats();
-  stats.verify_batches += 1;
-  stats.verify_frames += pending_batch_.size();
-  verify_pool_->submit_batch(std::move(pending_batch_));
-  pending_batch_.clear();
-}
-
-void TcpNode::drain_verified() {
-  if (!verify_pool_) return;
-  for (auto& r : verify_pool_->drain_ready()) {
-    --verify_pending_by_sender_[r.from];
-    if (spans_on() && is_proposal_tag(r.payload)) {
-      obs::SpanEvent ev;
-      ev.stage = obs::SpanStage::kVerifyDequeue;
-      ev.replica = cfg_.id;
-      ev.peer = r.from;
-      ev.key = obs::span_key_of(r.payload.data(), r.payload.size());
-      ev.aux = r.wait_us;
-      cfg_.spans->push(ev);
-    }
-    if (r.msg && r.sig_ok) {
-      // Seed the shared decode cache (marking the sender verified), so the
-      // replica's delivery below is a pure cache hit: no parse, no
-      // signature check on the protocol thread.
-      decode_cache_->insert(r.key, std::move(*r.msg), r.from);
-    }
-    // Deliver unconditionally — the replica re-derives (and logs) decode
-    // or signature failures itself, keeping semantics identical to the
-    // inline path. The keyed entry point reuses the digest the worker (or
-    // the bypass probe) already computed.
-    if (replica_) replica_->on_message_keyed(r.from, r.payload, r.key);
-  }
 }
 
 std::size_t TcpNode::handle_readable(int fd) {
@@ -871,15 +626,6 @@ std::size_t TcpNode::handle_readable(int fd) {
 
 void TcpNode::run_loop() {
   network_ = std::make_unique<TcpNetwork>(*this);
-  decode_cache_ = std::make_shared<smr::DecodeCache>(cfg_.pcfg.decode_cache_capacity);
-  if (cfg_.verify_threads > 0) {
-    verify_pool_ = std::make_unique<VerifyPool>(cfg_.crypto, cfg_.verify_threads, [this] {
-      const char byte = 1;
-      [[maybe_unused]] ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
-    });
-  }
-  verify_pending_by_sender_.assign(cfg_.peers.size(), 0);
-  pending_batch_.clear();
 
   core::ReplicaContext ctx;
   ctx.sim = &executor_;
@@ -889,7 +635,6 @@ void TcpNode::run_loop() {
   ctx.config = cfg_.pcfg;
   ctx.seed = cfg_.seed;
   ctx.wal = cfg_.wal;
-  ctx.decode_cache = decode_cache_;
   ctx.trace = cfg_.trace;
   ctx.spans = cfg_.spans;
   replica_ = factory_(ctx);
@@ -910,19 +655,6 @@ void TcpNode::run_loop() {
     cfg_.registry->attach_gauge_fn("repro_committed_blocks",
                                    {{"replica", std::to_string(cfg_.id)}},
                                    [this] { return committed(); });
-    if (verify_pool_) {
-      const obs::Labels labels{{"replica", std::to_string(cfg_.id)}};
-      // in_flight() is a relaxed atomic load; the pool object outlives the
-      // loop (shutdown() joins the workers but keeps the storage), so the
-      // admin thread can keep scraping after the node stops.
-      cfg_.registry->attach_gauge_fn("repro_verify_queue_depth", labels, [this] {
-        return static_cast<std::uint64_t>(verify_pool_->in_flight());
-      });
-      cfg_.registry->attach_histogram("repro_verify_batch_size", labels,
-                                      &verify_pool_->batch_size_hist());
-      cfg_.registry->attach_histogram("repro_verify_handoff_latency_us", labels,
-                                      &verify_pool_->handoff_latency_hist());
-    }
   }
 
   // Dial lower-id peers (they accept); higher-id peers dial us. The
@@ -949,25 +681,13 @@ void TcpNode::run_loop() {
     // iteration's single flush is what lets the per-peer send queues
     // coalesce the burst's responses into one writev per peer.
     for (int sweep = 0; sweep < kMaxReadSweeps; ++sweep) {
-      // Backpressure: past the verification backlog cap, peer sockets are
-      // not registered for reads (errors/hangups still surface — poll
-      // reports POLLERR/POLLHUP regardless of events). Inbound bytes pile
-      // up in kernel socket buffers and TCP pushes back on the senders;
-      // the pool's wake reopens reading once drain_verified() catches up.
-      // The backlog counts frames already in the pool plus frames buffered
-      // for the next submit_batch, and is re-checked both every sweep and
-      // between sockets within a sweep (below) — a burst can overshoot the
-      // cap by at most one socket's buffered bytes, not a whole sweep.
-      const bool rx_paused = verify_pool_ && cfg_.verify_backlog_max > 0 &&
-                             verify_backlog() >= cfg_.verify_backlog_max;
       pfds.clear();
       pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
       pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
       for (const auto& [fd, conn] : conns_) {
         // A backlogged outbox registers for writability so a draining peer
         // wakes the loop (the flush itself happens once per iteration).
-        short events = conn.outbox.empty() ? 0 : POLLOUT;
-        if (!rx_paused) events |= POLLIN;
+        const short events = conn.outbox.empty() ? POLLIN : POLLIN | POLLOUT;
         pfds.push_back(pollfd{fd, events, 0});
       }
 
@@ -1021,21 +741,7 @@ void TcpNode::run_loop() {
         if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) readable.push_back(pfds[i].fd);
       }
       std::size_t sweep_bytes = 0;
-      for (int fd : readable) {
-        sweep_bytes += handle_readable(fd);
-        // Re-check the backlog after every socket, not just at sweep
-        // start: one sweep reads up to every peer's pending bytes, which
-        // could overshoot verify_backlog_max by a full burst before the
-        // next sweep's rx_paused check. Remaining sockets keep their
-        // bytes in kernel buffers — TCP pushes back for us.
-        if (verify_pool_ && cfg_.verify_backlog_max > 0 &&
-            verify_backlog() >= cfg_.verify_backlog_max) {
-          break;
-        }
-      }
-      // Hand this sweep's burst to the pool as one job: one lock, one
-      // notify, regardless of how many frames the sweep produced.
-      flush_verify_batch();
+      for (int fd : readable) sweep_bytes += handle_readable(fd);
       // Each readable socket was drained to EAGAIN above, so another
       // zero-timeout sweep only pays off when data kept arriving while
       // this one was processing — plausible after a heavy sweep, pure
@@ -1044,12 +750,6 @@ void TcpNode::run_loop() {
       if (sweep_bytes < 32768) break;
     }
     sweep_half_open();
-
-    // Hand back frames the verification workers finished, per-sender in
-    // submission order. (Flush again first: the sweep loop's fatal-error
-    // path can exit with frames still buffered.)
-    flush_verify_batch();
-    drain_verified();
 
     // Loopback deliveries (handlers may queue more; drain to empty). The
     // cached entry point wins here: the sender seeded the decode cache at
@@ -1069,41 +769,10 @@ void TcpNode::run_loop() {
     round_.store(replica_->current_round(), std::memory_order_relaxed);
     if (spans_on()) send_pings();
 
-    // Everything produced this iteration (frame handlers, verified
+    // Everything produced this iteration (frame handlers, loopback
     // deliveries, due timers) is queued by now; one vectored write per
     // peer flushes it.
     flush_writes();
-  }
-  if (verify_pool_) {
-    // Drain before joining: frames already read off sockets deserve
-    // delivery (dropping them skews per-run message accounting — every
-    // vt>0 bench row used to end with 1–21 frames undelivered). Submit
-    // the buffered tail, then give the workers a bounded window to finish
-    // what is in flight while we keep delivering results.
-    flush_verify_batch();
-    const auto drain_deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-    while (verify_pool_->in_flight() > 0 &&
-           std::chrono::steady_clock::now() < drain_deadline) {
-      drain_verified();
-      if (verify_pool_->in_flight() > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-    drain_verified();
-    // Join the workers; anything still stuck after the drain window can
-    // never be delivered — count it instead of dropping silently. The
-    // loss is benign (equivalent to frames racing the connection
-    // teardown) but should be visible in the stats ledger. The pool
-    // object itself stays alive: the registry may hold attached pointers
-    // into its histograms.
-    const std::size_t dropped = verify_pool_->shutdown() + pending_batch_.size();
-    pending_batch_.clear();
-    if (dropped > 0) {
-      network_->stats().verify_dropped_at_stop += dropped;
-      LOG_WARN("node %u: verify pool stopped with %zu frames undelivered",
-               static_cast<unsigned>(cfg_.id), dropped);
-    }
   }
 }
 

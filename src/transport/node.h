@@ -29,15 +29,12 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -163,176 +160,6 @@ class SendQueue {
   std::size_t queued_bytes_ = 0;
 };
 
-/// Off-thread frame verification for the TCP data path, batched and
-/// sharded by sender. Workers decode inbound frames and check envelope
-/// signatures against the wire bytes; the node thread seeds the replica's
-/// decode cache before delivering, so the single protocol thread pays
-/// neither the parse nor the signature check for verified frames.
-///
-/// The first incarnation of this pool handed over one frame at a time
-/// (one lock + one futex notify per submit, one wake-pipe write per
-/// head-of-line completion) and delivered in *global* FIFO order — under
-/// multicast load the per-frame synchronization cost more than the two
-/// SHA-256s it offloaded, and the trickle of single-frame deliveries
-/// defeated the read-drain/writev batching downstream (BENCH_pr3.json:
-/// enabling the pool LOWERED throughput). The redesign (DESIGN.md §11):
-///
-///  * submit_batch() hands a whole read-sweep burst over as one job —
-///    one lock, one notify; workers chain-notify while work remains.
-///  * Workers pull chunks of up to kChunkFrames and verify them outside
-///    the lock, amortizing the handoff across the chunk.
-///  * Ordering is per-sender, not global: each sender's frames come back
-///    in submission order (matching TCP's per-connection FIFO — cross-
-///    sender order was never guaranteed by the network), so one slow
-///    frame from peer A cannot head-of-line-block verified frames from
-///    B..G.
-///  * At most one wake-pipe write per drain cycle (wake_pending_ latch),
-///    so responses re-enter the per-peer writev batcher in bursts.
-///
-/// Delivery remains unconditional (the replica re-derives and logs
-/// failures itself), so protocol behaviour is unchanged. The simulator
-/// never uses this; it stays single-threaded/deterministic. The pool
-/// itself does not bound its queues: the node's poll loop stops reading
-/// peer sockets once in_flight() reaches NodeConfig::verify_backlog_max,
-/// so TCP backpressure caps the backlog.
-class VerifyPool {
- public:
-  /// One inbound frame. `key`/`has_key` carry a content hash the node
-  /// thread already computed while probing for a decode-cache bypass, so
-  /// the worker does not hash twice.
-  struct Item {
-    ReplicaId from = 0;
-    Bytes payload;
-    crypto::Digest key{};
-    bool has_key = false;
-  };
-
-  struct Result {
-    ReplicaId from = 0;
-    Bytes payload;
-    crypto::Digest key{};  ///< decode-cache content key of `payload`
-    std::optional<smr::Message> msg;
-    bool sig_ok = false;
-    std::uint64_t wait_us = 0;  ///< submit -> drain pool round trip
-  };
-
-  /// Frames a worker claims per lock acquisition.
-  static constexpr std::size_t kChunkFrames = 16;
-
-  /// `wake` is invoked from a worker thread when results became drainable
-  /// and no wake is already pending (it must be async-signal-ish safe:
-  /// the node writes a byte to its wake pipe).
-  VerifyPool(std::shared_ptr<const crypto::CryptoSystem> crypto, std::size_t threads,
-             std::function<void()> wake);
-  ~VerifyPool();
-
-  VerifyPool(const VerifyPool&) = delete;
-  VerifyPool& operator=(const VerifyPool&) = delete;
-
-  /// Hand one read-sweep burst to the pool: one lock, one notify
-  /// (node thread only). Empty batches are no-ops.
-  void submit_batch(std::vector<Item> batch);
-
-  /// Single-frame convenience over submit_batch (tests, odd frames).
-  void submit(ReplicaId from, Bytes payload);
-
-  /// All completed results whose same-sender predecessors have also
-  /// completed — per-sender submission order, whole runs per sender
-  /// (node thread only). Results still in flight stay queued.
-  std::vector<Result> drain_ready();
-
-  /// Frames submitted but not yet drained (lock-free).
-  std::size_t in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
-
-  /// Adaptive bypass signal (node thread, lock-free): true once both cost
-  /// EWMAs are calibrated (>= kCalibrationFrames each) and the measured
-  /// per-frame verify cost is below the measured per-frame pool round
-  /// trip. When the workload is one small frame per wakeup (the
-  /// steady-state vote/proposal trickle), the handoff — futex, context
-  /// switch on a loaded box, wake-pipe — costs more than the two SHA-256s
-  /// it offloads, and the node should verify inline; under multicast
-  /// bursts the amortized handoff gets cheap and pooling wins again. The
-  /// caller keeps routing ~1/512 of eligible frames through the pool as
-  /// probes so both EWMAs track the current regime.
-  bool prefers_inline() const {
-    if (verify_frames_measured_.load(std::memory_order_relaxed) < kCalibrationFrames ||
-        handoff_frames_measured_.load(std::memory_order_relaxed) < kCalibrationFrames) {
-      return false;
-    }
-    // Hysteresis: the two EWMAs sit close together exactly in the mixed
-    // regimes (steady trickle with occasional bursts), where a raw
-    // comparison flaps — and every flap to "pool" routes a full read
-    // burst through the handoff before the refreshed EWMAs flip it back.
-    // Engage the bypass only when verification is clearly cheaper (10%
-    // under the handoff), disengage only when clearly dearer (10% over),
-    // and hold the previous route in between.
-    const std::uint64_t v = verify_ns_ewma_.load(std::memory_order_relaxed);
-    const std::uint64_t h = handoff_ns_ewma_.load(std::memory_order_relaxed);
-    bool engaged = inline_engaged_.load(std::memory_order_relaxed);
-    if (engaged ? v * 10 > h * 11 : v * 10 < h * 9) engaged = !engaged;
-    inline_engaged_.store(engaged, std::memory_order_relaxed);
-    return engaged;
-  }
-
-  /// Current EWMA estimates, nanoseconds per frame (0 until calibrated).
-  std::uint64_t verify_cost_ns() const { return verify_ns_ewma_.load(std::memory_order_relaxed); }
-  std::uint64_t handoff_cost_ns() const { return handoff_ns_ewma_.load(std::memory_order_relaxed); }
-
-  /// Frames each EWMA must see before prefers_inline() may fire.
-  static constexpr std::uint64_t kCalibrationFrames = 64;
-
-  /// Stop workers and join. Returns the number of frames submitted but
-  /// never drained — frames that will now never be delivered. Idempotent;
-  /// the destructor calls it too (discarding the count).
-  std::size_t shutdown();
-
-  /// Batch sizes seen by submit_batch (frames per handoff).
-  const obs::Histogram& batch_size_hist() const { return batch_size_; }
-  /// submit_batch -> drain_ready latency per frame, microseconds.
-  const obs::Histogram& handoff_latency_hist() const { return handoff_us_; }
-
- private:
-  struct Slot {
-    Result r;
-    std::uint64_t submitted_tick_us = 0;  ///< steady-clock at submit
-    bool has_key = false;
-    bool done = false;
-  };
-  /// Per-sender delivery queue; front = oldest undelivered frame. deque
-  /// keeps references to non-front slots stable across push/pop, so
-  /// workers may hold Slot* while the node drains completed heads.
-  struct Shard {
-    std::deque<Slot> slots;
-  };
-
-  void worker_loop();
-
-  std::shared_ptr<const crypto::CryptoSystem> crypto_;
-  std::function<void()> wake_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Slot*> jobs_;             // pending verification work, submit order
-  std::map<ReplicaId, Shard> shards_;  // per-sender in-order delivery queues
-  bool stop_ = false;
-  std::atomic<std::size_t> in_flight_{0};
-  /// Set by the worker that makes new results drainable; cleared by
-  /// drain_ready. Collapses wake-pipe writes to one per drain cycle.
-  std::atomic<bool> wake_pending_{false};
-  /// Cost model for the adaptive bypass (relaxed atomics; the races
-  /// between workers lose at most one EWMA step — these feed a routing
-  /// heuristic, not protocol logic). alpha = 1/8.
-  std::atomic<std::uint64_t> verify_ns_ewma_{0};   ///< per-frame decode+verify
-  std::atomic<std::uint64_t> handoff_ns_ewma_{0};  ///< per-frame submit->drain
-  /// Sticky routing decision for the prefers_inline hysteresis band.
-  mutable std::atomic<bool> inline_engaged_{false};
-  std::atomic<std::uint64_t> verify_frames_measured_{0};
-  std::atomic<std::uint64_t> handoff_frames_measured_{0};
-  obs::Histogram batch_size_;
-  obs::Histogram handoff_us_;
-  std::vector<std::thread> workers_;
-};
-
 struct NodeConfig {
   ReplicaId id = 0;
   /// Address of every replica in the cluster, indexed by replica id.
@@ -363,17 +190,6 @@ struct NodeConfig {
   /// round timeout plus a cluster-wide fallback before committing
   /// anything. The grace bound keeps a dead peer from stalling startup.
   SimTime start_grace_us = 500'000;
-  /// Verification worker threads for inbound frames (decode + envelope
-  /// signature off the poll thread, ordered handoff back — see
-  /// VerifyPool). 0 = verify inline on the node thread.
-  std::size_t verify_threads = 0;
-  /// Backpressure bound on the verification pool: once this many frames
-  /// are submitted but not yet delivered, the poll loop stops registering
-  /// peer sockets for reads until the backlog drains — kernel socket
-  /// buffers absorb the flow and TCP pushes back on senders, so peers
-  /// producing frames faster than the workers verify them cannot grow the
-  /// pool's queues without bound. 0 = unbounded (not recommended).
-  std::size_t verify_backlog_max = 256;
   /// Optional metrics registry: the node attaches its NetStats and
   /// ReplicaStats counters once the replica exists on the node thread
   /// (Registry::attach is mutex-protected; the counters themselves are
@@ -385,10 +201,10 @@ struct NodeConfig {
   std::shared_ptr<obs::TraceRing> trace;
   /// Optional commit-lifecycle span sink, usually one wall-clock ring
   /// shared by every node of an in-process cluster (obs/span.h). Enables
-  /// the transport milestones (socket read, verify-pool wait, send-queue
-  /// flush) and the tag-0 ping/pong clock-offset estimator; when unset or
-  /// capacity 0, neither exists — the wire traffic is byte-identical to a
-  /// spans-free build.
+  /// the transport milestones (socket read, send-queue flush) and the
+  /// tag-0 ping/pong clock-offset estimator; when unset or capacity 0,
+  /// neither exists — the wire traffic is byte-identical to a spans-free
+  /// build.
   std::shared_ptr<obs::SpanRing> spans;
 };
 
@@ -444,6 +260,9 @@ class TcpNode {
   /// enough data to suggest more arrived while it was processing.
   std::size_t handle_readable(int fd);
   void close_peer(int fd);
+  /// The only way a peer frame reaches the replica: decoded and
+  /// signature-checked inline, on the node thread, in arrival order
+  /// (IReplica::on_message_uncached).
   void on_frame(ReplicaId from, Bytes payload);
   /// Close accepted connections that have not identified themselves
   /// within cfg_.hello_timeout.
@@ -454,50 +273,11 @@ class TcpNode {
   /// Max no-progress stall before teardown, microseconds (see NodeConfig).
   SimTime write_budget_us() const;
 
-  /// Submit the frames buffered by on_frame during the current read
-  /// sweep to the pool as one batch (one lock, one notify).
-  void flush_verify_batch();
-
-  /// Deliver per-sender-in-order verified frames from the pool: seed the
-  /// decode cache for frames that passed, then hand every frame to the
-  /// replica (keyed, so the node thread never re-hashes the payload).
-  void drain_verified();
-
-  /// Frames the pool owes us plus frames buffered for the next
-  /// submit_batch — what verify_backlog_max bounds.
-  std::size_t verify_backlog() const {
-    return (verify_pool_ ? verify_pool_->in_flight() : 0) + pending_batch_.size();
-  }
-
   NodeConfig cfg_;
   ReplicaFactory factory_;
   RealtimeExecutor executor_;
   std::unique_ptr<TcpNetwork> network_;
   std::unique_ptr<core::IReplica> replica_;
-  std::shared_ptr<smr::DecodeCache> decode_cache_;
-  std::unique_ptr<VerifyPool> verify_pool_;
-  /// Frames accumulated by on_frame during the current read sweep,
-  /// submitted as one batch per sweep (node thread only).
-  std::vector<VerifyPool::Item> pending_batch_;
-  /// Per-sender frames in pending_batch_ or in the pool, not yet
-  /// delivered — the decode-cache bypass may only skip the pool when its
-  /// sender has nothing in flight, or frames would reorder within the
-  /// sender's channel. Indexed by ReplicaId.
-  std::vector<std::uint32_t> verify_pending_by_sender_;
-  /// Frames routed inline by the adaptive bypass since the last probe;
-  /// every 2^probe_shift_-th eligible frame goes through the pool
-  /// instead, keeping the handoff EWMA fresh while the bypass is engaged.
-  std::uint32_t bypass_probe_ = 0;
-  /// Adaptive probe cadence: starts at 1/512 and doubles after every
-  /// probe that leaves the bypass engaged, up to 1/8192; any disengage
-  /// resets it. A probe is not free — on a busy (or single-core) box the
-  /// worker wake-up preempts the node thread mid-sweep — and it is only
-  /// *needed* when traffic is all trickle: a genuine multicast burst
-  /// marks senders busy, which routes frames through the pool via the
-  /// ordering rule and refreshes the handoff EWMA without any probe.
-  std::uint32_t probe_shift_ = kProbeShiftBase;
-  static constexpr std::uint32_t kProbeShiftBase = 9;   // 1/512
-  static constexpr std::uint32_t kProbeShiftMax = 13;   // 1/8192
   /// Loopback deliveries queued by TcpNetwork::send(to == self), drained
   /// once per poll iteration — same deferred semantics as the simulator's
   /// self-delivery event, without an executor heap entry and closure

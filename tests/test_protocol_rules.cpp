@@ -391,6 +391,34 @@ TEST(BlockRetrieval, ResponseWithOneTamperedBlockStoresNothing) {
   EXPECT_TRUE(rig.replica->store().contains(a.id));
 }
 
+TEST(UncachedIntake, DeliversSignedFrameAndDropsItUnderAnotherSender) {
+  // on_message_uncached is how every TCP peer frame reaches a replica:
+  // no decode-cache probe, so the envelope signature is checked against
+  // the claimed sender on every call. A timeout's view share reaches the
+  // share pool only through the handler, and the handler blames any share
+  // whose signer is not the sender: so a wrong-sender copy that slipped
+  // past the envelope check would show up as a rejected share.
+  Rig rig;
+  smr::Message timeout = rig.timeout_from(1, 0);
+  smr::sign_message(*rig.crypto_sys, 1, timeout);
+  const Bytes payload = smr::encode_message(timeout);
+  const ReplicaStats& st = rig.replica->stats();
+  const auto shares_taken = [&] { return st.shares_verified + st.shares_deferred; };
+
+  rig.replica->on_message_uncached(1, payload);
+  rig.settle();
+  EXPECT_EQ(shares_taken(), 1u);
+
+  rig.replica->on_message_uncached(2, payload);  // same bytes, wrong sender
+  rig.settle();
+  EXPECT_EQ(shares_taken(), 1u);
+  EXPECT_EQ(st.bad_shares_rejected, 0u);
+
+  // Both calls parsed the bytes afresh; neither touched the decode cache.
+  EXPECT_EQ(st.decode_misses, 2u);
+  EXPECT_EQ(st.decode_hits, 0u);
+}
+
 TEST(ExitFallback, StaleCoinDoesNotRegressView) {
   Rig rig;
   rig.replica->start();

@@ -237,7 +237,7 @@ TEST(ClockOffsets, BridgesTransitivelyThroughTheMeasurementGraph) {
 }
 
 /// One fully-instrumented block: the analyzer must pick the critical
-/// voter (the latest vote at or before QC formation), stitch all eight
+/// voter (the latest vote at or before QC formation), stitch all seven
 /// milestones, and account for every microsecond (coverage == 1).
 TEST(Analyzer, StitchesAFullChainAndPicksTheCriticalVoter) {
   constexpr std::uint64_t kBlock = 0xb10c;
@@ -252,7 +252,6 @@ TEST(Analyzer, StitchesAFullChainAndPicksTheCriticalVoter) {
   events.push_back(make(SpanStage::kSendFlush, 0, 114, kPayload, 0, /*peer=*/3));
   events.push_back(make(SpanStage::kSocketRead, 1, 120, kPayload, 0, /*peer=*/0));
   events.push_back(make(SpanStage::kSocketRead, 2, 122, kPayload, 0, /*peer=*/0));
-  events.push_back(make(SpanStage::kVerifyDequeue, 2, 130, kPayload));
   events.push_back(make(SpanStage::kDispatch, 2, 140, kBlock));
   events.push_back(make(SpanStage::kVoteSend, 1, 150, kBlock));
   events.push_back(make(SpanStage::kVoteSend, 2, 160, kBlock));
@@ -276,12 +275,12 @@ TEST(Analyzer, StitchesAFullChainAndPicksTheCriticalVoter) {
   // r2's vote is the one that completed it.
   EXPECT_EQ(c.critical, 2u);
 
-  const std::uint64_t want_t[SpanChain::kMilestones] = {100, 112, 122, 130,
-                                                        140, 160, 165, 300};
+  const std::uint64_t want_t[SpanChain::kMilestones] = {100, 112, 122, 140,
+                                                        160, 165, 300};
   for (std::size_t i = 0; i < SpanChain::kMilestones; ++i) {
     EXPECT_EQ(c.t[i], want_t[i]) << "milestone " << i;
   }
-  const std::uint64_t want_stage[SpanChain::kMilestones - 1] = {12, 10, 8, 10,
+  const std::uint64_t want_stage[SpanChain::kMilestones - 1] = {12, 10, 18,
                                                                 20, 5,  135};
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i + 1 < SpanChain::kMilestones; ++i) {
@@ -325,13 +324,12 @@ TEST(Analyzer, TelescopingCoversGapsFromMissingMilestones) {
   EXPECT_EQ(c.height, 4u);
   EXPECT_FALSE(c.stage_set[0]);  // no flush
   EXPECT_FALSE(c.stage_set[1]);  // no read
-  EXPECT_FALSE(c.stage_set[2]);  // no dequeue
-  EXPECT_FALSE(c.stage_set[3]);  // no dispatch
+  EXPECT_FALSE(c.stage_set[2]);  // no dispatch
   // vote_handler telescopes all the way back to the encode milestone.
-  EXPECT_TRUE(c.stage_set[4]);
-  EXPECT_EQ(c.stage_us[4], 400u);
-  EXPECT_EQ(c.stage_us[5], 100u);
-  EXPECT_EQ(c.stage_us[6], 500u);
+  EXPECT_TRUE(c.stage_set[3]);
+  EXPECT_EQ(c.stage_us[3], 400u);
+  EXPECT_EQ(c.stage_us[4], 100u);
+  EXPECT_EQ(c.stage_us[5], 500u);
   EXPECT_DOUBLE_EQ(c.coverage, 1.0);
   // Fallback block: samples land on the fallback side.
   EXPECT_EQ(rep.total_fallback.count, 1u);

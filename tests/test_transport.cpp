@@ -6,9 +6,7 @@
 // hundred milliseconds each) and use pid-derived ports to avoid clashes.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,8 +36,7 @@ struct Cluster {
   std::vector<std::unique_ptr<storage::FileWal>> wals;
   std::vector<std::unique_ptr<TcpNode>> nodes;
 
-  Cluster(std::uint32_t n, std::uint16_t port0, bool with_wal = false,
-          std::size_t verify_threads = 0) {
+  Cluster(std::uint32_t n, std::uint16_t port0, bool with_wal = false) {
     crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(n), 99);
     for (std::uint32_t i = 0; i < n; ++i) {
       peers.push_back(PeerAddress{"127.0.0.1", static_cast<std::uint16_t>(port0 + i)});
@@ -51,7 +48,6 @@ struct Cluster {
       cfg.crypto = crypto;
       cfg.seed = 1000 + i;
       cfg.pcfg.base_timeout_us = 200'000;
-      cfg.verify_threads = verify_threads;
       if (with_wal) {
         wals.push_back(std::make_unique<storage::FileWal>(
             ::testing::TempDir() + "tcp_wal_" + std::to_string(port0 + i) + ".log"));
@@ -127,297 +123,6 @@ TEST(TcpCluster, SurvivesSlowStart) {
   ASSERT_TRUE(cluster.wait_commits(10, std::chrono::seconds(20)));
   cluster.stop_all();
   EXPECT_TRUE(cluster.ledgers_consistent());
-}
-
-TEST(TcpCluster, VerifyPoolOffThreadDeliveryCommits) {
-  // Same cluster, but frames are decoded + envelope-verified by worker
-  // threads and handed back in order; the protocol thread must see every
-  // frame as a decode-cache hit with the sender already verified.
-  Cluster cluster(4, static_cast<std::uint16_t>(base_port() + 300), /*with_wal=*/false,
-                  /*verify_threads=*/2);
-  cluster.start_all();
-  ASSERT_TRUE(cluster.wait_commits(10, std::chrono::seconds(20)));
-  cluster.stop_all();
-  EXPECT_TRUE(cluster.ledgers_consistent());
-  for (auto& n : cluster.nodes) {
-    EXPECT_GE(n->replica().ledger().size(), 10u);
-    // The pool pre-populates the decode cache, so deliveries of peer
-    // frames are hits; only pathological races would miss.
-    EXPECT_GT(n->replica().stats().decode_hits, 0u);
-  }
-}
-
-TEST(VerifyPool, ResultsComeBackInSubmissionOrder) {
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 5);
-  VerifyPool pool(crypto, 3, [] {});
-  constexpr int kFrames = 200;
-  std::vector<Bytes> sent;
-  for (int i = 0; i < kFrames; ++i) {
-    // Garbage payloads: decode fails, but ordering must still hold even
-    // though workers finish out of order.
-    Bytes p(static_cast<std::size_t>(1 + i % 64), static_cast<std::uint8_t>(i));
-    sent.push_back(p);
-    pool.submit(0, std::move(p));
-  }
-  std::vector<VerifyPool::Result> got;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (got.size() < kFrames && std::chrono::steady_clock::now() < deadline) {
-    for (auto& r : pool.drain_ready()) got.push_back(std::move(r));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
-  EXPECT_EQ(pool.in_flight(), 0u);
-  for (int i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].payload, sent[static_cast<std::size_t>(i)]);
-    EXPECT_FALSE(got[static_cast<std::size_t>(i)].msg.has_value());
-    EXPECT_FALSE(got[static_cast<std::size_t>(i)].sig_ok);
-  }
-}
-
-TEST(VerifyPool, PerSenderOrderHoldsUnderOutOfOrderCompletion) {
-  // Frames from several senders, interleaved within each batch, with
-  // wildly varying payload sizes so worker completion order scrambles
-  // relative to submission order. Each sender's frames must still come
-  // back in its own submission order; cross-sender interleaving is free.
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(7), 5);
-  VerifyPool pool(crypto, 4, [] {});
-  constexpr std::size_t kSenders = 5;
-  constexpr int kRounds = 40;
-  constexpr std::size_t kPerRound = 6;
-  std::array<std::vector<Bytes>, kSenders> sent;
-  int counter = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<VerifyPool::Item> batch;
-    for (std::size_t f = 0; f < kPerRound; ++f) {
-      for (ReplicaId s = 0; s < kSenders; ++s) {
-        Bytes p(static_cast<std::size_t>(1 + (counter * 17) % 512),
-                static_cast<std::uint8_t>(counter));
-        ++counter;
-        sent[s].push_back(p);
-        VerifyPool::Item item;
-        item.from = s;
-        item.payload = std::move(p);
-        batch.push_back(std::move(item));
-      }
-    }
-    pool.submit_batch(std::move(batch));
-  }
-  const std::size_t total = kSenders * kPerRound * kRounds;
-  std::array<std::vector<Bytes>, kSenders> got;
-  std::size_t drained = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (drained < total && std::chrono::steady_clock::now() < deadline) {
-    for (auto& r : pool.drain_ready()) {
-      ASSERT_LT(r.from, kSenders);
-      got[r.from].push_back(std::move(r.payload));
-      ++drained;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(drained, total);
-  EXPECT_EQ(pool.in_flight(), 0u);
-  for (std::size_t s = 0; s < kSenders; ++s) EXPECT_EQ(got[s], sent[s]);
-}
-
-TEST(VerifyPool, InFlightCountsSubmittedMinusDrained) {
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 5);
-  VerifyPool pool(crypto, 2, [] {});
-  EXPECT_EQ(pool.in_flight(), 0u);
-  std::vector<VerifyPool::Item> batch(10);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].from = static_cast<ReplicaId>(i % 3);
-    batch[i].payload = Bytes{static_cast<std::uint8_t>(i)};
-  }
-  pool.submit_batch(std::move(batch));
-  // Workers completing frames must not lower the count — only a drain
-  // may. in_flight() is what the node's rx-pause backpressure reads, so
-  // it has to track undelivered frames, not unverified ones.
-  EXPECT_EQ(pool.in_flight(), 10u);
-  std::size_t drained = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (drained < 10 && std::chrono::steady_clock::now() < deadline) {
-    drained += pool.drain_ready().size();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(drained, 10u);
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(VerifyPool, ShutdownReportsUndrainedFrames) {
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 5);
-  VerifyPool pool(crypto, 2, [] {});
-  std::vector<VerifyPool::Item> batch(7);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].from = static_cast<ReplicaId>(i % 2);
-    batch[i].payload = Bytes{static_cast<std::uint8_t>(i)};
-  }
-  pool.submit_batch(std::move(batch));
-  // Never drained: whether or not the workers finished verifying, all 7
-  // frames are undelivered at shutdown. Idempotent — the count sticks.
-  EXPECT_EQ(pool.shutdown(), 7u);
-  EXPECT_EQ(pool.shutdown(), 7u);
-}
-
-TEST(VerifyPool, PrecomputedContentKeyRidesThrough) {
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 5);
-  VerifyPool pool(crypto, 1, [] {});
-  const Bytes payload{1, 2, 3, 4};
-  const auto drain_one = [&] {
-    std::vector<VerifyPool::Result> got;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (got.empty() && std::chrono::steady_clock::now() < deadline) {
-      for (auto& r : pool.drain_ready()) got.push_back(std::move(r));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return got;
-  };
-
-  // has_key: the worker must trust (not recompute) a key the node thread
-  // already paid for during its decode-cache bypass probe — detectable by
-  // feeding a sentinel that is deliberately NOT key_of(payload).
-  crypto::Digest sentinel{};
-  sentinel.fill(0xAB);
-  std::vector<VerifyPool::Item> batch(1);
-  batch[0].from = 0;
-  batch[0].payload = payload;
-  batch[0].key = sentinel;
-  batch[0].has_key = true;
-  pool.submit_batch(std::move(batch));
-  auto got = drain_one();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].key, sentinel);
-
-  // Without has_key the worker computes the real content key itself.
-  pool.submit(0, payload);
-  got = drain_one();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].key, smr::DecodeCache::key_of(payload));
-}
-
-TEST(VerifyPool, ConcurrentSubmitDrainStress) {
-  // The full race surface: the (single) producer thread interleaves
-  // submit_batch and drain_ready while four workers verify and fire the
-  // wake callback. Per-sender sequence numbers ride inside the payloads
-  // so ordering is checked without keeping every sent frame around.
-  // Primarily a TSan target, but the ordering assertions bite anywhere.
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(7), 5);
-  std::atomic<std::uint64_t> wakes{0};
-  VerifyPool pool(crypto, 4, [&] { wakes.fetch_add(1, std::memory_order_relaxed); });
-  constexpr std::size_t kSenders = 7;
-  constexpr std::uint32_t kRounds = 400;  // one frame per sender per round
-  std::array<std::uint32_t, kSenders> submit_seq{};
-  std::array<std::uint32_t, kSenders> expect_seq{};
-  std::uint32_t rounds = 0;
-  std::size_t drained = 0;
-  std::uint64_t x = 88172645463325252ull;  // deterministic size jitter
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while ((rounds < kRounds || drained < kSenders * kRounds) &&
-         std::chrono::steady_clock::now() < deadline) {
-    if (rounds < kRounds) {
-      std::vector<VerifyPool::Item> batch;
-      for (ReplicaId s = 0; s < kSenders; ++s) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        Bytes p(5 + x % 200, 0);
-        const std::uint32_t seq = submit_seq[s]++;
-        p[0] = static_cast<std::uint8_t>(s);
-        p[1] = static_cast<std::uint8_t>(seq);
-        p[2] = static_cast<std::uint8_t>(seq >> 8);
-        p[3] = static_cast<std::uint8_t>(seq >> 16);
-        p[4] = static_cast<std::uint8_t>(seq >> 24);
-        VerifyPool::Item item;
-        item.from = s;
-        item.payload = std::move(p);
-        batch.push_back(std::move(item));
-      }
-      ++rounds;
-      pool.submit_batch(std::move(batch));
-    }
-    for (auto& r : pool.drain_ready()) {
-      ASSERT_LT(r.from, kSenders);
-      ASSERT_GE(r.payload.size(), 5u);
-      EXPECT_EQ(r.payload[0], static_cast<std::uint8_t>(r.from));
-      const std::uint32_t seq = std::uint32_t(r.payload[1]) |
-                                (std::uint32_t(r.payload[2]) << 8) |
-                                (std::uint32_t(r.payload[3]) << 16) |
-                                (std::uint32_t(r.payload[4]) << 24);
-      EXPECT_EQ(seq, expect_seq[r.from]++);
-      ++drained;
-    }
-  }
-  EXPECT_EQ(drained, kSenders * kRounds);
-  EXPECT_EQ(pool.in_flight(), 0u);
-  // The wake latch collapses bursts but must never deadlock the drain:
-  // with every frame delivered, at least one wake fired along the way.
-  EXPECT_GE(wakes.load(), 1u);
-}
-
-TEST(TcpCluster, DuplicateFrameFromIdleSenderBypassesPool) {
-  // One real node (id 0) in a 2-peer config; the test acts as peer 1 over
-  // a raw socket and replays the same signed frame twice. The second copy
-  // arrives with nothing from peer 1 in flight and its bytes already in
-  // the decode cache marked sender-verified, so it must skip the pool
-  // (counted in verify_bypass_frames) and still be delivered inline.
-  const auto port0 = static_cast<std::uint16_t>(base_port() + 400);
-  auto crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(2), 99);
-  std::vector<PeerAddress> peers{
-      {"127.0.0.1", port0}, {"127.0.0.1", static_cast<std::uint16_t>(port0 + 1)}};
-  NodeConfig cfg;
-  cfg.id = 0;
-  cfg.peers = peers;
-  cfg.crypto = crypto;
-  cfg.seed = 7;
-  cfg.pcfg.base_timeout_us = 10'000'000;  // keep the replica's timers quiet
-  cfg.verify_threads = 2;
-  TcpNode node(cfg, fallback_factory());
-  node.start();
-
-  // Connect as peer 1 (retrying while the node's listener comes up) and
-  // send the 4-byte hello.
-  int fd = -1;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port0);
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) break;
-    ::close(fd);
-    fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_GE(fd, 0);
-  const std::uint8_t hello[4] = {1, 0, 0, 0};
-  ASSERT_EQ(::send(fd, hello, 4, 0), 4);
-
-  // A correctly signed (envelope) timeout message from replica 1.
-  smr::Message msg = smr::DiemTimeoutMsg{};
-  smr::sign_message(*crypto, 1, msg);
-  const Bytes payload = smr::encode_message(msg);
-  Bytes frame(4 + payload.size());
-  frame[0] = static_cast<std::uint8_t>(payload.size());
-  frame[1] = static_cast<std::uint8_t>(payload.size() >> 8);
-  frame[2] = static_cast<std::uint8_t>(payload.size() >> 16);
-  frame[3] = static_cast<std::uint8_t>(payload.size() >> 24);
-  std::copy(payload.begin(), payload.end(), frame.begin() + 4);
-
-  const auto send_frame = [&] {
-    ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
-              static_cast<ssize_t>(frame.size()));
-  };
-  send_frame();
-  // Let the first copy clear the pool and seed the decode cache.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  send_frame();
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  ::close(fd);
-  node.stop();
-
-  const net::NetStats st = node.net_stats();
-  EXPECT_GE(st.verify_frames, 1u);  // first copy went through the pool
-  EXPECT_EQ(st.verify_bypass_frames, 1u);
 }
 
 TEST(TcpCluster, NodeCrashAndWalRecoveryOverTcp) {

@@ -2,7 +2,7 @@
 """CI gate for commit-lifecycle span tracing (DESIGN.md §15).
 
 Reads a bench NDJSON file and asserts, on the tcp_span_overhead row
-(n=16 always-fallback, vt=2 — the worst-case span volume):
+(n=16 always-fallback — the worst-case span volume):
 
   * recording overhead: spans-on throughput >= slack * spans-off
     (default 0.95, i.e. < 5% commit-throughput cost);

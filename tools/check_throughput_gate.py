@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """CI gate for the pipelined-proposal-path throughput target (PR 7).
 
-Reads a bench NDJSON file (BENCH_pr7.json) and asserts that the
-steady-state TCP cluster at n=10 with inline verification
-(tcp_cluster rows, verify_threads=0) sustains at least `floor`
-blocks/s — 2x the pre-pipelining baseline (BENCH_pr6: 1917 blocks/s)
-by default.
+Reads a bench NDJSON file (BENCH_pr10.json) and asserts that the
+steady-state TCP cluster at n=10 (tcp_cluster rows) sustains at least
+`floor` blocks/s — 2x the pre-pipelining baseline (BENCH_pr6: 1917
+blocks/s) by default.
 
 The speedups this guards (DESIGN.md §12): mesh-gated replica start,
 lazy-popped timer deadlines, short-read recv, deferred loopback
@@ -13,7 +12,7 @@ delivery via self_inbox_, the uncached inline delivery path, and the
 out-of-band batch dissemination layer staying off the critical path
 when payloads are inline.
 
-Usage: check_throughput_gate.py BENCH_pr7.json [floor] [n]
+Usage: check_throughput_gate.py BENCH_pr10.json [floor] [n]
   floor: minimum blocks/s for the gated row (default 3834).
   n:     cluster size of the gated row (default 10).
 """
@@ -22,7 +21,7 @@ import sys
 
 
 def main() -> int:
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_pr7.json"
+    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_pr10.json"
     floor = float(sys.argv[2]) if len(sys.argv) > 2 else 3834.0
     n_gate = int(sys.argv[3]) if len(sys.argv) > 3 else 10
 
@@ -36,16 +35,16 @@ def main() -> int:
             row = json.loads(line)
             if row.get("bench") != "tcp_cluster":
                 continue
-            if int(row["n"]) != n_gate or int(row["verify_threads"]) != 0:
+            if int(row["n"]) != n_gate:
                 continue
             best = float(row["blocks_per_sec"])
 
     if best is None:
-        print(f"gate: no tcp_cluster n={n_gate} vt0 row in {path}")
+        print(f"gate: no tcp_cluster n={n_gate} row in {path}")
         return 1
 
     verdict = "PASS" if best >= floor else "FAIL"
-    print(f"gate: tcp_cluster n={n_gate} vt0 blocks/s={best:.0f} (floor {floor:.0f}) -> {verdict}")
+    print(f"gate: tcp_cluster n={n_gate} blocks/s={best:.0f} (floor {floor:.0f}) -> {verdict}")
     if best < floor:
         print("gate: the pipelined proposal path has regressed below 2x the "
               "pre-pipelining baseline")
