@@ -60,8 +60,9 @@ struct FallbackStats {
   }
 
   /// Factor by which decode-once cuts full parses: every delivery would
-  /// pay one without the cache. With sender pre-population misses can be
-  /// zero — the reduction is then "all of them" and reported against 1.
+  /// pay one without the cache. Only multicasts are seeded, so misses are
+  /// the point-to-point deliveries (each parsed by its one recipient);
+  /// with none the reduction is "all of them" and reported against 1.
   double decode_reduction() const {
     return double(decode_hits + decode_misses) / double(std::max<std::uint64_t>(1, decode_misses));
   }
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- data path: zero-copy multicast + decode-once delivery ------\n");
   std::printf("    (the fallback's n^2 traffic is mostly multicasts of identical\n");
   std::printf("    bytes: one serialization feeds all n recipients, and the\n");
-  std::printf("    shared decode cache parses each distinct payload at most once\n");
+  std::printf("    shared decode cache parses each multicast payload at most once\n");
   std::printf("    instead of once per recipient) -----------------------------\n\n");
   std::printf("    %-22s %-4s %11s %10s %10s %9s %10s\n", "protocol", "n", "ser/mcast",
               "copies-", "parses", "parse", "commits/s");

@@ -1,11 +1,13 @@
 // Experiment µ — microbenchmarks (google-benchmark) for the cryptographic
-// substrate and serialization: these set the constant factors behind
-// every protocol message the macro benches count.
+// substrate, serialization and the simulator's event loop: these set the
+// constant factors behind every protocol message the macro benches count.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "crypto/dealer.h"
 #include "crypto/sha256_kernels.h"
+#include "net/network.h"
+#include "sim/simulation.h"
 #include "smr/block.h"
 #include "smr/certificates.h"
 #include "smr/messages.h"
@@ -248,6 +250,56 @@ void BM_ProposalEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProposalEncodeDecode);
+
+// ---- sim event loop ----------------------------------------------------------
+
+// One simulated event's bookkeeping: schedule state.range(0) events at
+// spread-out times, cancel every fourth (timers superseded before they
+// fire), drain. Per item = per event scheduled.
+void BM_SimScheduleFire(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<SimTime> delays(count);
+  for (auto& d : delays) d = rng.uniform_range(0, 10'000);
+  std::vector<sim::EventId> ids(count);
+  sim::Simulation sim;
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < count; ++i) {
+      ids[i] = sim.schedule_after(delays[i], [&fired] { ++fired; });
+    }
+    for (std::size_t i = 0; i < count; i += 4) sim.cancel(ids[i]);
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * count));
+}
+BENCHMARK(BM_SimScheduleFire)->Arg(64)->Arg(4096);
+
+// One simulated multicast at n=16: 15 network sends plus the loopback,
+// each a heap entry and a delivery of the one shared buffer to a handler.
+// Per item = per delivery.
+void BM_NetworkMulticastDeliver(benchmark::State& state) {
+  constexpr std::uint32_t kN = 16;
+  sim::Simulation sim;
+  net::Network net(sim, kN, std::make_unique<net::AsynchronousModel>(1'000, 50'000), Rng(3));
+  std::uint64_t delivered_bytes = 0;
+  for (ReplicaId id = 0; id < kN; ++id) {
+    net.register_handler(id, [&delivered_bytes](ReplicaId, const Bytes& payload) {
+      delivered_bytes += payload.size();
+    });
+  }
+  const Bytes body(static_cast<std::size_t>(state.range(0)), 0x5c);
+  ReplicaId from = 0;
+  for (auto _ : state) {
+    net.multicast(from, make_shared_bytes(Bytes(body)));
+    from = (from + 1) % kN;
+    sim.run();
+    benchmark::DoNotOptimize(delivered_bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kN));
+}
+BENCHMARK(BM_NetworkMulticastDeliver)->Arg(256);
 
 }  // namespace
 

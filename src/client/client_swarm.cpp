@@ -1,5 +1,7 @@
 #include "client/client_swarm.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace repro::client {
@@ -8,11 +10,7 @@ namespace repro::client {
 
 void TxnPools::submit(ReplicaId to, const TxnId& id, BytesView payload) {
   REPRO_ASSERT(to < queues_.size());
-  // Dedup within the pool (a retry may land at a replica already holding
-  // the txn).
-  for (const auto& p : queues_[to]) {
-    if (p.id == id) return;
-  }
+  if (!queued_ids_[to].insert(id).second) return;
   queues_[to].push_back(Pending{id, Bytes(payload.begin(), payload.end())});
 }
 
@@ -26,6 +24,7 @@ Bytes TxnPools::next_batch(ReplicaId proposer) {
     const Pending& p = q.front();
     enc.raw(BytesView(p.id.data(), p.id.size()));
     enc.bytes(p.payload);
+    queued_ids_[proposer].erase(p.id);
     q.pop_front();
   }
   return std::move(enc).result();
@@ -138,12 +137,24 @@ void ClientSwarm::arm_retry(const TxnId& id) {
   });
 }
 
+std::deque<ClientSwarm::CommittedBatch>::iterator ClientSwarm::committed_batch(
+    const smr::Block& block) {
+  auto it = std::find_if(batch_memo_.begin(), batch_memo_.end(),
+                         [&](const CommittedBatch& b) { return b.block_id == block.id; });
+  if (it != batch_memo_.end()) return it;
+  if (batch_memo_.size() >= kBatchMemoCap) batch_memo_.pop_front();
+  batch_memo_.push_back(CommittedBatch{
+      block.id, TxnPools::decode_txn_ids(block.txns()),
+      crypto::MerkleTree(TxnPools::decode_txn_payloads(block.txns())), 0});
+  return std::prev(batch_memo_.end());
+}
+
 void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
-  const std::vector<TxnId> ids = TxnPools::decode_txn_ids(block.txns());
-  if (ids.empty()) return;
   // The replica commits to the batch with a Merkle tree and attaches an
   // inclusion proof to each acknowledgment.
-  const crypto::MerkleTree tree(TxnPools::decode_txn_payloads(block.txns()));
+  const auto batch = committed_batch(block);
+  const std::vector<TxnId>& ids = batch->ids;
+  const crypto::MerkleTree& tree = batch->tree;
   const std::uint64_t block_key = crypto::digest_prefix_u64(block.id);
   for (std::uint32_t i = 0; i < ids.size(); ++i) {
     const TxnId id = ids[i];
@@ -156,6 +167,7 @@ void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
       deliver_ack(replica, id, block_key, root, proof);
     });
   }
+  if (++batch->commits == exp_.n()) batch_memo_.erase(batch);
 }
 
 void ClientSwarm::deliver_ack(ReplicaId replica, const TxnId& id, std::uint64_t block_key,

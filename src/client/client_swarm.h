@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/codec.h"
@@ -64,9 +65,11 @@ struct ClientStats {
 class TxnPools {
  public:
   explicit TxnPools(std::uint32_t n, std::size_t max_batch_txns)
-      : queues_(n), max_batch_(max_batch_txns) {}
+      : queues_(n), queued_ids_(n), max_batch_(max_batch_txns) {}
 
-  /// Enqueue a transaction at one replica's pool.
+  /// Enqueue a transaction at one replica's pool, unless that pool already
+  /// holds it (a retry may land at a replica already holding the txn). A
+  /// txn drained into a batch can be submitted again.
   void submit(ReplicaId to, const TxnId& id, BytesView payload);
 
   /// Proposer-side: drain up to max_batch txns into a block payload.
@@ -85,6 +88,11 @@ class TxnPools {
     Bytes payload;
   };
   std::vector<std::deque<Pending>> queues_;
+  /// The ids in each queue, for O(1) dedup; mirrors queues_ exactly.
+  /// A crashed replica's queue is never drained and grows with every
+  /// retry routed through it, where scanning it is most of the run's
+  /// CPU (DESIGN.md §18.3).
+  std::vector<std::unordered_set<TxnId, TxnIdHash>> queued_ids_;
   std::size_t max_batch_;
 };
 
@@ -113,6 +121,22 @@ class ClientSwarm {
     std::uint64_t retry_epoch = 0;   ///< invalidates stale retry timers
   };
 
+  /// What every replica's acks for one committed block share: its txn
+  /// ids and the Merkle tree over its txn payloads. Both are a pure
+  /// function of the payload bytes the block id binds, so the n replicas
+  /// committing one block share a single build.
+  struct CommittedBatch {
+    smr::BlockId block_id;
+    std::vector<TxnId> ids;
+    crypto::MerkleTree tree;
+    std::uint32_t commits = 0;  ///< replicas that committed the block so far
+  };
+  /// An entry is dropped once all n replicas have committed its block; the
+  /// cap bounds the memo when some never do (crashed, lagging). A block
+  /// committed after its entry is gone is simply rebuilt.
+  static constexpr std::size_t kBatchMemoCap = 64;
+  std::deque<CommittedBatch>::iterator committed_batch(const smr::Block& block);
+
   void client_tick(std::uint32_t client);
   void submit_txn(std::uint32_t client);
   void send_to_replica(const TxnId& id, ReplicaId target);
@@ -134,6 +158,8 @@ class ClientSwarm {
   ClientStats stats_;
   std::unordered_map<TxnId, InFlight, TxnIdHash> in_flight_;
   std::uint64_t txn_seq_ = 0;
+  /// Oldest first; at most kBatchMemoCap entries.
+  std::deque<CommittedBatch> batch_memo_;
 };
 
 }  // namespace repro::client

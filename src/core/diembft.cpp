@@ -152,19 +152,18 @@ void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
 
   const smr::Certificate parent = block.parent;
   const Round r = block.round;
-  const smr::BlockId id_of_block = block.id;
   maybe_forge_ghost_chain(block);  // kGhostChain only; no-op when honest
   // This block passed proposal authentication (signed envelope from the
   // round's leader): it — and only it — may earn this round's vote, even
   // when the vote is deferred until its batch resolves.
   note_vote_candidate(block);
-  store_block(std::move(block), from);
+  const smr::Block* stored = store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, 0, r, 0, from);
 
   // "Upon receiving the first valid proposal from L_r, execute Lock."
   lock_step(parent, from);
 
-  if (const smr::Block* stored = store().get(id_of_block)) try_vote(*stored);
+  try_vote(*stored);
 }
 
 void DiemBftReplica::try_vote(const smr::Block& block) {

@@ -260,18 +260,17 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   const smr::Certificate parent = block.parent;
   const Round r = block.round;
   const View v = block.view;
-  const smr::BlockId block_id = block.id;
   maybe_forge_ghost_chain(block);  // kGhostChain only; no-op when honest
   // This block passed proposal authentication (signed envelope from the
   // round's leader): it — and only it — may earn this round's vote, even
   // when the vote is deferred until its batch resolves.
   note_vote_candidate(block);
-  store_block(std::move(block), from);
+  const smr::Block* stored = store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, v, r, 0, from);
 
   lock_full(parent, from);
 
-  if (const smr::Block* stored = store().get(block_id)) try_vote_steady(*stored);
+  try_vote_steady(*stored);
 }
 
 void FallbackReplica::try_vote_steady(const smr::Block& block) {
@@ -540,7 +539,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   const View v = block.view;
   const ReplicaId j = from;
   const smr::BlockId block_id = block.id;
-  store_block(std::move(block), from);
+  const smr::Block* stored = store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, v, r, h, from);
 
   // Regular-QC parents feed Lock; f-QC parents are recorded (and drive
@@ -590,7 +589,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     }
   }
 
-  if (!externally_valid(*store().get(block_id)->payload)) return;
+  if (!externally_valid(*stored->payload)) return;
   if (fault().withholds_votes()) return;
   r_vote_bar_[j] = r;
   h_vote_bar_[j] = h;

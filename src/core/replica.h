@@ -201,10 +201,9 @@ class IReplica {
   virtual void on_message(ReplicaId from, const Bytes& payload) = 0;
 
   /// Deliver a payload whose decode-cache content key the caller already
-  /// computed (ReplicaBase::on_message looks up the key its sender seeded
-  /// for a shared multicast buffer, so delivery does not re-hash it).
-  /// `key` MUST equal smr::DecodeCache::key_of(payload). Default: ignore
-  /// the hint.
+  /// computed. `key` MUST equal smr::DecodeCache::key_of(payload).
+  /// Default: ignore the hint. ReplicaBase keeps the default — its
+  /// on_message finds a seeded multicast buffer by address, not by key.
   virtual void on_message_keyed(ReplicaId from, const Bytes& payload,
                                 const crypto::Digest& key) {
     (void)key;
@@ -212,10 +211,11 @@ class IReplica {
   }
 
   /// Deliver a payload that can never be a decode-cache hit: TCP peer
-  /// frames arrive exactly once per connection, so hashing them to probe
-  /// the cache (and inserting the decoded form nobody will look up again)
-  /// is pure overhead on the protocol thread. Implementations decode and
-  /// verify directly. Default: fall back to the cached path.
+  /// frames arrive exactly once per connection, and a point-to-point
+  /// buffer is delivered once, so hashing them to probe the cache (and
+  /// inserting the decoded form nobody will look up again) is pure
+  /// overhead on the protocol thread. Implementations decode and verify
+  /// directly. Default: fall back to the cached path.
   virtual void on_message_uncached(ReplicaId from, const Bytes& payload) {
     on_message(from, payload);
   }

@@ -139,41 +139,31 @@ void ReplicaBase::resume_batch_recovery() {
 }
 
 void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
-  // Decode-once: byte-identical payloads (a multicast seen by n replicas
-  // through the shared cache, or a self-delivery the sender pre-populated
-  // at encode time) parse once; any mutated byte changes the content key
-  // and takes the full decode-and-verify path independently. A buffer the
-  // sender seeded (the one shared buffer of a simulator multicast, a TCP
-  // self-delivery) is hashed once, at encode time, not once per delivery.
-  const auto known = dcache_->buffer_key(payload);
-  on_message_keyed(from, payload, known ? *known : smr::DecodeCache::key_of(payload));
-}
-
-void ReplicaBase::on_message_keyed(ReplicaId from, const Bytes& payload,
-                                   const crypto::Digest& key) {
   if (halted_ || cfg_.fault.crashed()) return;
-  bool cache_hit = false;
-  auto msg = dcache_->decode(key, payload, &cache_hit);
-  cache_hit ? ++stats_.decode_hits : ++stats_.decode_misses;
-  if (!msg) {
-    LOG_WARN("replica %u: dropping malformed message from %u", id_, from);
+  // Decode-once: the one shared buffer of a multicast (every simulated
+  // recipient, a TCP self-delivery) was seeded by its sender at encode
+  // time, so a single probe by address returns the decoded form and
+  // whether `from`'s signature over these bytes already checked out. Any
+  // other buffer — a point-to-point send, delivered exactly once — is
+  // decoded and verified directly, with no hash or cache traffic.
+  auto hit = dcache_->decode_buffer(payload, from);
+  if (!hit) {
+    on_message_uncached(from, payload);
     return;
   }
+  ++stats_.decode_hits;
   // The signature memo is keyed by (payload bytes, sender): verification
   // is a pure function of the two, so a recorded success is as strong as
   // re-running it, while the same bytes replayed by a different sender
-  // still pay (and fail) the full check. The check itself runs against
-  // the wire bytes in hand — the signed prefix of the payload — instead
-  // of re-encoding the decoded form.
-  if (!dcache_->sender_verified(key, from)) {
-    if (!smr::verify_message_signature_wire(*crypto_, from, *msg, payload)) {
+  // still pay (and fail) the full check against the wire bytes in hand.
+  if (!hit->sender_verified) {
+    if (!smr::verify_message_signature_wire(*crypto_, from, hit->msg, payload)) {
       LOG_WARN("replica %u: bad signature on message from %u", id_, from);
       return;
     }
-    dcache_->note_sender_verified(key, from);
+    dcache_->note_sender_verified(hit->key, from);
   }
-
-  deliver(from, std::move(*msg));
+  deliver(from, std::move(hit->msg));
 }
 
 void ReplicaBase::on_message_uncached(ReplicaId from, const Bytes& payload) {
@@ -258,22 +248,24 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
 
 SharedBytes ReplicaBase::encode_signed(smr::Message& msg) {
   smr::sign_message(*crypto_, id_, msg);
-  SharedBytes payload = make_shared_bytes(smr::encode_message(msg));
-  // The sender already holds the decoded form: seed the cache so the
-  // loopback delivery (and shared-cache recipients) skip the re-parse.
-  // Marking ourselves signature-verified is sound — we produced the
-  // signature over exactly these bytes. The seed must equal what decoding
-  // the bytes would give, so it passes the decoder's block-id check too:
-  // a faulty sender's inconsistent block is left for every recipient's
-  // own decode to reject.
+  return make_shared_bytes(smr::encode_message(msg));
+}
+
+void ReplicaBase::seed_decode_cache(smr::Message&& msg, const SharedBytes& payload) {
+  // The sender already holds the decoded form: seed the cache so every
+  // delivery of this buffer, the loopback one included, skips the
+  // re-parse. Marking ourselves signature-verified is sound — we produced
+  // the signature over exactly these bytes. The seed must equal what
+  // decoding the bytes would give, so it passes the decoder's block-id
+  // check too: a faulty sender's inconsistent block is left for every
+  // recipient's own decode to reject.
   if (!smr::blocks_id_consistent(msg)) {
     ++stats_.cache_seeds_refused;
-    return payload;
+    return;
   }
   const crypto::Digest key = smr::DecodeCache::key_of(*payload);
   dcache_->insert(key, std::move(msg), id_);
   dcache_->remember_buffer(payload, key);
-  return payload;
 }
 
 ReplicaBase::SpanPlan ReplicaBase::span_plan(const smr::Message& msg) {
@@ -312,11 +304,8 @@ void ReplicaBase::record_span_plan(const SpanPlan& plan, const SharedBytes& payl
 }
 
 void ReplicaBase::send(ReplicaId to, smr::Message msg) {
-  if (!spans_on()) {
-    net_->send(id_, to, encode_signed(msg));
-    return;
-  }
-  const SpanPlan plan = span_plan(msg);
+  // One recipient, one delivery: nothing to seed (see on_message).
+  const SpanPlan plan = spans_on() ? span_plan(msg) : SpanPlan{};
   SharedBytes payload = encode_signed(msg);
   record_span_plan(plan, payload);
   net_->send(id_, to, std::move(payload));
@@ -324,12 +313,10 @@ void ReplicaBase::send(ReplicaId to, smr::Message msg) {
 
 void ReplicaBase::multicast(smr::Message msg) {
   ++stats_.multicast_encodes;
-  if (!spans_on()) {
-    net_->multicast(id_, encode_signed(msg));
-    return;
-  }
-  const SpanPlan plan = span_plan(msg);
+  // Captured before seeding moves the message into the decode cache.
+  const SpanPlan plan = spans_on() ? span_plan(msg) : SpanPlan{};
   SharedBytes payload = encode_signed(msg);
+  seed_decode_cache(std::move(msg), payload);
   record_span_plan(plan, payload);
   net_->multicast(id_, std::move(payload));
 }
@@ -407,10 +394,10 @@ const smr::Block* ReplicaBase::store_block(smr::Block block, ReplicaId from) {
   // Every block reaching here was decoded (Block::decode checked its id)
   // or built locally; BlockStore::insert asserts consistency regardless.
   const smr::BlockId id = block.id;
-  if (!store_.insert(std::move(block))) return store_.get(id);
+  const auto [stored, inserted] = store_.insert(std::move(block));
+  if (!inserted) return stored;
   outstanding_fetches_.erase(id);
   try_resolve_block(id, from);
-  const smr::Block* stored = store_.get(id);
   retry_deferred(id, from);
   on_block_stored(*stored, from);
   return stored;

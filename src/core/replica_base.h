@@ -68,8 +68,6 @@ class ReplicaBase : public IReplica {
 
   // IReplica ----------------------------------------------------------
   void on_message(ReplicaId from, const Bytes& payload) final;
-  void on_message_keyed(ReplicaId from, const Bytes& payload,
-                        const crypto::Digest& key) final;
   void on_message_uncached(ReplicaId from, const Bytes& payload) final;
   void halt() final { halted_ = true; }
   ReplicaId id() const final { return id_; }
@@ -163,10 +161,11 @@ class ReplicaBase : public IReplica {
 
   // Messaging ----------------------------------------------------------
   // Sign, serialize exactly once into a refcounted buffer, and hand the
-  // buffer to the network. The sender pre-populates the decode cache with
-  // the decoded form (keyed by the payload hash), so its own loopback
-  // delivery — and, with the harness-shared cache, every simulated
-  // recipient — skips the redundant parse.
+  // buffer to the network. A multicast sender also pre-populates the
+  // decode cache with the decoded form (keyed by the payload hash), so
+  // its own loopback delivery — and, with the harness-shared cache, every
+  // simulated recipient — skips the redundant parse. A point-to-point
+  // buffer is delivered once, so it is never hashed or seeded.
   void send(ReplicaId to, smr::Message msg);
   void multicast(smr::Message msg);
 
@@ -281,8 +280,8 @@ class ReplicaBase : public IReplica {
   /// returns false.
   bool ensure_block(const smr::BlockId& id, ReplicaId hint);
 
-  /// Validates id-consistency and stores; triggers deferred work.
-  /// Returns the stored block or nullptr if invalid.
+  /// Stores an id-consistent block and triggers deferred work. Returns
+  /// the stored block (the one already held, if the id was known).
   const smr::Block* store_block(smr::Block block, ReplicaId from);
 
   // Environment ----------------------------------------------------------
@@ -512,10 +511,14 @@ class ReplicaBase : public IReplica {
 
   /// Sign + encode once; shared by send/multicast.
   SharedBytes encode_signed(smr::Message& msg);
+  /// Multicast only: file the decoded form under `payload`'s content key
+  /// and remember the buffer, so its deliveries skip the parse.
+  void seed_decode_cache(smr::Message&& msg, const SharedBytes& payload);
 
   /// Span milestones derived from an outgoing message. Captured *before*
-  /// encode_signed moves the message into the decode cache; the payload
-  /// content key (bridging to transport spans) is only computable after.
+  /// seed_decode_cache moves the message into the decode cache; the
+  /// payload content key (bridging to transport spans) is only computable
+  /// after encoding.
   struct SpanPlan {
     enum Kind : std::uint8_t { kNone, kProposal, kVote } kind = kNone;
     std::uint64_t key = 0;  ///< block-id prefix

@@ -17,17 +17,25 @@ void Network::register_handler(ReplicaId id, Handler handler) {
 
 void Network::deliver_after(SimTime delay, ReplicaId from, ReplicaId to,
                             SharedBytes payload) {
-  // The delivery queue holds a reference to the one serialized buffer; a
-  // multicast in flight to n-1 peers costs one allocation total.
-  sim_.schedule_after(delay, [this, from, to, payload = std::move(payload)]() {
-    // delivered() is a processing metric: count only payloads that actually
-    // reach a handler, so drain checks don't see phantom deliveries for
-    // replicas that were never registered.
-    if (handlers_[to]) {
-      ++delivered_;
-      handlers_[to](from, *payload);
-    }
-  });
+  // The slot holds a reference to the one serialized buffer; a multicast
+  // in flight to n-1 peers costs one allocation total.
+  const std::uint32_t slot = in_flight_.acquire();
+  in_flight_[slot] = InFlight{from, to, std::move(payload)};
+  sim_.schedule_after(delay, [this, slot] { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Empty the slot before the handler runs: it may send, reusing the slot
+  // or growing the slab under any reference into it.
+  const InFlight m = std::move(in_flight_[slot]);
+  in_flight_.release(slot);
+  // delivered() is a processing metric: count only payloads that actually
+  // reach a handler, so drain checks don't see phantom deliveries for
+  // replicas that were never registered.
+  if (handlers_[m.to]) {
+    ++delivered_;
+    handlers_[m.to](m.from, *m.payload);
+  }
 }
 
 void Network::send(ReplicaId from, ReplicaId to, SharedBytes payload) {

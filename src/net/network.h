@@ -20,6 +20,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "common/types.h"
 #include "net/delay_model.h"
 #include "obs/metrics.h"
@@ -184,7 +185,17 @@ class Network final : public INetwork {
   std::uint64_t delivered() const { return delivered_; }
 
  private:
+  /// A message in flight. The scheduled delivery event captures only
+  /// (this, slot), which fits std::function's inline buffer: no closure
+  /// allocation per message.
+  struct InFlight {
+    ReplicaId from = 0;
+    ReplicaId to = 0;
+    SharedBytes payload;
+  };
+
   void deliver_after(SimTime delay, ReplicaId from, ReplicaId to, SharedBytes payload);
+  void deliver(std::uint32_t slot);
 
   sim::Simulation& sim_;
   std::unique_ptr<DelayModel> model_;
@@ -192,6 +203,8 @@ class Network final : public INetwork {
   std::vector<Handler> handlers_;
   NetStats stats_;
   std::uint64_t delivered_ = 0;
+  /// Messages in flight, by the slot their delivery event captures.
+  SlotPool<InFlight> in_flight_;
 };
 
 }  // namespace repro::net

@@ -4,54 +4,62 @@ namespace repro::sim {
 
 EventId Simulation::schedule_at(SimTime t, Callback cb) {
   REPRO_ASSERT_MSG(t >= now_, "cannot schedule into the past");
-  const std::uint64_t seq = next_seq_++;
-  const EventId id = seq;  // seq doubles as the id (unique, nonzero)
-  queue_.push(Entry{t, seq, id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
+  const std::uint32_t slot = slots_.acquire();
+  slots_[slot].cb = std::move(cb);
+  queue_.push(Entry{t, next_seq_++, slot});
+  return make_id(slot, slots_[slot].gen);
 }
 
 void Simulation::cancel(EventId id) {
-  if (callbacks_.find(id) == callbacks_.end()) return;
-  cancelled_.insert(id);
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return;
+  Slot& s = slots_[slot];
+  // A freed slot's generation has moved on, so a stale id never matches.
+  if (s.gen != static_cast<std::uint32_t>(id >> 32) || s.cancelled) return;
+  s.cancelled = true;
+  s.cb = nullptr;
+  ++cancelled_;
+}
+
+void Simulation::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cancelled = false;
+  // Generation 0 is never handed out, so kInvalidEvent (0) never matches.
+  if (++s.gen == 0) s.gen = 1;
+  slots_.release(slot);
+}
+
+void Simulation::drop_cancelled_heads() {
+  while (!queue_.empty() && slots_[queue_.top().slot].cancelled) {
+    free_slot(queue_.top().slot);
+    queue_.pop();
+    --cancelled_;
+  }
 }
 
 bool Simulation::fire_next() {
-  while (!queue_.empty()) {
-    const Entry e = queue_.top();
-    queue_.pop();
-    auto cancelled_it = cancelled_.find(e.id);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      callbacks_.erase(e.id);
-      continue;
-    }
-    auto cb_it = callbacks_.find(e.id);
-    REPRO_ASSERT(cb_it != callbacks_.end());
-    Callback cb = std::move(cb_it->second);
-    callbacks_.erase(cb_it);
-    now_ = e.time;
-    ++executed_;
-    cb();
-    return true;
-  }
-  return false;
+  drop_cancelled_heads();
+  if (queue_.empty()) return false;
+  const Entry e = queue_.top();
+  queue_.pop();
+  // Free the slot before running: the callback may schedule (and so
+  // reuse it), and cancelling its own, already-fired id is a no-op.
+  Callback cb = std::move(slots_[e.slot].cb);
+  free_slot(e.slot);
+  now_ = e.time;
+  ++executed_;
+  cb();
+  return true;
 }
 
 bool Simulation::step() { return fire_next(); }
 
 std::size_t Simulation::run_until(SimTime deadline) {
   std::size_t count = 0;
-  while (!queue_.empty()) {
+  for (;;) {
     // Skip over cancelled heads without advancing time.
-    const Entry e = queue_.top();
-    if (cancelled_.count(e.id) != 0) {
-      queue_.pop();
-      cancelled_.erase(e.id);
-      callbacks_.erase(e.id);
-      continue;
-    }
-    if (e.time > deadline) break;
+    drop_cancelled_heads();
+    if (queue_.empty() || queue_.top().time > deadline) break;
     if (fire_next()) ++count;
   }
   if (now_ < deadline) now_ = deadline;

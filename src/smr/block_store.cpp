@@ -12,11 +12,12 @@ BlockStore::BlockStore() {
   cert_log_.push_back(g);
 }
 
-bool BlockStore::insert(Block block) {
+BlockStore::Inserted BlockStore::insert(Block block) {
   // Free for blocks from Block::make / Block::decode (their id memo).
   REPRO_ASSERT_MSG(block.id_consistent(), "inserting id-inconsistent block");
   const BlockId id = block.id;
-  return blocks_.try_emplace(id, std::move(block)).second;
+  const auto [it, inserted] = blocks_.try_emplace(id, std::move(block));
+  return {&it->second, inserted};
 }
 
 const Block* BlockStore::get(const BlockId& id) const {

@@ -23,9 +23,17 @@ class BlockStore {
  public:
   BlockStore();
 
-  /// Insert a block (must be id-consistent; caller validates). Returns
-  /// true if newly inserted.
-  bool insert(Block block);
+  /// Result of insert: the stored block under that id (the new one, or
+  /// the one already there), and whether this call stored it. Tests as
+  /// `inserted`.
+  struct Inserted {
+    const Block* block;
+    bool inserted;
+    explicit operator bool() const { return inserted; }
+  };
+
+  /// Insert a block (must be id-consistent; caller validates).
+  Inserted insert(Block block);
 
   bool contains(const BlockId& id) const { return blocks_.count(id) != 0; }
   const Block* get(const BlockId& id) const;

@@ -13,14 +13,17 @@
 // are never cached — each distinct malformed buffer is rejected
 // independently.
 //
-// Senders pre-populate the cache at encode time (they hold the decoded
-// form already), which is what makes a replica's *self-delivery* free of
-// the encode → decode round trip. They also record themselves as a
+// Only multicast buffers are seeded. A multicast sender pre-populates the
+// cache at encode time (it holds the decoded form already), which makes
+// the n deliveries of that one buffer — its own loopback included — free
+// of the encode → decode round trip. It also records itself as a
 // verified envelope signer: signature verification is a deterministic
 // pure function of (sender, payload bytes), so a per-entry memo of
 // senders whose envelope signature over these exact bytes checked out is
 // as strong as re-verifying — a replayed payload from a *different*
-// sender is not in the memo and pays the full check (and fails).
+// sender is not in the memo and pays the full check (and fails). A
+// point-to-point buffer can only ever be delivered once, so it is never
+// hashed or seeded: its one recipient decodes and checks it directly.
 //
 // Block-id consistency rides along: decode_message rejects any block
 // whose id does not bind its fields, so a cached entry stands for a
@@ -30,13 +33,14 @@
 // id hash Block::decode ran, so every copy a hit hands out shares the
 // bytes and the check instead of duplicating or rehashing them.
 //
-// A sender that seeds an entry may also remember which buffer holds those
-// bytes. Deliveries of that very buffer — every recipient of one simulator
-// multicast, the TCP self-inbox — then look the content key up by address
-// instead of re-hashing the payload. The memo holds a weak_ptr, so it
-// never keeps a buffer's bytes alive (at most its small control block,
-// one per entry); an expired or unknown buffer falls back to hashing, and
-// evicting the entry drops its buffer mapping.
+// A seeding sender also remembers which buffer holds those bytes.
+// Deliveries of that very buffer — every recipient of one simulator
+// multicast, the TCP self-inbox — then find the entry by address with a
+// single probe (decode_buffer), which also answers whether the sender's
+// signature is known good, instead of re-hashing the payload. The memo
+// holds a weak_ptr, so it never keeps a buffer's bytes alive (at most its
+// small control block, one per entry); an expired or unknown buffer
+// misses, and evicting the entry drops its buffer mapping.
 //
 // Bounded LRU. Shared by all replicas of one simulation (they observe
 // the same broadcast bytes); per-node in the TCP transport (processes
@@ -59,9 +63,11 @@ class DecodeCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  /// hits + misses counts every delivery that consulted the cache;
-  /// misses equals the number of full `decode_message` parses performed
-  /// through it (malformed payloads included).
+  /// hits counts deliveries served from the cache (by content key or by
+  /// remembered buffer); misses equals the number of full
+  /// `decode_message` parses performed through decode() (malformed
+  /// payloads included). A decode_buffer miss counts neither: the caller
+  /// parses those bytes outside the cache.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -108,12 +114,7 @@ class DecodeCache {
   /// against `sender` succeeded (or `sender` encoded them itself).
   bool sender_verified(const crypto::Digest& key, ReplicaId sender) const {
     auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    const auto& v = it->second->second.verified_senders;
-    for (ReplicaId id : v) {
-      if (id == sender) return true;
-    }
-    return false;
+    return it != index_.end() && it->second->second.has_verified(sender);
   }
 
   /// Record a successful envelope-signature verification. No-op if the
@@ -121,11 +122,8 @@ class DecodeCache {
   void note_sender_verified(const crypto::Digest& key, ReplicaId sender) {
     auto it = index_.find(key);
     if (it == index_.end()) return;
-    auto& v = it->second->second.verified_senders;
-    for (ReplicaId id : v) {
-      if (id == sender) return;
-    }
-    v.push_back(sender);
+    Entry& entry = it->second->second;
+    if (!entry.has_verified(sender)) entry.verified_senders.push_back(sender);
   }
 
   /// Remember that `buffer` holds the bytes whose content key is `key`.
@@ -137,23 +135,30 @@ class DecodeCache {
     Entry& entry = it->second->second;
     if (entry.buffer != nullptr) unmap_buffer(entry.buffer);
     unmap_buffer(buffer.get());  // a dead buffer that lived at this address
-    buffers_.emplace(buffer.get(), BufferRef{buffer, key});
+    buffers_.emplace(buffer.get(), BufferRef{buffer, it->second});
     entry.buffer = buffer.get();
   }
 
-  /// Content key of `payload` if it is a live buffer passed to
-  /// remember_buffer whose entry is still cached; nullopt otherwise.
-  std::optional<crypto::Digest> buffer_key(const Bytes& payload) {
-    auto it = buffers_.find(&payload);
-    if (it == buffers_.end()) return std::nullopt;
-    // Expired: the remembered buffer died and `payload` merely reuses its
-    // address. A live one is `payload` itself — two live buffers cannot
-    // share an address.
-    if (it->second.buffer.expired()) {
-      unmap_buffer(&payload);
-      return std::nullopt;
-    }
-    return it->second.key;
+  /// A delivery of a remembered buffer: a copy of the cached message, its
+  /// content key, and whether `sender`'s envelope signature over these
+  /// bytes is already known good.
+  struct BufferHit {
+    Message msg;
+    crypto::Digest key;
+    bool sender_verified = false;
+  };
+
+  /// One probe by address: a hit (counted) if `payload` is a live buffer
+  /// passed to remember_buffer whose entry is still cached; nullopt
+  /// otherwise, with nothing counted — the caller decodes the bytes
+  /// itself, as for any buffer the cache was never told about.
+  std::optional<BufferHit> decode_buffer(const Bytes& payload, ReplicaId sender) {
+    auto pos = live_buffer(payload);
+    if (!pos) return std::nullopt;
+    ++stats_.hits;
+    order_.splice(order_.begin(), order_, *pos);
+    const auto& [key, entry] = **pos;
+    return BufferHit{entry.msg, key, entry.has_verified(sender)};
   }
 
   std::size_t size() const { return index_.size(); }
@@ -169,11 +174,20 @@ class DecodeCache {
     std::vector<ReplicaId> verified_senders;
     /// The buffer remember_buffer mapped to this key, if any.
     const Bytes* buffer = nullptr;
+
+    bool has_verified(ReplicaId sender) const {
+      for (ReplicaId id : verified_senders) {
+        if (id == sender) return true;
+      }
+      return false;
+    }
   };
+
+  using Order = std::list<std::pair<crypto::Digest, Entry>>;
 
   struct BufferRef {
     std::weak_ptr<const Bytes> buffer;
-    crypto::Digest key;
+    Order::iterator entry;
   };
 
   struct DigestHash {
@@ -182,13 +196,25 @@ class DecodeCache {
     }
   };
 
+  /// The entry of the remembered buffer `payload`, if it is still live.
+  std::optional<Order::iterator> live_buffer(const Bytes& payload) {
+    auto it = buffers_.find(&payload);
+    if (it == buffers_.end()) return std::nullopt;
+    // Expired: the remembered buffer died and `payload` merely reuses its
+    // address. A live one is `payload` itself — two live buffers cannot
+    // share an address.
+    if (it->second.buffer.expired()) {
+      unmap_buffer(&payload);
+      return std::nullopt;
+    }
+    return it->second.entry;
+  }
+
   /// Drop the mapping for `addr` and its entry's back-pointer.
   void unmap_buffer(const Bytes* addr) {
     auto it = buffers_.find(addr);
     if (it == buffers_.end()) return;
-    if (auto e = index_.find(it->second.key); e != index_.end()) {
-      e->second->second.buffer = nullptr;
-    }
+    it->second.entry->second.buffer = nullptr;
     buffers_.erase(it);
   }
 
@@ -206,9 +232,9 @@ class DecodeCache {
 
   std::size_t capacity_;
   /// Most-recently-used first.
-  std::list<std::pair<crypto::Digest, Entry>> order_;
-  std::unordered_map<crypto::Digest, decltype(order_)::iterator, DigestHash> index_;
-  /// Buffer address -> content key; one mapping per entry at most.
+  Order order_;
+  std::unordered_map<crypto::Digest, Order::iterator, DigestHash> index_;
+  /// Buffer address -> its entry; one mapping per entry at most.
   std::unordered_map<const Bytes*, BufferRef> buffers_;
   Stats stats_;
 };

@@ -65,6 +65,42 @@ TEST(TxnPools, DuplicateSubmitIgnored) {
   EXPECT_EQ(TxnPools::decode_txn_ids(pools.next_batch(0)).size(), 1u);
 }
 
+TEST(TxnPools, DrainedTxnCanBeSubmittedAgain) {
+  TxnPools pools(2, 10);
+  const TxnId a = crypto::sha256_tagged("t", Bytes{1});
+  pools.submit(0, a, Bytes{1});
+  pools.submit(1, a, Bytes{1});  // pools dedup per replica only
+  ASSERT_EQ(TxnPools::decode_txn_ids(pools.next_batch(0)), (std::vector<TxnId>{a}));
+  // Drained from replica 0: a retry lands there again and is queued.
+  pools.submit(0, a, Bytes{1});
+  pools.submit(0, a, Bytes{1});
+  EXPECT_EQ(TxnPools::decode_txn_ids(pools.next_batch(0)), (std::vector<TxnId>{a}));
+  EXPECT_TRUE(TxnPools::decode_txn_ids(pools.next_batch(0)).empty());
+  EXPECT_EQ(TxnPools::decode_txn_ids(pools.next_batch(1)), (std::vector<TxnId>{a}));
+}
+
+TEST(TxnPools, DedupsAcrossALargeQueue) {
+  constexpr std::size_t kTxns = 5000;
+  constexpr std::size_t kBatch = 64;
+  TxnPools pools(1, kBatch);
+  const auto id_of = [](std::size_t i) {
+    Encoder enc;
+    enc.u64(i);
+    return crypto::sha256_tagged("t", enc.result());
+  };
+  for (std::size_t i = 0; i < kTxns; ++i) pools.submit(0, id_of(i), Bytes{1});
+  // Every txn resubmitted — the oldest, the newest and all between.
+  for (std::size_t i = kTxns; i-- > 0;) pools.submit(0, id_of(i), Bytes{1});
+  std::vector<TxnId> drained;
+  for (;;) {
+    const auto ids = TxnPools::decode_txn_ids(pools.next_batch(0));
+    if (ids.empty()) break;
+    drained.insert(drained.end(), ids.begin(), ids.end());
+  }
+  ASSERT_EQ(drained.size(), kTxns);
+  for (std::size_t i = 0; i < kTxns; ++i) EXPECT_EQ(drained[i], id_of(i)) << i;
+}
+
 TEST(TxnPools, EmptyPoolGivesEmptyBatch) {
   TxnPools pools(1, 10);
   EXPECT_TRUE(TxnPools::decode_txn_ids(pools.next_batch(0)).empty());

@@ -1,4 +1,4 @@
-// Unit tests for the common substrate: hex, codec, RNG.
+// Unit tests for the common substrate: hex, codec, RNG, slot pool.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -7,6 +7,7 @@
 #include "common/codec.h"
 #include "common/config_file.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 
 namespace repro {
 namespace {
@@ -256,6 +257,35 @@ TEST(HostPort, RejectsMalformedAddresses) {
   EXPECT_FALSE(parse_host_port("h:0").has_value());
   EXPECT_FALSE(parse_host_port("h:70000").has_value());
   EXPECT_FALSE(parse_host_port("h:12x").has_value());
+}
+
+// ---- slot pool ------------------------------------------------------------
+
+TEST(SlotPool, GrowsOnlyWhenNoSlotIsFree) {
+  SlotPool<int> pool;
+  const std::uint32_t a = pool.acquire();
+  const std::uint32_t b = pool.acquire();
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  pool[a] = 10;
+  pool[b] = 20;
+  pool.release(a);
+  // The freed slot comes back before the slab grows.
+  EXPECT_EQ(pool.acquire(), a);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool[b], 20);
+  EXPECT_EQ(pool.acquire(), 2u);
+  EXPECT_EQ(pool.size(), 3u);
+}
+
+TEST(SlotPool, ReusesTheMostRecentlyReleasedSlotFirst) {
+  SlotPool<int> pool;
+  for (int i = 0; i < 4; ++i) pool.acquire();
+  pool.release(1);
+  pool.release(3);
+  EXPECT_EQ(pool.acquire(), 3u);
+  EXPECT_EQ(pool.acquire(), 1u);
+  EXPECT_EQ(pool.size(), 4u);
 }
 
 }  // namespace

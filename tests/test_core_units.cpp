@@ -43,9 +43,13 @@ class TestReplica final : public ReplicaBase {
   void start() override {}
   bool in_fallback() const override { return false; }
 
+  /// Senders of every message that reached handle_message.
+  std::vector<ReplicaId> handled_from;
+
   using ReplicaBase::counts_for_commit;
   using ReplicaBase::ensure_block;
   using ReplicaBase::multicast;
+  using ReplicaBase::send;
   using ReplicaBase::install_coin;
   using ReplicaBase::is_endorsed;
   using ReplicaBase::lock_direct_rank;
@@ -57,7 +61,7 @@ class TestReplica final : public ReplicaBase {
 
  protected:
   std::uint32_t commit_len() const override { return commit_len_; }
-  void handle_message(ReplicaId, smr::Message&&) override {}
+  void handle_message(ReplicaId from, smr::Message&&) override { handled_from.push_back(from); }
 
  private:
   std::uint32_t commit_len_;
@@ -317,6 +321,66 @@ TEST_F(CoreUnits, MulticastSelfDeliveryKeepsExactAccounting) {
   EXPECT_EQ(replica_->stats().decode_hits, 1u);
   EXPECT_EQ(replica_->stats().decode_misses, 0u);
   EXPECT_EQ(replica_->decode_cache().stats().insertions, 1u);
+}
+
+TEST_F(CoreUnits, PointToPointBypassesDecodeCacheAndMulticastHitsIt) {
+  // Four replicas sharing one decode cache, as in a simulation.
+  auto cache = std::make_shared<smr::DecodeCache>();
+  std::vector<std::unique_ptr<TestReplica>> reps;
+  for (ReplicaId id = 0; id < 4; ++id) {
+    ReplicaContext ctx;
+    ctx.sim = &sim_;
+    ctx.net = net_.get();
+    ctx.crypto = crypto_;
+    ctx.id = id;
+    ctx.seed = 9 + id;
+    ctx.decode_cache = cache;
+    reps.push_back(std::make_unique<TestReplica>(ctx));
+    net_->register_handler(id, [&reps, id](ReplicaId from, const Bytes& payload) {
+      reps[id]->on_message(from, payload);
+    });
+  }
+  const auto timeout = [](View v) {
+    smr::FbTimeoutMsg m;
+    m.view = v;
+    m.qc_high = smr::genesis_certificate();
+    return smr::Message{m};
+  };
+
+  // A point-to-point message never enters the cache: its one recipient
+  // parses the bytes and checks the envelope signature itself.
+  reps[0]->send(1, timeout(1));
+  sim_.run();
+  EXPECT_EQ(reps[1]->handled_from, (std::vector<ReplicaId>{0}));
+  EXPECT_EQ(reps[1]->stats().decode_misses, 1u);
+  EXPECT_EQ(reps[1]->stats().decode_hits, 0u);
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->buffer_count(), 0u);
+  EXPECT_EQ(cache->stats().insertions, 0u);
+  EXPECT_EQ(cache->stats().hits + cache->stats().misses, 0u);
+
+  // The same signed bytes relayed under another sender are parsed, fail
+  // the envelope check against that sender, and are dropped.
+  smr::Message forged = timeout(2);
+  smr::sign_message(*crypto_, 0, forged);
+  net_->send(2, 1, smr::encode_message(forged));
+  sim_.run();
+  EXPECT_EQ(reps[1]->handled_from, (std::vector<ReplicaId>{0}));
+  EXPECT_EQ(reps[1]->stats().decode_misses, 2u);
+  EXPECT_EQ(cache->size(), 0u);
+
+  // A multicast is one insertion and n hits: every delivery of the one
+  // shared buffer, the sender's own included, is served by address.
+  reps[3]->multicast(timeout(3));
+  sim_.run();
+  EXPECT_EQ(cache->stats().insertions, 1u);
+  EXPECT_EQ(cache->stats().hits, 4u);
+  EXPECT_EQ(cache->stats().misses, 0u);
+  for (ReplicaId id = 0; id < 4; ++id) {
+    EXPECT_EQ(reps[id]->handled_from.back(), 3u) << "replica " << id;
+    EXPECT_EQ(reps[id]->stats().decode_hits, 1u) << "replica " << id;
+  }
+  EXPECT_EQ(reps[1]->stats().decode_misses, 2u);  // no parse for the multicast
 }
 
 // ---- SigPool / schedule -----------------------------------------------------------

@@ -140,7 +140,7 @@ TEST(DecodeCache, SenderMemoDoesNotLeakAcrossSenders) {
   EXPECT_FALSE(cache.sender_verified(ghost, 2));
 }
 
-// ---- buffer -> content key memo ------------------------------------------------
+// ---- buffer -> entry memo -------------------------------------------------------
 
 /// A cache entry seeded the way a sender seeds it, plus its buffer.
 SharedBytes seed(DecodeCache& cache, View view) {
@@ -151,16 +151,27 @@ SharedBytes seed(DecodeCache& cache, View view) {
   return buf;
 }
 
+/// The content key a delivery of `payload` finds by address, if any.
+std::optional<crypto::Digest> key_by_address(DecodeCache& cache, const Bytes& payload) {
+  auto hit = cache.decode_buffer(payload, 1);
+  if (!hit) return std::nullopt;
+  return hit->key;
+}
+
 TEST(DecodeCache, BufferKeyAnswersOnlyForTheRememberedBuffer) {
   DecodeCache cache(16);
   const SharedBytes buf = seed(cache, 4);
   const auto key = DecodeCache::key_of(*buf);
-  EXPECT_EQ(cache.buffer_key(*buf), key);
+  const auto by_address = cache.decode_buffer(*buf, 1);
+  ASSERT_TRUE(by_address.has_value());
+  EXPECT_EQ(by_address->key, key);
+  EXPECT_TRUE(by_address->sender_verified);   // the seeding signer
+  EXPECT_FALSE(cache.decode_buffer(*buf, 2)->sender_verified);
 
-  // The same bytes in another buffer get no key by address, but still hit
+  // The same bytes in another buffer get no hit by address, but still hit
   // through the content key once the caller hashes them.
   const Bytes copy = *buf;
-  EXPECT_FALSE(cache.buffer_key(copy).has_value());
+  EXPECT_FALSE(cache.decode_buffer(copy, 1).has_value());
   bool hit = false;
   ASSERT_TRUE(cache.decode(DecodeCache::key_of(copy), copy, &hit).has_value());
   EXPECT_TRUE(hit);
@@ -168,7 +179,7 @@ TEST(DecodeCache, BufferKeyAnswersOnlyForTheRememberedBuffer) {
   // No entry for the key, no mapping.
   const SharedBytes orphan = make_shared_bytes(wire_coin_share(9, 1, 9));
   cache.remember_buffer(orphan, DecodeCache::key_of(*orphan));
-  EXPECT_FALSE(cache.buffer_key(*orphan).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*orphan, 1).has_value());
   EXPECT_EQ(cache.buffer_count(), 1u);
 }
 
@@ -183,12 +194,12 @@ TEST(DecodeCache, ReusedAddressOfAFreedBufferGetsNoStaleKey) {
     const auto key = DecodeCache::key_of(*first);
     cache.insert(key, *decode_message(*first), 1);
     cache.remember_buffer(first, key);
-    EXPECT_EQ(cache.buffer_key(slot), key);
+    EXPECT_EQ(key_by_address(cache, slot), key);
   }
   // The first buffer is gone; different bytes now live at its address.
   slot = wire_coin_share(6, 1, 6);
   const SharedBytes second = handle();
-  EXPECT_FALSE(cache.buffer_key(*second).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*second, 1).has_value());
   EXPECT_EQ(cache.buffer_count(), 0u);  // the dead mapping is dropped
 }
 
@@ -196,7 +207,7 @@ TEST(DecodeCache, EvictionDropsTheBufferMapping) {
   constexpr std::size_t kCap = 4;
   DecodeCache cache(kCap);
   const SharedBytes buf = seed(cache, 0);
-  ASSERT_TRUE(cache.buffer_key(*buf).has_value());
+  ASSERT_TRUE(cache.decode_buffer(*buf, 1).has_value());
   bool hit = false;
   for (View v = 1; v <= kCap; ++v) {
     const Bytes wire = wire_coin_share(v, 2, v);
@@ -204,7 +215,7 @@ TEST(DecodeCache, EvictionDropsTheBufferMapping) {
   }
   // The buffer is still alive, but its entry was evicted: no key, and the
   // memo holds nothing for it.
-  EXPECT_FALSE(cache.buffer_key(*buf).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*buf, 1).has_value());
   EXPECT_EQ(cache.buffer_count(), 0u);
 }
 
@@ -214,13 +225,13 @@ TEST(DecodeCache, BufferMemoStaysWithinTheEntryBound) {
   std::vector<SharedBytes> live;
   for (View v = 0; v < 10 * kCap; ++v) live.push_back(seed(cache, v));
   EXPECT_LE(cache.buffer_count(), kCap);
-  EXPECT_EQ(cache.buffer_key(*live.back()), DecodeCache::key_of(*live.back()));
+  EXPECT_EQ(key_by_address(cache, *live.back()), DecodeCache::key_of(*live.back()));
 
   // Re-seeding the same bytes from a new buffer moves the mapping.
   const SharedBytes again = make_shared_bytes(Bytes(*live.back()));
   cache.remember_buffer(again, DecodeCache::key_of(*again));
-  EXPECT_TRUE(cache.buffer_key(*again).has_value());
-  EXPECT_FALSE(cache.buffer_key(*live.back()).has_value());
+  EXPECT_TRUE(cache.decode_buffer(*again, 1).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*live.back(), 1).has_value());
   EXPECT_LE(cache.buffer_count(), kCap);
 }
 

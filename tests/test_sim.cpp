@@ -143,5 +143,81 @@ TEST(Simulation, CancelledHeadDoesNotAdvanceClockInRunUntil) {
   EXPECT_EQ(sim.now(), 20u);
 }
 
+// ---- slot reuse ------------------------------------------------------------------
+
+TEST(Simulation, StaleIdCannotCancelTheSlotsNextOccupant) {
+  Simulation sim;
+  int fires = 0;
+  // A fired event's slot is reused by the next schedule.
+  const EventId fired = sim.schedule_at(10, [&] { ++fires; });
+  sim.run();
+  const EventId next = sim.schedule_at(20, [&] { ++fires; });
+  EXPECT_NE(fired, next);
+  sim.cancel(fired);
+  EXPECT_EQ(sim.pending(), 1u);
+
+  // So is a cancelled event's, once its heap entry has been skipped.
+  const EventId cancelled = sim.schedule_at(30, [&] { fires += 100; });
+  sim.cancel(cancelled);
+  sim.run();
+  EXPECT_EQ(fires, 2);
+  const EventId reused = sim.schedule_at(40, [&] { ++fires; });
+  EXPECT_NE(cancelled, reused);
+  sim.cancel(cancelled);
+  sim.cancel(next);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fires, 3);
+}
+
+TEST(Simulation, SameTimeEventsFireInScheduleOrderAcrossSlotReuse) {
+  Simulation sim;
+  std::vector<int> order;
+  // Free slots in a scrambled order: fire some, cancel others.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(sim.schedule_at(5, [] {}));
+  for (int i : {6, 1, 3}) sim.cancel(ids[i]);
+  sim.run();
+  // Slot indices now come back in free-list order, not schedule order;
+  // ties must still break by schedule order.
+  for (int i = 0; i < 12; ++i) {
+    const EventId id = sim.schedule_at(50, [&order, i] { order.push_back(i); });
+    if (i == 4) sim.cancel(id);
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(Simulation, PendingAndIdleSkipCancelledHeads) {
+  Simulation sim;
+  const EventId a = sim.schedule_at(10, [] {});
+  const EventId b = sim.schedule_at(20, [] {});
+  bool fired = false;
+  const EventId c = sim.schedule_at(30, [&] { fired = true; });
+  sim.cancel(a);
+  sim.cancel(a);  // a second cancel must not count twice
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_FALSE(sim.idle());
+  sim.cancel(b);
+  sim.cancel(c);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.idle());
+  // Only cancelled entries are queued: nothing runs, the clock stays.
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_TRUE(sim.idle());
+
+  sim.schedule_at(40, [&] { fired = true; });
+  const EventId d = sim.schedule_at(5, [] {});
+  sim.cancel(d);  // a cancelled head in front of a live event
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), 40u);
+  EXPECT_TRUE(sim.idle());
+}
+
 }  // namespace
 }  // namespace repro::sim

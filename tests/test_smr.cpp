@@ -443,6 +443,18 @@ TEST(BlockStore, InsertAndGet) {
   EXPECT_EQ(*store.get(b.id), b);
 }
 
+TEST(BlockStore, InsertHandsBackTheStoredBlock) {
+  BlockStore store;
+  const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{1});
+  const auto first = store.insert(b);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(first.block, store.get(b.id));
+  // A duplicate reports the block already held, not a copy.
+  const auto again = store.insert(b);
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(again.block, first.block);
+}
+
 TEST(BlockStore, WalkAncestorsToGenesis) {
   auto sys = test_crypto();
   BlockStore store;
