@@ -157,13 +157,16 @@ void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   // round's leader): it — and only it — may earn this round's vote, even
   // when the vote is deferred until its batch resolves.
   note_vote_candidate(block);
-  const smr::Block* stored = store_block(std::move(block), from);
+  const smr::BlockId block_id = block.id;
+  store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, 0, r, 0, from);
 
   // "Upon receiving the first valid proposal from L_r, execute Lock."
   lock_step(parent, from);
 
-  try_vote(*stored);
+  // Looked up after the lock step, as in Figure 2 (a commit may prune;
+  // with every DiemBFT block in view 0, none ever does).
+  if (const smr::Block* stored = store().get(block_id)) try_vote(*stored);
 }
 
 void DiemBftReplica::try_vote(const smr::Block& block) {

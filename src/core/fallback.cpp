@@ -265,12 +265,15 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   // round's leader): it — and only it — may earn this round's vote, even
   // when the vote is deferred until its batch resolves.
   note_vote_candidate(block);
-  const smr::Block* stored = store_block(std::move(block), from);
+  const smr::BlockId block_id = block.id;
+  store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, v, r, 0, from);
 
   lock_full(parent, from);
 
-  try_vote_steady(*stored);
+  // Looked up after the lock step: a commit it ran may have pruned the
+  // block (one of a view below the new committed tip).
+  if (const smr::Block* stored = store().get(block_id)) try_vote_steady(*stored);
 }
 
 void FallbackReplica::try_vote_steady(const smr::Block& block) {
@@ -539,7 +542,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   const View v = block.view;
   const ReplicaId j = from;
   const smr::BlockId block_id = block.id;
-  const smr::Block* stored = store_block(std::move(block), from);
+  store_block(std::move(block), from);
   trace(obs::EventKind::kProposalReceived, v, r, h, from);
 
   // Regular-QC parents feed Lock; f-QC parents are recorded (and drive
@@ -589,7 +592,9 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     }
   }
 
-  if (!externally_valid(*stored->payload)) return;
+  // Looked up after the lock step: a commit it ran may have pruned it.
+  const smr::Block* stored = store().get(block_id);
+  if (stored == nullptr || !externally_valid(*stored->payload)) return;
   if (fault().withholds_votes()) return;
   r_vote_bar_[j] = r;
   h_vote_bar_[j] = h;

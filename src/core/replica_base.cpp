@@ -354,8 +354,15 @@ const smr::CoinQC* ReplicaBase::coin_for(View view) const {
 }
 
 void ReplicaBase::note_certificate(const smr::Certificate& cert, ReplicaId hint) {
-  store_.add_certificate(cert);
-  try_commit_from(cert, hint);
+  // Scan once per certificate: a copy of one already recorded finds
+  // nothing the first scan missed. Every way that scan could have
+  // stopped short is re-run elsewhere when its cause clears: an
+  // unendorsed f-QC link by install_coin's rescan of the view's f-QCs, a
+  // missing body by retry_deferred when it arrives (ensure_block already
+  // deduplicates the fetch, so a repeat would not even re-send it), an
+  // unresolved batch by the batch waiters. A refused below-floor
+  // certificate needs no scan at all (see try_commit_from).
+  if (store_.add_certificate(cert)) try_commit_from(cert, hint);
 }
 
 void ReplicaBase::update_qc_high(const smr::Certificate& qc) {
@@ -364,6 +371,16 @@ void ReplicaBase::update_qc_high(const smr::Certificate& qc) {
 
 void ReplicaBase::lock_parent_rank(const smr::Certificate& qc, ReplicaId hint) {
   const smr::Block* b = store_.get(qc.block_id);
+  if (b == nullptr && qc.view < store_.floor()) {
+    // The body was pruned or never seen, and it is dead either way: do
+    // not fetch it. Lock on the certificate's own rank, which bounds its
+    // parent's from above. A lock stricter than the rule's is always
+    // safe, and a lock below the committed tip's view never refuses a
+    // proposal that extends the committed chain, so it costs no
+    // liveness either.
+    lock_direct_rank(qc);
+    return;
+  }
   if (b == nullptr) {
     waiting_lock_[qc.block_id].push_back(qc);
     ensure_block(qc.block_id, hint);
@@ -390,20 +407,15 @@ bool ReplicaBase::ensure_block(const smr::BlockId& id, ReplicaId hint) {
   return false;
 }
 
-const smr::Block* ReplicaBase::store_block(smr::Block block, ReplicaId from) {
+void ReplicaBase::store_block(smr::Block block, ReplicaId from) {
   // Every block reaching here was decoded (Block::decode checked its id)
   // or built locally; BlockStore::insert asserts consistency regardless.
   const smr::BlockId id = block.id;
-  const auto [stored, inserted] = store_.insert(std::move(block));
-  if (!inserted) return stored;
+  if (!store_.insert(std::move(block))) return;
   outstanding_fetches_.erase(id);
   try_resolve_block(id, from);
   retry_deferred(id, from);
-  on_block_stored(*stored, from);
-  return stored;
 }
-
-void ReplicaBase::on_block_stored(const smr::Block&, ReplicaId) {}
 
 // ---- pipelined proposal path (DESIGN.md §12) ------------------------------
 
@@ -659,6 +671,10 @@ void ReplicaBase::try_commit_from(const smr::Certificate& cert, ReplicaId hint) 
   // each certified (regular QC) or endorsed (f-QC), with consecutive
   // round numbers and the same view number; commit the oldest and its
   // ancestors. `cert` certifies the newest block of the candidate chain.
+  // Below the floor the chain's blocks are committed already or conflict
+  // with the committed chain (chain views never decrease), so there is
+  // nothing to commit and nothing worth fetching.
+  if (cert.view < store_.floor()) return;
   if (!counts_for_commit(cert)) return;
 
   const std::uint32_t len = commit_len();
@@ -731,6 +747,10 @@ void ReplicaBase::try_commit_from(const smr::Certificate& cert, ReplicaId hint) 
       if (on_commit_) on_commit_(rec);
     }
     prune_batch_waiters();
+    // Commits are final: once the committed tip moves into a higher view,
+    // nothing uncommitted of a lower view can be voted on or committed.
+    store_.prune(ledger_.records().back().view,
+                 [this](const smr::BlockId& id) { return ledger_.is_committed(id); });
   }
 }
 

@@ -139,10 +139,6 @@ class ReplicaBase : public IReplica {
   /// Dispatch a decoded, signature-verified message.
   virtual void handle_message(ReplicaId from, smr::Message&& msg) = 0;
 
-  /// Hook invoked whenever a previously missing block body arrives
-  /// (via proposal or fetch); subclasses retry deferred decisions.
-  virtual void on_block_stored(const smr::Block& block, ReplicaId from);
-
   /// Hook invoked after set_fault replaced the FaultSpec (`old` is the
   /// previous one). Runs on the replica's own state only; subclasses
   /// handle edge transitions (kick the timeout-spam loop, re-arm the
@@ -280,9 +276,10 @@ class ReplicaBase : public IReplica {
   /// returns false.
   bool ensure_block(const smr::BlockId& id, ReplicaId hint);
 
-  /// Stores an id-consistent block and triggers deferred work. Returns
-  /// the stored block (the one already held, if the id was known).
-  const smr::Block* store_block(smr::Block block, ReplicaId from);
+  /// Stores an id-consistent block and triggers deferred work. That work
+  /// can commit, and a commit prunes the store: look the block up again
+  /// (store().get) rather than holding a pointer across this call.
+  void store_block(smr::Block block, ReplicaId from);
 
   // Environment ----------------------------------------------------------
   sim::IExecutor& sim() { return *sim_; }

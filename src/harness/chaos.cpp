@@ -341,13 +341,14 @@ ChaosResult run_schedule(const ChaosSchedule& s, const std::string& forensics_di
   ChaosResult res;
   res.commits = exp.min_honest_commits();
   res.reached_target = reached;
+  const InvariantReport inv = check_invariants(exp);
+  res.certified_blocks_unchecked = inv.certified_blocks_unchecked;
   if (watch->violated) {
     res.ok = false;
     res.failure_kind = "invariant";
     res.failure = watch->detail;
     res.failure_time_us = watch->at;
   } else {
-    const InvariantReport inv = check_invariants(exp);
     const SafetyReport safety = exp.check_safety();
     if (!inv.ok) {
       res.ok = false;
@@ -760,6 +761,7 @@ FuzzStats ChaosFuzzer::run(const std::function<void(std::uint64_t, const ChaosRe
     ++st.runs;
     st.fallbacks_entered += res.fallbacks_entered;
     st.fallbacks_won += res.fallbacks_won;
+    st.certified_blocks_unchecked += res.certified_blocks_unchecked;
     if (res.reached_target) ++st.targets_reached;
     if (!res.ok) {
       ++st.failures;

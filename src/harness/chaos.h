@@ -88,6 +88,9 @@ struct ChaosResult {
   std::uint64_t fallbacks_entered = 0;  ///< Lemma 7 accounting
   std::uint64_t fallbacks_won = 0;
   double win_rate = 0.0;
+  /// Certified blocks the end-of-run invariant check could not find in
+  /// any honest store or audit log (InvariantReport).
+  std::size_t certified_blocks_unchecked = 0;
   std::string trace_sha256;
   /// Flight-recorder bundle written for a failing run (empty unless the
   /// run failed and a forensics dir was given).
@@ -144,6 +147,7 @@ struct FuzzStats {
   std::size_t targets_reached = 0;
   std::uint64_t fallbacks_entered = 0;
   std::uint64_t fallbacks_won = 0;
+  std::size_t certified_blocks_unchecked = 0;  ///< summed over runs
   std::vector<FuzzFailure> found;
 };
 

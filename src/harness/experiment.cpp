@@ -99,10 +99,15 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
                               [this, id] { return replicas_[id]->current_view(); });
     registry_.attach_gauge_fn("repro_current_round", labels,
                               [this, id] { return replicas_[id]->current_round(); });
-    // Memory audit gauges (DESIGN.md §13.4): quorum-assembly state and the
+    // Memory audit gauges (DESIGN.md §13.4): quorum-assembly state, live
+    // block-store entries (bounded by pruning, DESIGN.md §19) and the
     // preallocated trace-ring commitment, per replica.
     registry_.attach_gauge_fn("repro_share_pool_bytes", labels, [this, id] {
       return static_cast<std::uint64_t>(replicas_[id]->share_pool_bytes());
+    });
+    registry_.attach_gauge_fn("repro_store_live_blocks", labels, [this, id] {
+      const auto* base = dynamic_cast<const core::ReplicaBase*>(replicas_[id].get());
+      return static_cast<std::uint64_t>(base == nullptr ? 0 : base->store().block_count());
     });
     if (ctx.trace) {
       auto ring = ctx.trace;

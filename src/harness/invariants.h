@@ -24,6 +24,12 @@ namespace repro::harness {
 struct InvariantReport {
   bool ok = true;
   std::vector<std::string> violations;
+  /// Distinct non-genesis certificates the lemmas were checked over.
+  std::size_t certificates_examined = 0;
+  /// Certified blocks no honest replica holds, live or as a retired
+  /// header: the Lemma 2/3 checks skip their edges. Not a violation, but
+  /// anything above 0 means the checks saw less than the certificates.
+  std::size_t certified_blocks_unchecked = 0;
 
   void fail(std::string v) {
     ok = false;
@@ -31,8 +37,9 @@ struct InvariantReport {
   }
 };
 
-/// Runs all structural checks against every honest replica's block store
-/// and certificate log (plus coin-QCs reconstructible from the stores).
+/// Runs all structural checks against every honest replica's block store,
+/// its certificate log and the headers of its pruned blocks (plus
+/// coin-QCs reconstructible from the stores).
 InvariantReport check_invariants(const Experiment& exp);
 
 }  // namespace repro::harness

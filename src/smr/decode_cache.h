@@ -7,11 +7,11 @@
 // when the network goes bad: every replica used to re-run
 // `decode_message` on byte-identical payloads that n-1 peers (or its own
 // multicast loopback) already decoded. Entries are keyed by the SHA-256
-// of the exact payload bytes, so a hit returns a value equal to a fresh
-// decode of those bytes (the codec is canonical: decode(encode(m)) == m,
-// and any mutated byte changes the key and misses). Malformed payloads
-// are never cached — each distinct malformed buffer is rejected
-// independently.
+// of the exact payload bytes and hold the message those bytes encode, so
+// a hit returns a value equal to a fresh decode of them (the codec is
+// canonical: decode(encode(m)) == m). Only senders insert, with the
+// message they encoded, so a malformed payload is never cached: each one
+// is parsed and rejected by its recipients.
 //
 // Only multicast buffers are seeded. A multicast sender pre-populates the
 // cache at encode time (it holds the decoded form already), which makes
@@ -63,14 +63,11 @@ class DecodeCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  /// hits counts deliveries served from the cache (by content key or by
-  /// remembered buffer); misses equals the number of full
-  /// `decode_message` parses performed through decode() (malformed
-  /// payloads included). A decode_buffer miss counts neither: the caller
-  /// parses those bytes outside the cache.
+  /// hits counts deliveries served from the cache by remembered buffer.
+  /// A decode_buffer miss is not counted: the caller parses those bytes
+  /// outside the cache.
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
   };
@@ -80,23 +77,6 @@ class DecodeCache {
 
   /// Content key: hash of the exact payload bytes.
   static crypto::Digest key_of(BytesView payload) { return crypto::sha256(payload); }
-
-  /// Decoded form of `payload`: a copy of the cached message on a hit, a
-  /// fresh `decode_message` (inserted on success) on a miss. Sets *hit
-  /// accordingly. nullopt = malformed payload (never cached).
-  std::optional<Message> decode(const crypto::Digest& key, BytesView payload, bool* hit) {
-    if (auto it = index_.find(key); it != index_.end()) {
-      ++stats_.hits;
-      *hit = true;
-      order_.splice(order_.begin(), order_, it->second);
-      return it->second->second.msg;
-    }
-    ++stats_.misses;
-    *hit = false;
-    auto msg = decode_message(payload);
-    if (msg) insert_entry(key, Entry{*msg, {}});
-    return msg;
-  }
 
   /// Sender-side pre-population: `msg`'s canonical encoding hashes to
   /// `key`, and `signer` produced (hence trivially verifies) the envelope
@@ -108,13 +88,6 @@ class DecodeCache {
       return;
     }
     insert_entry(key, Entry{std::move(msg), {signer}});
-  }
-
-  /// True iff a previous envelope-signature check of these exact bytes
-  /// against `sender` succeeded (or `sender` encoded them itself).
-  bool sender_verified(const crypto::Digest& key, ReplicaId sender) const {
-    auto it = index_.find(key);
-    return it != index_.end() && it->second->second.has_verified(sender);
   }
 
   /// Record a successful envelope-signature verification. No-op if the

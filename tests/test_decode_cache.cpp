@@ -1,10 +1,10 @@
-// Decode-once delivery cache: content-keyed hits must be
-// indistinguishable from fresh decodes, mutated bytes must miss and be
-// judged independently, the LRU bound must hold under floods of distinct
-// payloads, the per-sender signature memo must never leak a
-// verification to a different sender, and the buffer -> key memo must
-// only ever answer for the live buffer it was given. Decoded blocks hand
-// out one shared payload buffer, however many recipients take a copy.
+// Decode-once delivery cache: hits must be indistinguishable from fresh
+// decodes, mutated bytes must miss and be judged independently, the LRU
+// bound must hold under floods of distinct payloads, the per-sender
+// signature memo must never leak a verification to a different sender,
+// and the buffer -> key memo must only ever answer for the live buffer it
+// was given. Decoded blocks hand out one shared payload buffer, however
+// many recipients take a copy.
 #include <gtest/gtest.h>
 
 #include "crypto/dealer.h"
@@ -22,83 +22,69 @@ Bytes wire_coin_share(View view, ReplicaId signer, std::uint64_t value) {
   return encode_message(Message{CoinShareMsg{view, crypto::PartialSig{signer, value}}});
 }
 
+/// Seed `wire` the way a multicast sender does: insert the decoded form
+/// under its content key as signed by `signer`, and remember the buffer.
+SharedBytes seed_wire(DecodeCache& cache, Bytes wire, ReplicaId signer = 1) {
+  SharedBytes buf = make_shared_bytes(std::move(wire));
+  const auto key = DecodeCache::key_of(*buf);
+  cache.insert(key, *decode_message(*buf), signer);
+  cache.remember_buffer(buf, key);
+  return buf;
+}
+
 TEST(DecodeCache, HitReturnsValueEqualToFreshDecode) {
   DecodeCache cache(16);
-  const Bytes wire = wire_coin_share(7, 2, 99);
-  const auto key = DecodeCache::key_of(wire);
+  const SharedBytes buf = seed_wire(cache, wire_coin_share(7, 2, 99));
 
-  bool hit = true;
-  auto first = cache.decode(key, wire, &hit);
+  auto first = cache.decode_buffer(*buf, 2);
   ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(hit);
-
-  auto second = cache.decode(key, wire, &hit);
+  auto second = cache.decode_buffer(*buf, 2);
   ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(hit);
   // Message has no operator==; canonical encoding makes byte equality
   // the right notion of "same decoded value".
-  EXPECT_EQ(encode_message(*second), encode_message(*first));
-  EXPECT_EQ(encode_message(*second), wire);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(encode_message(second->msg), encode_message(first->msg));
+  EXPECT_EQ(encode_message(second->msg), *buf);
+  EXPECT_EQ(first->key, DecodeCache::key_of(*buf));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 TEST(DecodeCache, EveryMutatedByteMissesAndIsJudgedIndependently) {
   DecodeCache cache(DecodeCache::kDefaultCapacity);
   const Bytes wire = wire_coin_share(3, 1, 42);
-  bool hit = false;
-  ASSERT_TRUE(cache.decode(DecodeCache::key_of(wire), wire, &hit).has_value());
+  const SharedBytes original = seed_wire(cache, wire);
 
   for (std::size_t i = 0; i < wire.size(); ++i) {
     Bytes mutated = wire;
     mutated[i] ^= 0x01;
     const auto key = DecodeCache::key_of(mutated);
-    hit = true;
-    auto msg = cache.decode(key, mutated, &hit);
-    EXPECT_FALSE(hit) << "byte " << i << " flip must change the content key";
-    // The mutated buffer must be decoded (or rejected) on its own merits:
-    // flipping the tag or a length prefix can make it malformed, flipping
-    // a value byte yields a different-but-valid message. Either way it
-    // must never alias the cached original.
-    if (msg) {
-      EXPECT_EQ(encode_message(*msg), mutated) << "byte " << i;
-      EXPECT_NE(encode_message(*msg), wire) << "byte " << i;
-    }
+    EXPECT_NE(key, DecodeCache::key_of(wire)) << "byte " << i << " flip must change the key";
+    // Claiming the mutated buffer holds those bytes maps nothing: no entry
+    // has its key, so a delivery of it is the recipient's to decode (or
+    // reject) on its own merits and can never alias the cached original.
+    const SharedBytes buf = make_shared_bytes(std::move(mutated));
+    cache.remember_buffer(buf, key);
+    EXPECT_FALSE(cache.decode_buffer(*buf, 1).has_value()) << "byte " << i;
   }
-}
-
-TEST(DecodeCache, MalformedPayloadsAreNeverCached) {
-  DecodeCache cache(16);
-  const Bytes garbage{200, 1, 2, 3};
-  const auto key = DecodeCache::key_of(garbage);
-  bool hit = false;
-  EXPECT_FALSE(cache.decode(key, garbage, &hit).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  // The retry pays a full (failing) decode again — no negative caching.
-  EXPECT_FALSE(cache.decode(key, garbage, &hit).has_value());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.buffer_count(), 1u);
+  EXPECT_TRUE(cache.decode_buffer(*original, 1).has_value());
 }
 
 TEST(DecodeCache, BoundHoldsUnderFloodOfDistinctPayloads) {
   constexpr std::size_t kCap = 32;
   DecodeCache cache(kCap);
-  bool hit = false;
+  std::vector<SharedBytes> live;
   for (std::uint64_t i = 0; i < 10 * kCap; ++i) {
-    const Bytes wire = wire_coin_share(i, 0, i);
-    ASSERT_TRUE(cache.decode(DecodeCache::key_of(wire), wire, &hit).has_value());
+    live.push_back(seed_wire(cache, wire_coin_share(i, 0, i)));
     ASSERT_LE(cache.size(), kCap);
   }
   EXPECT_EQ(cache.size(), kCap);
   EXPECT_EQ(cache.stats().evictions, 10 * kCap - kCap);
 
   // LRU: the newest payload survives the flood, the oldest does not.
-  const Bytes newest = wire_coin_share(10 * kCap - 1, 0, 10 * kCap - 1);
-  cache.decode(DecodeCache::key_of(newest), newest, &hit);
-  EXPECT_TRUE(hit);
-  const Bytes oldest = wire_coin_share(0, 0, 0);
-  cache.decode(DecodeCache::key_of(oldest), oldest, &hit);
-  EXPECT_FALSE(hit);
+  EXPECT_TRUE(cache.decode_buffer(*live.back(), 1).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*live.front(), 1).has_value());
 }
 
 TEST(DecodeCache, SenderPrepopulationServesSelfDelivery) {
@@ -107,48 +93,41 @@ TEST(DecodeCache, SenderPrepopulationServesSelfDelivery) {
   // A signed type: the sender encodes once and seeds the cache.
   Message msg = FbQcMsg{genesis_certificate(), {}};
   sign_message(*sys, 1, msg);
-  const Bytes wire = encode_message(msg);
-  const auto key = DecodeCache::key_of(wire);
+  const SharedBytes wire = make_shared_bytes(encode_message(msg));
+  const auto key = DecodeCache::key_of(*wire);
   cache.insert(key, msg, /*signer=*/1);
+  cache.remember_buffer(wire, key);
 
-  bool hit = false;
-  auto delivered = cache.decode(key, wire, &hit);
+  auto delivered = cache.decode_buffer(*wire, 1);
   ASSERT_TRUE(delivered.has_value());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(encode_message(*delivered), wire);
-  EXPECT_TRUE(cache.sender_verified(key, 1));
+  EXPECT_EQ(encode_message(delivered->msg), *wire);
+  EXPECT_TRUE(delivered->sender_verified);
 }
 
 TEST(DecodeCache, SenderMemoDoesNotLeakAcrossSenders) {
   DecodeCache cache(16);
-  const Bytes wire = wire_coin_share(1, 0, 5);
-  const auto key = DecodeCache::key_of(wire);
-  bool hit = false;
-  cache.decode(key, wire, &hit);
+  const SharedBytes buf = seed_wire(cache, wire_coin_share(1, 0, 5), /*signer=*/0);
+  const auto key = DecodeCache::key_of(*buf);
   cache.note_sender_verified(key, 2);
 
   // A Byzantine replica replaying replica 2's exact bytes presents a
   // different (key, sender) pair — it must not inherit the verification.
-  EXPECT_TRUE(cache.sender_verified(key, 2));
-  EXPECT_FALSE(cache.sender_verified(key, 3));
+  EXPECT_TRUE(cache.decode_buffer(*buf, 2)->sender_verified);
+  EXPECT_FALSE(cache.decode_buffer(*buf, 3)->sender_verified);
 
   // Memos survive repeats and tolerate evicted keys.
   cache.note_sender_verified(key, 2);
-  EXPECT_TRUE(cache.sender_verified(key, 2));
+  EXPECT_TRUE(cache.decode_buffer(*buf, 2)->sender_verified);
   const auto ghost = DecodeCache::key_of(Bytes{9, 9, 9});
   cache.note_sender_verified(ghost, 2);  // no-op, no crash
-  EXPECT_FALSE(cache.sender_verified(ghost, 2));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---- buffer -> entry memo -------------------------------------------------------
 
 /// A cache entry seeded the way a sender seeds it, plus its buffer.
 SharedBytes seed(DecodeCache& cache, View view) {
-  SharedBytes buf = make_shared_bytes(wire_coin_share(view, 1, view));
-  const auto key = DecodeCache::key_of(*buf);
-  cache.insert(key, *decode_message(*buf), /*signer=*/1);
-  cache.remember_buffer(buf, key);
-  return buf;
+  return seed_wire(cache, wire_coin_share(view, 1, view));
 }
 
 /// The content key a delivery of `payload` finds by address, if any.
@@ -168,13 +147,9 @@ TEST(DecodeCache, BufferKeyAnswersOnlyForTheRememberedBuffer) {
   EXPECT_TRUE(by_address->sender_verified);   // the seeding signer
   EXPECT_FALSE(cache.decode_buffer(*buf, 2)->sender_verified);
 
-  // The same bytes in another buffer get no hit by address, but still hit
-  // through the content key once the caller hashes them.
+  // The same bytes in another buffer get no hit by address.
   const Bytes copy = *buf;
   EXPECT_FALSE(cache.decode_buffer(copy, 1).has_value());
-  bool hit = false;
-  ASSERT_TRUE(cache.decode(DecodeCache::key_of(copy), copy, &hit).has_value());
-  EXPECT_TRUE(hit);
 
   // No entry for the key, no mapping.
   const SharedBytes orphan = make_shared_bytes(wire_coin_share(9, 1, 9));
@@ -208,10 +183,9 @@ TEST(DecodeCache, EvictionDropsTheBufferMapping) {
   DecodeCache cache(kCap);
   const SharedBytes buf = seed(cache, 0);
   ASSERT_TRUE(cache.decode_buffer(*buf, 1).has_value());
-  bool hit = false;
   for (View v = 1; v <= kCap; ++v) {
     const Bytes wire = wire_coin_share(v, 2, v);
-    cache.decode(DecodeCache::key_of(wire), wire, &hit);
+    cache.insert(DecodeCache::key_of(wire), *decode_message(wire), 2);
   }
   // The buffer is still alive, but its entry was evicted: no key, and the
   // memo holds nothing for it.
@@ -238,16 +212,14 @@ TEST(DecodeCache, BufferMemoStaysWithinTheEntryBound) {
 TEST(DecodeCache, HitsShareOnePayloadBuffer) {
   DecodeCache cache(16);
   const Block block = Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(512, 0x5a));
-  const Bytes wire = encode_message(Message{ProposalMsg{block, std::nullopt, {}, {}}});
-  const auto key = DecodeCache::key_of(wire);
-  bool hit = false;
-  ASSERT_TRUE(cache.decode(key, wire, &hit).has_value());
-  auto first = cache.decode(key, wire, &hit);
-  ASSERT_TRUE(hit);
-  auto second = cache.decode(key, wire, &hit);
-  ASSERT_TRUE(hit);
-  const Block& a = std::get<ProposalMsg>(*first).block;
-  const Block& b = std::get<ProposalMsg>(*second).block;
+  const SharedBytes wire =
+      seed_wire(cache, encode_message(Message{ProposalMsg{block, std::nullopt, {}, {}}}));
+  auto first = cache.decode_buffer(*wire, 1);
+  ASSERT_TRUE(first.has_value());
+  auto second = cache.decode_buffer(*wire, 1);
+  ASSERT_TRUE(second.has_value());
+  const Block& a = std::get<ProposalMsg>(first->msg).block;
+  const Block& b = std::get<ProposalMsg>(second->msg).block;
   EXPECT_EQ(a.payload.get(), b.payload.get());
   EXPECT_EQ(*a.payload, *block.payload);
   EXPECT_TRUE(a.id_memoized());

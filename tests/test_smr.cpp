@@ -2,6 +2,8 @@
 // messages, block store, ledger and mempool.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "smr/block.h"
 #include "smr/block_store.h"
 #include "smr/certificates.h"
@@ -520,6 +522,120 @@ TEST(BlockStore, FallbackCertificatesIndexEachViewInArrivalOrder) {
   EXPECT_EQ(log[store.fallback_certificates(2)[0]], fqcs[2]);
   EXPECT_TRUE(store.fallback_certificates(0).empty());
   EXPECT_TRUE(store.fallback_certificates(3).empty());
+}
+
+/// A store holding a committed chain genesis <- b1 (view 0) <- c1 (view
+/// 1, f-block of replica 0) <- e2 (view 2), next to dead view-1 f-blocks:
+/// d1 (certified, replica 2) and u1 (never certified, replica 3).
+struct PruneFixture {
+  std::shared_ptr<const crypto::CryptoSystem> sys = test_crypto();
+  BlockStore store;
+  Block b1, c1, d1, u1, e2;
+  Certificate qc1, fqc_c1, fqc_d1, qc_e2;
+
+  PruneFixture() {
+    b1 = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{1});
+    qc1 = make_qc(*sys, b1.id, 1, 0);
+    c1 = Block::make(qc1, 2, 1, 1, 0, Bytes{2});
+    d1 = Block::make(qc1, 2, 1, 1, 2, Bytes(300, 0xd1));
+    u1 = Block::make(qc1, 2, 1, 1, 3, Bytes{4});
+    fqc_c1 = make_fqc(*sys, c1.id, 2, 1, 1, 0);
+    fqc_d1 = make_fqc(*sys, d1.id, 2, 1, 1, 2);
+    e2 = Block::make(fqc_c1, 3, 2, 0, 1, Bytes{5});
+    qc_e2 = make_qc(*sys, e2.id, 3, 2);
+    for (const Block* b : {&b1, &c1, &d1, &u1, &e2}) store.insert(*b);
+    for (const Certificate* c : {&qc1, &fqc_c1, &fqc_d1, &qc_e2}) store.add_certificate(*c);
+  }
+
+  /// What the ledger would say after committing b1 and c1.
+  std::function<bool(const BlockId&)> committed() const {
+    return [b = b1.id, c = c1.id](const BlockId& id) { return id == b || id == c; };
+  }
+};
+
+TEST(BlockStore, PruneDropsDeadViewsKeepsCommittedAndGenesis) {
+  PruneFixture fx;
+  BlockStore& store = fx.store;
+  ASSERT_EQ(store.block_count(), 6u);
+  EXPECT_EQ(store.prune(2, fx.committed()), 2u);  // d1 and u1
+  EXPECT_EQ(store.floor(), 2u);
+  for (const BlockId& kept : {genesis_id(), fx.b1.id, fx.c1.id, fx.e2.id}) {
+    EXPECT_TRUE(store.contains(kept));
+  }
+  EXPECT_FALSE(store.contains(fx.d1.id));
+  EXPECT_FALSE(store.contains(fx.u1.id));
+  // Certificates of committed and live blocks stay; the dead one's goes.
+  EXPECT_TRUE(store.is_certified(genesis_id()));
+  EXPECT_TRUE(store.is_certified(fx.b1.id));
+  EXPECT_TRUE(store.is_certified(fx.c1.id));
+  EXPECT_TRUE(store.is_certified(fx.e2.id));
+  EXPECT_FALSE(store.is_certified(fx.d1.id));
+  EXPECT_EQ(store.block_count(), 4u);
+  EXPECT_EQ(store.certificate_count(), 4u);
+  // The committed chain still walks to genesis.
+  const auto walk = store.walk_ancestors(fx.e2.id);
+  EXPECT_FALSE(walk.missing.has_value());
+  EXPECT_EQ(walk.blocks.size(), 4u);
+  // Raising the floor is the only thing that prunes.
+  EXPECT_EQ(store.prune(2, fx.committed()), 0u);
+  EXPECT_EQ(store.prune(1, fx.committed()), 0u);
+  EXPECT_EQ(store.floor(), 2u);
+}
+
+TEST(BlockStore, PruneRecordsHeadersForCertifiedRetiredBlocksOnly) {
+  PruneFixture fx;
+  fx.store.prune(2, fx.committed());
+  // d1 held a certificate: its header stays, without the payload. u1 was
+  // never certified, so no lemma reads it and it leaves nothing.
+  ASSERT_EQ(fx.store.retired().size(), 1u);
+  const BlockHeader& h = fx.store.retired().front();
+  EXPECT_EQ(h.id, fx.d1.id);
+  EXPECT_EQ(h.parent, fx.d1.parent);
+  EXPECT_EQ(h.round, fx.d1.round);
+  EXPECT_EQ(h.view, fx.d1.view);
+  EXPECT_EQ(h.height, fx.d1.height);
+  EXPECT_EQ(h.proposer, fx.d1.proposer);
+  EXPECT_FALSE(h.is_genesis());
+}
+
+TEST(BlockStore, PruneKeepsTheCertificateLogAndViewIndexConsistent) {
+  PruneFixture fx;
+  BlockStore& store = fx.store;
+  const Block f3 = Block::make(fx.qc_e2, 4, 3, 1, 1, Bytes{6});
+  const Certificate fqc_f3 = make_fqc(*fx.sys, f3.id, 4, 3, 1, 1);
+  store.insert(f3);
+  EXPECT_TRUE(store.add_certificate(fqc_f3));
+  const std::vector<Certificate> log_before = store.certificates();
+
+  store.prune(2, fx.committed());
+  // The log is the audit trail: whole and in order.
+  EXPECT_EQ(store.certificates(), log_before);
+  EXPECT_TRUE(store.fallback_certificates(1).empty());
+  ASSERT_EQ(store.fallback_certificates(3).size(), 1u);
+  EXPECT_EQ(store.certificates()[store.fallback_certificates(3)[0]], fqc_f3);
+
+  // Below the floor a certificate is refused and logs nothing; at the
+  // floor it is recorded as before.
+  const Certificate late = make_fqc(*fx.sys, fx.u1.id, 2, 1, 1, 3);
+  EXPECT_FALSE(store.add_certificate(late));
+  EXPECT_FALSE(store.is_certified(fx.u1.id));
+  EXPECT_EQ(store.certificates().size(), log_before.size());
+  const Block e2b = Block::make(fx.fqc_c1, 3, 2, 0, 2, Bytes{7});
+  EXPECT_TRUE(store.add_certificate(make_qc(*fx.sys, e2b.id, 3, 2)));
+  EXPECT_EQ(store.certificates().size(), log_before.size() + 1);
+}
+
+TEST(BlockStore, LateBlockBelowTheFloorGoesAtTheNextPrune) {
+  PruneFixture fx;
+  BlockStore& store = fx.store;
+  store.prune(2, fx.committed());
+  // A catch-up response may still deliver a dead view-1 block.
+  EXPECT_TRUE(store.insert(fx.u1));
+  EXPECT_TRUE(store.contains(fx.u1.id));
+  store.prune(3, fx.committed());
+  EXPECT_FALSE(store.contains(fx.u1.id));
+  EXPECT_FALSE(store.contains(fx.e2.id));  // view 2, uncommitted
+  EXPECT_TRUE(store.contains(fx.c1.id));
 }
 
 // ---- Ledger ----------------------------------------------------------------------

@@ -9,6 +9,7 @@
 //
 // Every run is deterministic in (arguments, seed) and ends with the
 // safety + invariant checks.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/replica_base.h"
 #include "harness/chaos.h"
 #include "harness/experiment.h"
 #include "harness/invariants.h"
@@ -139,9 +141,9 @@ int run_replay(const std::string& path) {
     return 2;
   }
   const ChaosResult res = run_schedule(*sched);
-  std::printf("replay: seed=%llu n=%u commits=%zu %s\n",
+  std::printf("replay: seed=%llu n=%u commits=%zu %s, %zu certified blocks unchecked\n",
               static_cast<unsigned long long>(sched->seed), sched->n, res.commits,
-              res.ok ? "no violation" : res.failure.c_str());
+              res.ok ? "no violation" : res.failure.c_str(), res.certified_blocks_unchecked);
   std::printf("replay: trace sha256 %s\n", res.trace_sha256.c_str());
   if (sched->expect_trace_sha256.empty()) {
     std::printf("replay: artifact carries no trace pin\n");
@@ -250,6 +252,7 @@ int run_fuzz(int argc, char** argv) {
     f << "  \"fallbacks_entered\": " << stats.fallbacks_entered << ",\n";
     f << "  \"fallbacks_won\": " << stats.fallbacks_won << ",\n";
     f << "  \"win_rate\": " << win_rate << ",\n";
+    f << "  \"certified_blocks_unchecked\": " << stats.certified_blocks_unchecked << ",\n";
     f << "  \"failure_seeds\": [";
     for (std::size_t i = 0; i < stats.found.size(); ++i) {
       f << (i > 0 ? ", " : "") << stats.found[i].seed;
@@ -257,8 +260,10 @@ int run_fuzz(int argc, char** argv) {
     f << "]\n}\n";
   }
 
-  std::printf("fuzz: %zu runs, %zu failures, %zu reached their commit target\n",
-              stats.runs, stats.failures, stats.targets_reached);
+  std::printf("fuzz: %zu runs, %zu failures, %zu reached their commit target, "
+              "%zu certified blocks unchecked\n",
+              stats.runs, stats.failures, stats.targets_reached,
+              stats.certified_blocks_unchecked);
   std::printf("fuzz: %llu fallbacks entered, %llu won by the fallback chain "
               "(win rate %.3f, paper bound %.3f)\n",
               static_cast<unsigned long long>(stats.fallbacks_entered),
@@ -378,8 +383,14 @@ int main(int argc, char** argv) {
   std::uint64_t dhits = 0, dmiss = 0;
   std::uint64_t sh_verified = 0, sh_deferred = 0, sh_opt = 0, sh_fb = 0, sh_bad = 0;
   std::uint64_t thinned = 0, relays_skipped = 0, bad_certs = 0;
+  std::size_t live_blocks = 0, live_certs = 0, audit_headers = 0;
   for (ReplicaId id = 0; id < cfg.n; ++id) {
     if (!exp.is_honest(id)) continue;
+    if (const auto* base = dynamic_cast<const core::ReplicaBase*>(&exp.replica(id))) {
+      live_blocks = std::max(live_blocks, base->store().block_count());
+      live_certs = std::max(live_certs, base->store().certificate_count());
+      audit_headers = std::max(audit_headers, base->store().retired().size());
+    }
     thinned += exp.replica(id).stats().fb_votes_thinned;
     relays_skipped += exp.replica(id).stats().coin_relays_suppressed;
     bad_certs += exp.replica(id).stats().bad_certs_rejected;
@@ -440,6 +451,9 @@ int main(int argc, char** argv) {
   std::printf("zero-copy multicast: %llu multicasts, %llu payload copies avoided\n",
               static_cast<unsigned long long>(st.multicasts),
               static_cast<unsigned long long>(st.payload_copies_avoided));
+  std::printf("block store        : max over honest replicas %zu live blocks, "
+              "%zu live certificates, %zu retired headers\n",
+              live_blocks, live_certs, audit_headers);
   std::printf("fallbacks entered  : %llu", static_cast<unsigned long long>(fallbacks));
   if (fb_exits > 0) {
     std::printf(" (mean duration %.1f ms)", obs::ratio(fb_time, fb_exits) / 1000.0);
@@ -449,7 +463,8 @@ int main(int argc, char** argv) {
   const SafetyReport safety = exp.check_safety();
   std::printf("safety             : %s\n", safety.ok ? "OK" : safety.detail.c_str());
   const InvariantReport inv = check_invariants(exp);
-  std::printf("structural lemmas  : %s\n",
-              inv.ok ? "OK" : inv.violations.front().c_str());
+  std::printf("structural lemmas  : %s (%zu certificates, %zu certified blocks unchecked)\n",
+              inv.ok ? "OK" : inv.violations.front().c_str(), inv.certificates_examined,
+              inv.certified_blocks_unchecked);
   return (safety.ok && inv.ok) ? 0 : 1;
 }
