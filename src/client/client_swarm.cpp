@@ -11,7 +11,12 @@ namespace repro::client {
 void TxnPools::submit(ReplicaId to, const TxnId& id, BytesView payload) {
   REPRO_ASSERT(to < queues_.size());
   if (!queued_ids_[to].insert(id).second) return;
-  queues_[to].push_back(Pending{id, Bytes(payload.begin(), payload.end())});
+  auto& q = queues_[to];
+  if (q.size() >= capacity()) {
+    queued_ids_[to].erase(q.front().id);
+    q.pop_front();
+  }
+  q.push_back(Pending{id, Bytes(payload.begin(), payload.end())});
 }
 
 Bytes TxnPools::next_batch(ReplicaId proposer) {

@@ -64,13 +64,24 @@ struct ClientStats {
 /// swarm.
 class TxnPools {
  public:
+  /// A pool holds at most this many blocks' worth of txns. A replica that
+  /// never proposes (crashed) would otherwise collect every retry routed
+  /// through it for ever; the txns it drops are retried at the next
+  /// replica by their clients.
+  static constexpr std::size_t kCapacityBatches = 128;
+
   explicit TxnPools(std::uint32_t n, std::size_t max_batch_txns)
       : queues_(n), queued_ids_(n), max_batch_(max_batch_txns) {}
 
   /// Enqueue a transaction at one replica's pool, unless that pool already
   /// holds it (a retry may land at a replica already holding the txn). A
-  /// txn drained into a batch can be submitted again.
+  /// full pool drops its oldest txn first. A txn drained into a batch can
+  /// be submitted again.
   void submit(ReplicaId to, const TxnId& id, BytesView payload);
+
+  /// Txns waiting in one replica's pool, and the most a pool holds.
+  std::size_t size(ReplicaId r) const { return queues_[r].size(); }
+  std::size_t capacity() const { return kCapacityBatches * max_batch_; }
 
   /// Proposer-side: drain up to max_batch txns into a block payload.
   /// Encoding: u32 count, then per txn (32-byte id, length-prefixed body).
@@ -89,9 +100,8 @@ class TxnPools {
   };
   std::vector<std::deque<Pending>> queues_;
   /// The ids in each queue, for O(1) dedup; mirrors queues_ exactly.
-  /// A crashed replica's queue is never drained and grows with every
-  /// retry routed through it, where scanning it is most of the run's
-  /// CPU (DESIGN.md §18.3).
+  /// A crashed replica's queue is never drained and stays full, where
+  /// scanning it would be most of the run's CPU (DESIGN.md §18.3).
   std::vector<std::unordered_set<TxnId, TxnIdHash>> queued_ids_;
   std::size_t max_batch_;
 };

@@ -255,7 +255,7 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   if (block.height != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
   if (!verify(block.parent)) return;
-  install_attached_coins(msg.coins);
+  install_attached_coins(from, msg.coins);
 
   const smr::Certificate parent = block.parent;
   const Round r = block.round;
@@ -376,7 +376,7 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
   // Attached coins and qc_high stand on their own verification, so process
   // them before the share (whose validity the accumulator establishes
   // lazily — an invalid share must not suppress the catch-up either way).
-  install_attached_coins(msg.coins);
+  install_attached_coins(from, msg.coins);
   // "Upon receiving a valid timeout message, execute Lock" (on qc_high).
   if (verify(msg.qc_high)) lock_full(msg.qc_high, from);
 
@@ -393,12 +393,15 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
   handle_ftc(ftc);
 }
 
-void FallbackReplica::handle_ftc(const smr::FallbackTC& ftc) {
+bool FallbackReplica::ftc_enters(View view) const {
   // Enter Fallback: f-TC of view >= v_cur, unless we already entered a
   // fallback at that view or higher.
-  if (ftc.view < v_cur_) return;
-  if (fallback_entered_view_ && *fallback_entered_view_ >= ftc.view) return;
-  enter_fallback(ftc.view, ftc);
+  if (view < v_cur_) return false;
+  return !(fallback_entered_view_ && *fallback_entered_view_ >= view);
+}
+
+void FallbackReplica::handle_ftc(const smr::FallbackTC& ftc) {
+  if (ftc_enters(ftc.view)) enter_fallback(ftc.view, ftc);
 }
 
 void FallbackReplica::enter_fallback(View view, const std::optional<smr::FallbackTC>& ftc) {
@@ -530,11 +533,22 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     blame_cert(from);  // f-block built on a forged certificate
     return;
   }
-  install_attached_coins(msg.coins);
+  install_attached_coins(from, msg.coins);
 
   // An attached valid f-TC can pull us into the fallback (Enter Fallback
-  // triggers on receiving an f-TC from any message).
-  if (msg.ftc && verify(*msg.ftc)) handle_ftc(*msg.ftc);
+  // triggers on receiving an f-TC from any message). It is checked at most
+  // once, only where it matters, and not at all when it is the f-TC we
+  // entered this view's fallback on; a forgery of that view carries a
+  // different signature and is still checked, rejected and blamed.
+  std::optional<bool> ftc_valid;
+  auto ftc_verified = [&] {
+    if (!ftc_valid) {
+      ftc_valid = entered_ftc_ == msg.ftc || verify(*msg.ftc);
+      if (!*ftc_valid) blame_cert(from);
+    }
+    return *ftc_valid;
+  };
+  if (msg.ftc && ftc_enters(msg.ftc->view) && ftc_verified()) handle_ftc(*msg.ftc);
 
   const smr::Certificate parent = block.parent;
   const FallbackHeight h = block.height;
@@ -560,8 +574,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     // qc.rank >= rank_lock, r == qc.r + 1. (The always-fallback baseline
     // has no timeouts, hence no f-TC to check.)
     const bool ftc_ok =
-        fb_.always_fallback ||
-        (msg.ftc && verify(*msg.ftc) && msg.ftc->view == v_cur_);
+        fb_.always_fallback || (msg.ftc && msg.ftc->view == v_cur_ && ftc_verified());
     if (!ftc_ok) return;
     if (parent.kind == smr::CertKind::kFallback && !is_endorsed(parent)) return;
     if (rank_of(parent) < rank_lock()) return;
@@ -834,9 +847,18 @@ std::vector<smr::CoinQC> FallbackReplica::evidence_for(const smr::Certificate& c
   return coins;
 }
 
-void FallbackReplica::install_attached_coins(const std::vector<smr::CoinQC>& coins) {
+void FallbackReplica::install_attached_coins(ReplicaId from,
+                                             const std::vector<smr::CoinQC>& coins) {
   for (const auto& c : coins) {
-    if (verify(c)) process_coin(c);
+    // The coin we already hold: installing it again would do nothing (its
+    // view is below v_cur). A forgery of that view differs in signature.
+    const smr::CoinQC* have = coin_for(c.view);
+    if (have != nullptr && *have == c) continue;
+    if (verify(c)) {
+      process_coin(c);
+    } else {
+      blame_cert(from);  // forged coin-QC attached as evidence
+    }
   }
 }
 

@@ -96,6 +96,8 @@ class FallbackReplica final : public ReplicaBase {
 
   // ---- fallback --------------------------------------------------------
   void handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg& msg);
+  /// Whether an f-TC of `view` would enter a fallback now.
+  bool ftc_enters(View view) const;
   void handle_ftc(const smr::FallbackTC& ftc);
   void enter_fallback(View view, const std::optional<smr::FallbackTC>& ftc);
   void handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& msg);
@@ -124,7 +126,9 @@ class FallbackReplica final : public ReplicaBase {
   /// Coin-QCs needed as endorsement evidence for `cert`, to attach.
   std::vector<smr::CoinQC> evidence_for(const smr::Certificate& cert) const;
 
-  void install_attached_coins(const std::vector<smr::CoinQC>& coins);
+  /// Verify and process coin-QCs attached to a message from `from`,
+  /// skipping the ones already installed and blaming forgeries.
+  void install_attached_coins(ReplicaId from, const std::vector<smr::CoinQC>& coins);
 
   // ---- parameters & state ----------------------------------------------
   FallbackParams fb_;

@@ -16,6 +16,7 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
+#include "smr/block_store.h"
 #include "smr/decode_cache.h"
 #include "smr/ledger.h"
 #include "storage/wal.h"
@@ -51,6 +52,12 @@ struct ReplicaContext {
   /// so one decode serves n deliveries); when unset the replica builds a
   /// private cache of config.decode_cache_capacity entries.
   std::shared_ptr<smr::DecodeCache> decode_cache;
+
+  /// Optional certificate audit for the structural-lemma checker. The
+  /// harness shares one across all replicas of a simulation (DESIGN.md
+  /// §19.3); when unset, as on TCP nodes, the block store keeps live
+  /// state only. Not owned.
+  smr::CertAudit* audit = nullptr;
 
   /// Optional structured trace sink. When set, the replica records its
   /// protocol milestones (proposals, votes, certificates, fallback

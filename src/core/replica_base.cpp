@@ -7,7 +7,8 @@
 namespace repro::core {
 
 ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
-    : sim_(ctx.sim),
+    : store_(ctx.audit, ctx.id),
+      sim_(ctx.sim),
       net_(ctx.net),
       crypto_(ctx.crypto),
       params_(ctx.crypto->params),
@@ -340,11 +341,9 @@ bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
   // Endorsements of recorded f-QCs of this view may have flipped on:
   // rescan them for commit (the Exit Fallback "check for commit"): the
   // ones recorded before this install, in the order they arrived.
-  const std::vector<std::size_t> positions = store_.fallback_certificates(coin.view);
-  for (std::size_t pos : positions) {
-    const smr::Certificate cert = store_.certificates()[pos];
-    try_commit_from(cert, cert.proposer);
-  }
+  // A copy: a commit found here may prune the view's entry.
+  const std::vector<smr::Certificate> fqcs = store_.fallback_certificates(coin.view);
+  for (const smr::Certificate& cert : fqcs) try_commit_from(cert, cert.proposer);
   return true;
 }
 

@@ -69,7 +69,13 @@ class ReplicaBase : public IReplica {
   // IReplica ----------------------------------------------------------
   void on_message(ReplicaId from, const Bytes& payload) final;
   void on_message_uncached(ReplicaId from, const Bytes& payload) final;
-  void halt() final { halted_ = true; }
+  /// A halted instance is a crashed one: the harness may replace it, so
+  /// its live certified blocks go to the audit, where the checker still
+  /// finds them.
+  void halt() final {
+    halted_ = true;
+    store_.retire_all();
+  }
   ReplicaId id() const final { return id_; }
   const smr::Ledger& ledger() const final { return ledger_; }
   smr::Ledger& ledger() final { return ledger_; }

@@ -18,7 +18,7 @@ const char* protocol_name(Protocol p) {
   return "?";
 }
 
-Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
+Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_.n) {
   crypto_ = crypto::CryptoSystem::deal(QuorumParams::for_n(cfg_.n), cfg_.seed ^ 0xc0ffee);
   ever_faulty_.assign(cfg_.n, 0);
   for (const auto& [id, kind] : cfg_.faults) {
@@ -68,6 +68,7 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
       ctx.wal = wals_.back().get();
     }
     ctx.decode_cache = decode_cache_;
+    ctx.audit = &audit_;
     if (cfg_.trace_capacity > 0) {
       std::size_t cap = cfg_.trace_capacity;
       if (cfg_.trace_budget_bytes > 0) {
@@ -195,6 +196,9 @@ bool Experiment::restart_replica(ReplicaId id) {
   // becomes a no-op — and park it until the Experiment dies. Network
   // deliveries route through replicas_[id], so they reach the new
   // instance; the WAL-recovered replica rejoins from its durable state.
+  // Halting also retires the old store's certified blocks into the audit,
+  // so the checker, which reads only live instances, still finds the
+  // bodies of the certificates the old one recorded.
   replicas_[id]->halt();
   parked_.push_back(std::move(replicas_[id]));
   replicas_[id] = build_replica_with_ctx(ctxs_[id]);

@@ -180,6 +180,11 @@ class Experiment {
   net::Network& network() { return *net_; }
   /// The system-wide decode-once cache (shared by all replicas).
   const smr::DecodeCache& decode_cache() const { return *decode_cache_; }
+  /// The system-wide certificate audit every replica's store reports to
+  /// (DESIGN.md §19.3); check_invariants reads it. It outlives
+  /// restart_replica.
+  const smr::CertAudit& audit() const { return audit_; }
+  smr::CertAudit& audit() { return audit_; }
   const crypto::CryptoSystem& crypto_sys() const { return *crypto_; }
   core::IReplica& replica(ReplicaId id) { return *replicas_[id]; }
   const core::IReplica& replica(ReplicaId id) const { return *replicas_[id]; }
@@ -195,6 +200,7 @@ class Experiment {
   std::shared_ptr<const crypto::CryptoSystem> crypto_;
   std::unique_ptr<net::Network> net_;
   std::shared_ptr<smr::DecodeCache> decode_cache_;
+  smr::CertAudit audit_;
   net::AdaptiveLeaderAttackModel* attack_model_ = nullptr;  ///< owned by net_
   std::vector<std::unique_ptr<core::IReplica>> replicas_;
   std::vector<core::ReplicaContext> ctxs_;

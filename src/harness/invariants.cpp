@@ -3,7 +3,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "core/replica_base.h"
 
@@ -51,9 +50,11 @@ InvariantReport check_invariants(const Experiment& exp) {
   };
 
   // Dedupe certificates by identity. Certificates live in two places: the
-  // explicit per-replica certificate logs, and embedded as the parent
-  // field of stored block bodies (the only form in which a crash-recovered
-  // replica holds the certificates of backfilled ancestors).
+  // system's audit, which keeps each one with the replicas that recorded
+  // it, and embedded as the parent field of stored block bodies (the only
+  // form in which a crash-recovered replica holds the certificates of
+  // backfilled ancestors). Only what an honest replica recorded is
+  // examined: a Byzantine one may record anything.
   std::set<std::tuple<std::uint8_t, smr::BlockId, Round, View, FallbackHeight, ReplicaId>>
       seen;
   std::vector<smr::Certificate> certs;
@@ -66,9 +67,16 @@ InvariantReport check_invariants(const Experiment& exp) {
     certs.push_back(c);
     certified_ids.insert(c.block_id);
   };
+  const smr::CertAudit& audit = exp.audit();
+  for (std::size_t i = 0; i < audit.size(); ++i) {
+    for (const auto* r : honest) {
+      if (!audit.recorded_by(i, r->id())) continue;
+      collect(audit.certificate(i));
+      break;
+    }
+  }
   std::set<smr::BlockId> walked;
   for (const auto* r : honest) {
-    for (const auto& c : r->store().certificates()) collect(c);
     for (const auto& rec : r->ledger().records()) {
       // Walk each committed chain once; every block's parent field is a
       // certificate for its ancestor.
@@ -80,16 +88,12 @@ InvariantReport check_invariants(const Experiment& exp) {
   report.certificates_examined = certs.size();
 
   // A block pruned from every live store is still checked through the
-  // payload-free header its retirement left in the audit log.
-  std::unordered_map<smr::BlockId, const smr::BlockHeader*, smr::BlockIdHash> retired;
-  for (const auto* r : honest) {
-    for (const auto& h : r->store().retired()) retired.emplace(h.id, &h);
-  }
+  // payload-free header its retirement left in the audit.
   auto find_block = [&](const smr::BlockId& id) -> std::optional<smr::BlockHeader> {
     for (const auto* r : honest) {
       if (const smr::Block* b = r->store().get(id)) return smr::BlockHeader::of(*b);
     }
-    if (auto it = retired.find(id); it != retired.end()) return *it->second;
+    if (const smr::BlockHeader* h = audit.header(id)) return *h;
     return std::nullopt;
   };
 

@@ -26,9 +26,10 @@ struct InvariantReport {
   std::vector<std::string> violations;
   /// Distinct non-genesis certificates the lemmas were checked over.
   std::size_t certificates_examined = 0;
-  /// Certified blocks no honest replica holds, live or as a retired
-  /// header: the Lemma 2/3 checks skip their edges. Not a violation, but
-  /// anything above 0 means the checks saw less than the certificates.
+  /// Certified blocks that no honest replica holds live and that have no
+  /// retired header in the audit: the Lemma 2/3 checks skip their edges.
+  /// Not a violation, but anything above 0 means the checks saw less
+  /// than the certificates.
   std::size_t certified_blocks_unchecked = 0;
 
   void fail(std::string v) {
@@ -37,9 +38,10 @@ struct InvariantReport {
   }
 };
 
-/// Runs all structural checks against every honest replica's block store,
-/// its certificate log and the headers of its pruned blocks (plus
-/// coin-QCs reconstructible from the stores).
+/// Runs all structural checks against every honest replica's block store
+/// and the system's certificate audit: the certificates honest replicas
+/// recorded and the headers of pruned certified blocks (plus coin-QCs
+/// reconstructible from the stores).
 InvariantReport check_invariants(const Experiment& exp);
 
 }  // namespace repro::harness

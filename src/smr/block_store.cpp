@@ -4,13 +4,22 @@
 
 namespace repro::smr {
 
-BlockStore::BlockStore() {
+void CertAudit::record(ReplicaId by, const Certificate& cert) {
+  const auto [it, fresh] = index_.try_emplace(cert, certs_.size());
+  if (fresh) {
+    certs_.push_back(cert);
+    recorders_.resize(recorders_.size() + words_, 0);
+  }
+  recorders_[it->second * words_ + by / 64] |= std::uint64_t{1} << (by % 64);
+}
+
+BlockStore::BlockStore(CertAudit* audit, ReplicaId recorder)
+    : audit_(audit), recorder_(recorder) {
   // Genesis is always present and certified by fiat. It is listed in no
-  // view, so no prune can reach it.
+  // view, so no prune can reach it, and the audit never needs it.
   blocks_.emplace(genesis_id(), Block::genesis());
   const Certificate g = genesis_certificate();
   certs_.emplace(g.block_id, g);
-  cert_log_.push_back(g);
 }
 
 BlockStore::Inserted BlockStore::insert(Block block) {
@@ -34,13 +43,13 @@ bool BlockStore::add_certificate(const Certificate& cert) {
   ViewEntries& entries = views_[cert.view];
   // A stored block is listed already (by insert).
   if (blocks_.count(cert.block_id) == 0) entries.ids.push_back(cert.block_id);
-  if (cert.kind == CertKind::kFallback) entries.fqcs.push_back(cert_log_.size());
-  cert_log_.push_back(cert);
+  if (cert.kind == CertKind::kFallback) entries.fqcs.push_back(cert);
+  if (audit_ != nullptr) audit_->record(recorder_, cert);
   return true;
 }
 
-const std::vector<std::size_t>& BlockStore::fallback_certificates(View view) const {
-  static const std::vector<std::size_t> kNone;
+const std::vector<Certificate>& BlockStore::fallback_certificates(View view) const {
+  static const std::vector<Certificate> kNone;
   auto it = views_.find(view);
   return it == views_.end() ? kNone : it->second.fqcs;
 }
@@ -59,7 +68,9 @@ std::size_t BlockStore::prune(View floor,
       if (block == blocks_.end() && cert == certs_.end()) continue;
       if (committed(id)) continue;
       if (block != blocks_.end()) {
-        if (cert != certs_.end()) retired_.push_back(BlockHeader::of(block->second));
+        if (cert != certs_.end() && audit_ != nullptr) {
+          audit_->retire(BlockHeader::of(block->second));
+        }
         blocks_.erase(block);
         ++dropped;
       }
@@ -68,6 +79,13 @@ std::size_t BlockStore::prune(View floor,
   }
   views_.erase(views_.begin(), end);
   return dropped;
+}
+
+void BlockStore::retire_all() {
+  if (audit_ == nullptr) return;
+  for (const auto& [id, block] : blocks_) {
+    if (!block.is_genesis() && certs_.count(id) != 0) audit_->retire(BlockHeader::of(block));
+  }
 }
 
 const Certificate* BlockStore::certificate_for(const BlockId& id) const {

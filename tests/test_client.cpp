@@ -101,6 +101,28 @@ TEST(TxnPools, DedupsAcrossALargeQueue) {
   for (std::size_t i = 0; i < kTxns; ++i) EXPECT_EQ(drained[i], id_of(i)) << i;
 }
 
+TEST(TxnPools, FullPoolDropsItsOldestTxn) {
+  TxnPools pools(1, 1);
+  ASSERT_EQ(pools.capacity(), TxnPools::kCapacityBatches);
+  const auto id_of = [](std::size_t i) {
+    Encoder enc;
+    enc.u64(i);
+    return crypto::sha256_tagged("t", enc.result());
+  };
+  const std::size_t cap = pools.capacity();
+  for (std::size_t i = 0; i < cap + 2; ++i) pools.submit(0, id_of(i), Bytes{1});
+  EXPECT_EQ(pools.size(0), cap);
+  // The two oldest went; a dropped txn's retry is queued again (newest).
+  pools.submit(0, id_of(0), Bytes{1});
+  EXPECT_EQ(pools.size(0), cap);
+  std::vector<TxnId> drained;
+  while (pools.size(0) > 0) drained.push_back(TxnPools::decode_txn_ids(pools.next_batch(0)).at(0));
+  ASSERT_EQ(drained.size(), cap);
+  EXPECT_EQ(drained.front(), id_of(3));
+  EXPECT_EQ(drained[cap - 2], id_of(cap + 1));
+  EXPECT_EQ(drained.back(), id_of(0));
+}
+
 TEST(TxnPools, EmptyPoolGivesEmptyBatch) {
   TxnPools pools(1, 10);
   EXPECT_TRUE(TxnPools::decode_txn_ids(pools.next_batch(0)).empty());
@@ -140,6 +162,38 @@ TEST(ClientSwarm, ConfirmsDespiteCrashedReplica) {
   // Txns initially sent to the crashed replica confirm via retries.
   EXPECT_GT(st.confirmed, 20u);
   EXPECT_GT(st.retries, 0u);
+}
+
+TEST(ClientSwarm, CrashedReplicaPoolsStayWithinTheCap) {
+  // f=5 of 16 replicas crashed: every retry that passes through one of
+  // them lands in a pool nobody drains. The cap bounds those pools, and
+  // the txns they drop are retried at the next replica.
+  ExperimentConfig cfg;
+  cfg.n = 16;
+  cfg.protocol = Protocol::kFallback3;
+  cfg.seed = 11;
+  for (ReplicaId id = 11; id < 16; ++id) cfg.faults[id] = core::FaultKind::kCrash;
+  ClientConfig ccfg;
+  ccfg.num_clients = 16;
+  ccfg.submit_interval = 100'000;
+  ccfg.max_batch_txns = 4;
+  Rig rig(cfg, ccfg);
+  const std::size_t cap = rig.pools->capacity();
+  rig.exp->start();
+  rig.swarm->start();
+  std::uint64_t confirmed = 0;
+  std::size_t crashed_peak = 0;
+  for (int step = 0; step < 4; ++step) {
+    rig.exp->sim().run_until(rig.exp->sim().now() + 20'000'000);
+    for (ReplicaId id = 0; id < cfg.n; ++id) EXPECT_LE(rig.pools->size(id), cap) << id;
+    for (ReplicaId id = 11; id < 16; ++id) {
+      crashed_peak = std::max(crashed_peak, rig.pools->size(id));
+    }
+    EXPECT_GT(rig.swarm->stats().confirmed, confirmed) << "no confirmation in step " << step;
+    confirmed = rig.swarm->stats().confirmed;
+  }
+  EXPECT_EQ(crashed_peak, cap) << "the cap never bound";
+  EXPECT_TRUE(rig.exp->check_safety().ok);
 }
 
 TEST(ClientSwarm, ConfirmsThroughAsynchrony) {

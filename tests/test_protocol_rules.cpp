@@ -279,6 +279,33 @@ TEST(FallbackVote, Height1WithoutFtcRejected) {
   EXPECT_TRUE(rig.sent<smr::FbVoteMsg>().empty());
 }
 
+TEST(FallbackVote, ForgedFtcOfTheEnteredViewIsRejectedAndBlamed) {
+  // The f-TC we entered on is not checked again, but one of the same view
+  // with another signature is: it fails, earns no vote and is blamed.
+  Rig rig;
+  rig.replica->start();
+  for (ReplicaId i = 1; i <= 3; ++i) rig.inject(i, rig.timeout_from(i, 0));
+  ASSERT_TRUE(rig.replica->in_fallback());
+  rig.captured.clear();
+
+  smr::FbProposalMsg forged;
+  forged.block = Block::make(smr::genesis_certificate(), 1, 0, 1, 2, Bytes{9});
+  forged.ftc = rig.make_ftc(0);
+  forged.ftc->sig.value ^= 1;
+  rig.inject(2, forged);
+  EXPECT_TRUE(rig.sent<smr::FbVoteMsg>().empty());
+  ASSERT_GT(rig.replica->cert_blame().size(), 2u);
+  EXPECT_EQ(rig.replica->cert_blame()[2], 1u);
+  EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 1u);
+
+  smr::FbProposalMsg genuine;
+  genuine.block = Block::make(smr::genesis_certificate(), 1, 0, 1, 3, Bytes{9});
+  genuine.ftc = rig.make_ftc(0);
+  rig.inject(3, genuine);
+  EXPECT_EQ(rig.sent<smr::FbVoteMsg>().size(), 1u);
+  EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 1u);
+}
+
 TEST(FallbackVote, Height2NeedsMatchingParentFqc) {
   Rig rig;
   rig.replica->start();
@@ -334,6 +361,31 @@ TEST(ExitFallback, CoinQcExitsAndAdvancesView) {
   EXPECT_EQ(rig.replica->current_view(), 1u);
   // Exit Fallback forwards the coin-QC to everyone.
   EXPECT_FALSE(rig.sent<smr::CoinQcMsg>().empty());
+}
+
+TEST(ExitFallback, AttachedCoinIsSkippedWhenHeldAndBlamedWhenForged) {
+  Rig rig;
+  rig.replica->start();
+  for (ReplicaId i = 1; i <= 3; ++i) rig.inject(i, rig.timeout_from(i, 0));
+  std::vector<crypto::PartialSig> shares = {rig.crypto_sys->coin.coin_share(1, 0),
+                                            rig.crypto_sys->coin.coin_share(2, 0)};
+  const smr::CoinQC coin0 = *smr::combine_coin_qc(*rig.crypto_sys, 0, shares);
+  rig.inject(1, smr::CoinQcMsg{coin0, std::nullopt});
+  ASSERT_EQ(rig.replica->current_view(), 1u);
+
+  // The held coin attached as evidence changes nothing; a forgery of its
+  // view is rejected and blamed on the sender.
+  smr::CoinQC forged = coin0;
+  forged.sig.value ^= 1;
+  smr::FbProposalMsg carrier;
+  carrier.block = Block::make(smr::genesis_certificate(), 1, 0, 1, 2, Bytes{9});
+  carrier.coins = {coin0, forged};
+  rig.inject(2, carrier);
+  EXPECT_EQ(rig.replica->current_view(), 1u);
+  EXPECT_EQ(rig.replica->coins().at(0).qc, coin0);
+  ASSERT_GT(rig.replica->cert_blame().size(), 2u);
+  EXPECT_EQ(rig.replica->cert_blame()[2], 1u);
+  EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 1u);
 }
 
 // ---- coin-share view horizon --------------------------------------------------

@@ -1,10 +1,14 @@
 // Bounded live state (DESIGN.md §19): a replica's block store drops the
 // dead fallback chains of every view below its committed tip's. These
 // tests pin what that must never cost: the structural-lemma checker still
-// finds every certified block (live or as a retired header), honest
-// ledgers still agree, a request for a pruned block is ignored without
-// harm, and a restarted replica still catches up from committed blocks.
+// finds every certified block (live, or as a retired header in the
+// system's audit), honest ledgers still agree, a request for a pruned
+// block is ignored without harm, and a restarted replica still catches up
+// from committed blocks. The audit itself keeps one entry per certificate
+// and examines only what an honest replica recorded.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "client/client_swarm.h"
 #include "core/replica_base.h"
@@ -60,7 +64,7 @@ TEST(BlockPruning, LongAsyncSystemKeepsLiveStateFlat) {
   const std::size_t last = *std::max_element(peaks.end() - third, peaks.end());
   EXPECT_LE(last, first + first / 2) << "uncommitted live blocks grow with age";
   EXPECT_GT(base(exp, 0).store().floor(), 0u);
-  EXPECT_FALSE(base(exp, 0).store().retired().empty());
+  EXPECT_GT(exp.audit().header_count(), 0u);
   // The memory-audit gauge reads the same live counts.
   std::size_t live = 0;
   for (ReplicaId id = 0; id < cfg.n; ++id) live += base(exp, id).store().block_count();
@@ -84,13 +88,25 @@ ExperimentConfig pruning_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// A certified block replica `id` does not hold and that lies below its
+/// floor: one it pruned (or never saw, which it must treat the same).
+std::optional<smr::BlockId> pruned_at(const Experiment& exp, ReplicaId id) {
+  const auto& store = base(exp, id).store();
+  for (std::size_t i = 0; i < exp.audit().size(); ++i) {
+    const smr::Certificate& c = exp.audit().certificate(i);
+    if (c.view < store.floor() && !store.contains(c.block_id) &&
+        exp.audit().header(c.block_id) != nullptr) {
+      return c.block_id;
+    }
+  }
+  return std::nullopt;
+}
+
 void run_until_pruned(Experiment& exp) {
   for (std::size_t target = 10; target <= 200; target += 10) {
     ASSERT_TRUE(exp.run_until_commits(target, exp.sim().now() + 4'000'000'000ull));
     bool all = true;
-    for (ReplicaId id = 0; id < exp.n(); ++id) {
-      all = all && !base(exp, id).store().retired().empty();
-    }
+    for (ReplicaId id = 0; id < exp.n(); ++id) all = all && pruned_at(exp, id).has_value();
     if (all) return;
   }
   FAIL() << "no replica pruned a certified block in 200 commits";
@@ -109,7 +125,7 @@ TEST(BlockPruning, RequestForPrunedBlockGetsNoReply) {
   if (HasFatalFailure()) return;
 
   const auto& server = base(exp, 0);
-  const smr::BlockId pruned = server.store().retired().front().id;
+  const smr::BlockId pruned = *pruned_at(exp, 0);
   ASSERT_FALSE(server.store().contains(pruned));
   const smr::BlockId committed = server.ledger().records().front().id;
   ASSERT_TRUE(server.store().contains(committed));
@@ -148,6 +164,58 @@ TEST(BlockPruning, RestartedReplicaCatchesUpFromCommittedBlocks) {
   EXPECT_TRUE(exp.check_safety().ok) << exp.check_safety().detail;
   const InvariantReport inv = check_invariants(exp);
   EXPECT_TRUE(inv.ok) << (inv.violations.empty() ? "" : inv.violations.front());
+}
+
+TEST(BlockPruning, RestartsInAPruningRunLeaveNothingUnchecked) {
+  // The audit outlives restart_replica, so it keeps the certificates a
+  // crashed instance recorded, while their bodies may have lived only in
+  // that instance's store. Restart every replica in turn, so that every
+  // live store is a fresh one: the checker must still find each body,
+  // through the headers the halted stores retired into the audit.
+  Experiment exp(pruning_config(33));
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(30, 4'000'000'000ull));
+  const InvariantReport before = check_invariants(exp);
+  ASSERT_EQ(before.certified_blocks_unchecked, 0u);
+  for (ReplicaId id = 0; id < exp.n(); ++id) {
+    ASSERT_TRUE(exp.restart_replica(id));
+    exp.run_for(1'000'000);
+  }
+  const InvariantReport inv = check_invariants(exp);
+  EXPECT_TRUE(inv.ok) << (inv.violations.empty() ? "" : inv.violations.front());
+  EXPECT_GE(inv.certificates_examined, before.certificates_examined);
+  EXPECT_EQ(inv.certified_blocks_unchecked, 0u);
+}
+
+TEST(CertAudit, CertificateRecordedOnlyByAByzantineReplicaIsNotExamined) {
+  ExperimentConfig cfg;
+  cfg.n = 4;
+  cfg.seed = 34;
+  cfg.faults[3] = core::FaultKind::kWithholdVotes;
+  Experiment exp(cfg);
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(20, 4'000'000'000ull));
+  const InvariantReport before = check_invariants(exp);
+  ASSERT_TRUE(before.ok);
+
+  // A second regular QC at the (view, round) of a committed block's: a
+  // Lemma 1 violation if any honest replica had recorded it.
+  const smr::CommitRecord& rec = exp.replica(0).ledger().records().back();
+  const smr::Block* b = base(exp, 0).store().get(rec.id);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->height, 0u);
+  smr::Certificate forged{smr::CertKind::kQuorum, smr::BlockId{}, b->round, b->view, 0, 0,
+                          crypto::ThresholdSig{0xbad}};
+  forged.block_id[0] = 0xee;
+  exp.audit().record(3, forged);
+  const InvariantReport byzantine = check_invariants(exp);
+  EXPECT_TRUE(byzantine.ok) << byzantine.violations.front();
+  EXPECT_EQ(byzantine.certificates_examined, before.certificates_examined);
+
+  exp.audit().record(0, forged);
+  const InvariantReport honest = check_invariants(exp);
+  EXPECT_FALSE(honest.ok);
+  EXPECT_EQ(honest.certificates_examined, before.certificates_examined + 1);
 }
 
 }  // namespace

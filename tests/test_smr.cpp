@@ -485,20 +485,35 @@ TEST(BlockStore, WalkReportsMissingAncestor) {
   EXPECT_EQ(walk.blocks.size(), 1u);
 }
 
+/// The replicas (of 16) that recorded audit entry i.
+std::vector<ReplicaId> recorders(const CertAudit& audit, std::size_t i) {
+  std::vector<ReplicaId> out;
+  for (ReplicaId r = 0; r < 16; ++r) {
+    if (audit.recorded_by(i, r)) out.push_back(r);
+  }
+  return out;
+}
+
 TEST(BlockStore, CertificateLogKeepsFirstPerBlock) {
+  // The store keeps the first certificate per block and reports only that
+  // one to the audit, under its own replica id.
   auto sys = test_crypto();
-  BlockStore store;
+  CertAudit audit(4);
+  BlockStore store(&audit, 2);
   const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{});
   const Certificate qc = make_qc(*sys, b.id, 1, 0);
   EXPECT_TRUE(store.add_certificate(qc));
   EXPECT_FALSE(store.add_certificate(qc));
   ASSERT_NE(store.certificate_for(b.id), nullptr);
   EXPECT_EQ(store.certificate_for(b.id)->block_id, b.id);
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(audit.certificate(0), qc);
+  EXPECT_EQ(recorders(audit, 0), (std::vector<ReplicaId>{2}));
 }
 
 TEST(BlockStore, FallbackCertificatesIndexEachViewInArrivalOrder) {
-  // A coin install rescans only its view's f-QCs, in the order the log
-  // holds them: the index must name exactly those positions.
+  // A coin install rescans only its view's f-QCs, in the order they
+  // arrived: the index must hold exactly those.
   auto sys = test_crypto();
   BlockStore store;
   const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{});
@@ -512,16 +527,37 @@ TEST(BlockStore, FallbackCertificatesIndexEachViewInArrivalOrder) {
   EXPECT_TRUE(store.add_certificate(qc));
   EXPECT_TRUE(store.add_certificate(fqcs[2]));  // view 2
   EXPECT_TRUE(store.add_certificate(fqcs[1]));  // view 1
-  EXPECT_FALSE(store.add_certificate(fqcs[0]));  // duplicate: no new position
+  EXPECT_FALSE(store.add_certificate(fqcs[0]));  // duplicate: not listed again
 
-  const auto& log = store.certificates();
-  ASSERT_EQ(store.fallback_certificates(1).size(), 2u);
-  EXPECT_EQ(log[store.fallback_certificates(1)[0]], fqcs[0]);
-  EXPECT_EQ(log[store.fallback_certificates(1)[1]], fqcs[1]);
-  ASSERT_EQ(store.fallback_certificates(2).size(), 1u);
-  EXPECT_EQ(log[store.fallback_certificates(2)[0]], fqcs[2]);
+  EXPECT_EQ(store.fallback_certificates(1), (std::vector<Certificate>{fqcs[0], fqcs[1]}));
+  EXPECT_EQ(store.fallback_certificates(2), (std::vector<Certificate>{fqcs[2]}));
   EXPECT_TRUE(store.fallback_certificates(0).empty());
   EXPECT_TRUE(store.fallback_certificates(3).empty());
+}
+
+TEST(CertAudit, SixteenRecordersOfOneCertificateAreOneEntry) {
+  // Every replica of a system records the same certificate: the audit
+  // keeps it once, with all sixteen recorders.
+  auto sys = test_crypto();
+  CertAudit audit(16);
+  std::vector<BlockStore> stores;
+  for (ReplicaId r = 0; r < 16; ++r) stores.emplace_back(&audit, r);
+  const Block b = Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{});
+  const Certificate qc = make_qc(*sys, b.id, 1, 0);
+  for (BlockStore& store : stores) EXPECT_TRUE(store.add_certificate(qc));
+  ASSERT_EQ(audit.size(), 1u);
+  EXPECT_EQ(recorders(audit, 0).size(), 16u);
+
+  // Same facts under another signature (a forgery) are the same entry;
+  // another certificate is a new one, recorded by its own replica only.
+  Certificate forged = qc;
+  forged.sig.value ^= 1;
+  audit.record(3, forged);
+  EXPECT_EQ(audit.size(), 1u);
+  const Certificate other = make_qc(*sys, Block::make(qc, 2, 0, 0, 1, Bytes{}).id, 2, 0);
+  stores[5].add_certificate(other);
+  ASSERT_EQ(audit.size(), 2u);
+  EXPECT_EQ(recorders(audit, 1), (std::vector<ReplicaId>{5}));
 }
 
 /// A store holding a committed chain genesis <- b1 (view 0) <- c1 (view
@@ -529,7 +565,8 @@ TEST(BlockStore, FallbackCertificatesIndexEachViewInArrivalOrder) {
 /// d1 (certified, replica 2) and u1 (never certified, replica 3).
 struct PruneFixture {
   std::shared_ptr<const crypto::CryptoSystem> sys = test_crypto();
-  BlockStore store;
+  CertAudit audit{4};
+  BlockStore store{&audit, 0};
   Block b1, c1, d1, u1, e2;
   Certificate qc1, fqc_c1, fqc_d1, qc_e2;
 
@@ -585,17 +622,21 @@ TEST(BlockStore, PruneDropsDeadViewsKeepsCommittedAndGenesis) {
 TEST(BlockStore, PruneRecordsHeadersForCertifiedRetiredBlocksOnly) {
   PruneFixture fx;
   fx.store.prune(2, fx.committed());
-  // d1 held a certificate: its header stays, without the payload. u1 was
-  // never certified, so no lemma reads it and it leaves nothing.
-  ASSERT_EQ(fx.store.retired().size(), 1u);
-  const BlockHeader& h = fx.store.retired().front();
-  EXPECT_EQ(h.id, fx.d1.id);
-  EXPECT_EQ(h.parent, fx.d1.parent);
-  EXPECT_EQ(h.round, fx.d1.round);
-  EXPECT_EQ(h.view, fx.d1.view);
-  EXPECT_EQ(h.height, fx.d1.height);
-  EXPECT_EQ(h.proposer, fx.d1.proposer);
-  EXPECT_FALSE(h.is_genesis());
+  // d1 held a certificate: its header goes to the audit, without the
+  // payload. u1 was never certified, so no lemma reads it and it leaves
+  // nothing; committed and live blocks leave nothing either.
+  ASSERT_EQ(fx.audit.header_count(), 1u);
+  const BlockHeader* h = fx.audit.header(fx.d1.id);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->id, fx.d1.id);
+  EXPECT_EQ(h->parent, fx.d1.parent);
+  EXPECT_EQ(h->round, fx.d1.round);
+  EXPECT_EQ(h->view, fx.d1.view);
+  EXPECT_EQ(h->height, fx.d1.height);
+  EXPECT_EQ(h->proposer, fx.d1.proposer);
+  EXPECT_FALSE(h->is_genesis());
+  EXPECT_EQ(fx.audit.header(fx.u1.id), nullptr);
+  EXPECT_EQ(fx.audit.header(fx.c1.id), nullptr);
 }
 
 TEST(BlockStore, PruneKeepsTheCertificateLogAndViewIndexConsistent) {
@@ -605,24 +646,63 @@ TEST(BlockStore, PruneKeepsTheCertificateLogAndViewIndexConsistent) {
   const Certificate fqc_f3 = make_fqc(*fx.sys, f3.id, 4, 3, 1, 1);
   store.insert(f3);
   EXPECT_TRUE(store.add_certificate(fqc_f3));
-  const std::vector<Certificate> log_before = store.certificates();
+  std::vector<Certificate> audit_before;
+  for (std::size_t i = 0; i < fx.audit.size(); ++i) audit_before.push_back(fx.audit.certificate(i));
+  ASSERT_EQ(audit_before.size(), 5u);
 
   store.prune(2, fx.committed());
-  // The log is the audit trail: whole and in order.
-  EXPECT_EQ(store.certificates(), log_before);
+  // The audit is the checker's record: whole and in order.
+  ASSERT_EQ(fx.audit.size(), audit_before.size());
+  for (std::size_t i = 0; i < audit_before.size(); ++i) {
+    EXPECT_EQ(fx.audit.certificate(i), audit_before[i]);
+  }
   EXPECT_TRUE(store.fallback_certificates(1).empty());
-  ASSERT_EQ(store.fallback_certificates(3).size(), 1u);
-  EXPECT_EQ(store.certificates()[store.fallback_certificates(3)[0]], fqc_f3);
+  EXPECT_EQ(store.fallback_certificates(3), (std::vector<Certificate>{fqc_f3}));
 
-  // Below the floor a certificate is refused and logs nothing; at the
-  // floor it is recorded as before.
+  // Below the floor a certificate is refused and the audit gets nothing;
+  // at the floor it is recorded as before.
   const Certificate late = make_fqc(*fx.sys, fx.u1.id, 2, 1, 1, 3);
   EXPECT_FALSE(store.add_certificate(late));
   EXPECT_FALSE(store.is_certified(fx.u1.id));
-  EXPECT_EQ(store.certificates().size(), log_before.size());
+  EXPECT_EQ(fx.audit.size(), audit_before.size());
   const Block e2b = Block::make(fx.fqc_c1, 3, 2, 0, 2, Bytes{7});
   EXPECT_TRUE(store.add_certificate(make_qc(*fx.sys, e2b.id, 3, 2)));
-  EXPECT_EQ(store.certificates().size(), log_before.size() + 1);
+  EXPECT_EQ(fx.audit.size(), audit_before.size() + 1);
+}
+
+TEST(BlockStore, WithoutAnAuditKeepsOnlyLiveState) {
+  // A TCP node's store: the same live tables and prunes, no record. The
+  // fixture's audited store beside it is the only source of entries.
+  PruneFixture fx;
+  BlockStore bare;
+  for (const Block* b : {&fx.b1, &fx.c1, &fx.d1, &fx.u1, &fx.e2}) bare.insert(*b);
+  for (const Certificate* c : {&fx.qc1, &fx.fqc_c1, &fx.fqc_d1, &fx.qc_e2}) {
+    EXPECT_TRUE(bare.add_certificate(*c));
+  }
+  EXPECT_EQ(bare.fallback_certificates(1), fx.store.fallback_certificates(1));
+  EXPECT_EQ(bare.prune(2, fx.committed()), fx.store.prune(2, fx.committed()));
+  EXPECT_EQ(bare.block_count(), fx.store.block_count());
+  EXPECT_EQ(bare.certificate_count(), fx.store.certificate_count());
+  bare.retire_all();
+  ASSERT_EQ(fx.audit.size(), 4u);
+  for (std::size_t i = 0; i < fx.audit.size(); ++i) {
+    EXPECT_EQ(recorders(fx.audit, i), (std::vector<ReplicaId>{0}));
+  }
+  EXPECT_EQ(fx.audit.header_count(), 1u);
+}
+
+TEST(BlockStore, RetireAllLeavesEveryLiveCertifiedBlockInTheAudit) {
+  // A crashed replica's store is discarded: each live certified block it
+  // held (not genesis, not the uncertified ones) goes to the audit.
+  PruneFixture fx;
+  fx.store.retire_all();
+  EXPECT_EQ(fx.audit.header_count(), 4u);
+  for (const Block* b : {&fx.b1, &fx.c1, &fx.d1, &fx.e2}) {
+    EXPECT_NE(fx.audit.header(b->id), nullptr);
+  }
+  EXPECT_EQ(fx.audit.header(fx.u1.id), nullptr);
+  EXPECT_EQ(fx.audit.header(genesis_id()), nullptr);
+  EXPECT_EQ(fx.store.block_count(), 6u);  // the live tables stay as they were
 }
 
 TEST(BlockStore, LateBlockBelowTheFloorGoesAtTheNextPrune) {

@@ -383,13 +383,12 @@ int main(int argc, char** argv) {
   std::uint64_t dhits = 0, dmiss = 0;
   std::uint64_t sh_verified = 0, sh_deferred = 0, sh_opt = 0, sh_fb = 0, sh_bad = 0;
   std::uint64_t thinned = 0, relays_skipped = 0, bad_certs = 0;
-  std::size_t live_blocks = 0, live_certs = 0, audit_headers = 0;
+  std::size_t live_blocks = 0, live_certs = 0;
   for (ReplicaId id = 0; id < cfg.n; ++id) {
     if (!exp.is_honest(id)) continue;
     if (const auto* base = dynamic_cast<const core::ReplicaBase*>(&exp.replica(id))) {
       live_blocks = std::max(live_blocks, base->store().block_count());
       live_certs = std::max(live_certs, base->store().certificate_count());
-      audit_headers = std::max(audit_headers, base->store().retired().size());
     }
     thinned += exp.replica(id).stats().fb_votes_thinned;
     relays_skipped += exp.replica(id).stats().coin_relays_suppressed;
@@ -452,8 +451,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.multicasts),
               static_cast<unsigned long long>(st.payload_copies_avoided));
   std::printf("block store        : max over honest replicas %zu live blocks, "
-              "%zu live certificates, %zu retired headers\n",
-              live_blocks, live_certs, audit_headers);
+              "%zu live certificates; audit %zu certificates, %zu headers\n",
+              live_blocks, live_certs, exp.audit().size(), exp.audit().header_count());
   std::printf("fallbacks entered  : %llu", static_cast<unsigned long long>(fallbacks));
   if (fb_exits > 0) {
     std::printf(" (mean duration %.1f ms)", obs::ratio(fb_time, fb_exits) / 1000.0);
