@@ -9,19 +9,15 @@
 // Each row records messages-per-decision, bytes-per-decision, decisions
 // per virtual second, and the peak per-replica quorum-pool footprint.
 //
-// The acceptance rows run always-fallback at n=100 under asynchrony for a
-// FIXED 30-virtual-second horizon with the scale-out flags (fb_adopt +
-// cert_relay) on vs off. Off reproduces the seed protocol, whose
-// equal-height adoption never builds the leader-pure chains the commit
-// rule needs under asynchrony — the baseline commits nothing and the row
-// is flagged `baseline_starved`. tools/check_scaling_gate.py asserts the
-// >= 25% per-decision message reduction on these rows (a starved baseline
-// counts as an infinite per-decision cost: 100% reduction, provided the
-// flags-on run does commit).
+// The acceptance row runs always-fallback at n=100 under asynchrony for a
+// FIXED 30-virtual-second horizon. tools/check_scaling_gate.py asserts
+// that it commits: strict adoption builds the leader-pure chains the
+// commit rule needs, and certificate relay keeps the O(n^2) fallback
+// traffic affordable (DESIGN.md §13).
 //
-// `--json <path>` appends every row as NDJSON (BENCH_pr8.json).
-// `--quick` caps the sweep at n <= 100 (CI smoke; the gate rows already
-// run at n=100 and stay in).
+// `--json <path>` appends every row as NDJSON.
+// `--quick` caps the sweep at n <= 100 (CI smoke; the gate row already
+// runs at n=100 and stays in).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,8 +34,6 @@ namespace {
 struct Row {
   const char* mode;
   std::uint32_t n = 0;
-  bool fb_adopt = true;
-  bool cert_relay = true;
   std::size_t decisions = 0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -64,8 +58,6 @@ struct RunSpec {
   SimTime async_mean = 0;        ///< 0 = config default
   std::size_t commit_target = 0;  ///< 0 = run the full horizon
   SimTime horizon = 600'000'000;
-  bool fb_adopt = true;
-  bool cert_relay = true;
 };
 
 Row run_one(const char* mode, std::uint32_t n, const RunSpec& spec) {
@@ -75,8 +67,6 @@ Row run_one(const char* mode, std::uint32_t n, const RunSpec& spec) {
   cfg.scenario = spec.scenario;
   cfg.seed = 80'000 + n;
   if (spec.async_mean != 0) cfg.async_mean = spec.async_mean;
-  cfg.pcfg.fb_adopt = spec.fb_adopt;
-  cfg.pcfg.cert_relay = spec.cert_relay;
   // Per-replica observability budget for the memory audit: a small traced
   // ring, clamped in bytes so n=300 x ring stays bounded (DESIGN.md §13.4).
   cfg.trace_capacity = 1 << 12;
@@ -93,8 +83,6 @@ Row run_one(const char* mode, std::uint32_t n, const RunSpec& spec) {
   Row row;
   row.mode = mode;
   row.n = n;
-  row.fb_adopt = spec.fb_adopt;
-  row.cert_relay = spec.cert_relay;
   row.decisions = exp.min_honest_commits();
   row.messages = exp.network().stats().messages;
   row.bytes = exp.network().stats().bytes;
@@ -107,20 +95,17 @@ Row run_one(const char* mode, std::uint32_t n, const RunSpec& spec) {
 }
 
 void print_row(const Row& r) {
-  std::printf("  %-9s n=%-4u flags=%s%s decisions=%-5zu msgs/dec=%-10.0f "
+  std::printf("  %-9s n=%-4u decisions=%-5zu msgs/dec=%-10.0f "
               "KiB/dec=%-8.1f blocks/s=%-7.1f pool-peak=%zuKiB wall=%.1fs\n",
-              r.mode, r.n, r.fb_adopt ? "A" : "-", r.cert_relay ? "R" : "-", r.decisions,
-              r.msgs_per_decision(), r.bytes_per_decision() / 1024.0, r.blocks_per_sec(),
-              r.share_pool_peak / 1024, r.wall_s);
+              r.mode, r.n, r.decisions, r.msgs_per_decision(), r.bytes_per_decision() / 1024.0,
+              r.blocks_per_sec(), r.share_pool_peak / 1024, r.wall_s);
 }
 
-void emit_row(const char* json_path, const Row& r, bool gate_row, bool starved) {
+void emit_row(const char* json_path, const Row& r, bool gate_row) {
   if (json_path == nullptr) return;
   bench::JsonLine("scaling")
       .field_str("mode", r.mode)
       .field("n", std::uint64_t{r.n})
-      .field("fb_adopt", std::uint64_t{r.fb_adopt ? 1u : 0u})
-      .field("cert_relay", std::uint64_t{r.cert_relay ? 1u : 0u})
       .field("decisions", std::uint64_t{r.decisions})
       .field("messages", r.messages)
       .field("bytes", r.bytes)
@@ -130,7 +115,6 @@ void emit_row(const char* json_path, const Row& r, bool gate_row, bool starved) 
       .field("virtual_time_s", r.virtual_us / 1e6)
       .field("share_pool_peak_bytes", std::uint64_t{r.share_pool_peak})
       .field("gate_row", std::uint64_t{gate_row ? 1u : 0u})
-      .field("baseline_starved", std::uint64_t{starved ? 1u : 0u})
       .field("wall_time_s", r.wall_s)
       .append_to(json_path);
 }
@@ -146,7 +130,6 @@ int main(int argc, char** argv) {
 
   std::printf("==============================================================\n");
   std::printf("Scale-out sweep: n=16..300, steady / fallback / always-fallback\n");
-  std::printf("(flags column: A = strict f-block adoption, R = certificate relay)\n");
   std::printf("==============================================================\n\n");
 
   // Commit targets shrink with n so each row stays a few wall-seconds: the
@@ -168,7 +151,7 @@ int main(int argc, char** argv) {
     steady.commit_target = s.steady;
     const Row r1 = run_one("steady", s.n, steady);
     print_row(r1);
-    emit_row(json_path, r1, false, false);
+    emit_row(json_path, r1, false);
 
     RunSpec fb;
     fb.protocol = Protocol::kFallback3Adopt;
@@ -177,7 +160,7 @@ int main(int argc, char** argv) {
     fb.commit_target = s.fallback;
     const Row r2 = run_one("fallback", s.n, fb);
     print_row(r2);
-    emit_row(json_path, r2, false, false);
+    emit_row(json_path, r2, false);
 
     RunSpec ace;
     ace.protocol = Protocol::kAlwaysFallback;
@@ -186,41 +169,21 @@ int main(int argc, char** argv) {
     ace.commit_target = s.ace;
     const Row r3 = run_one("ace", s.n, ace);
     print_row(r3);
-    emit_row(json_path, r3, false, false);
+    emit_row(json_path, r3, false);
   }
 
   std::printf("\n--- acceptance: always-fallback n=100 under asynchrony, fixed\n");
-  std::printf("    30-virtual-second horizon, scale-out flags on vs off --------\n\n");
+  std::printf("    30-virtual-second horizon --------------------------------\n\n");
   {
     RunSpec gate;
     gate.protocol = Protocol::kAlwaysFallback;
     gate.scenario = NetScenario::kAsynchronous;
     gate.async_mean = 50'000;
     gate.horizon = 30'000'000;
-    gate.commit_target = 0;  // run the whole horizon on both sides
-
-    RunSpec off = gate;
-    off.fb_adopt = false;
-    off.cert_relay = false;
-    const Row r_off = run_one("ace-gate", 100, off);
-    const Row r_on = run_one("ace-gate", 100, gate);
-    const bool starved = r_off.decisions == 0;
-    print_row(r_off);
-    print_row(r_on);
-    emit_row(json_path, r_off, true, starved);
-    emit_row(json_path, r_on, true, false);
-
-    if (starved) {
-      std::printf("\n  baseline (flags off) committed NOTHING in the horizon: the\n");
-      std::printf("  seed's equal-height adoption cannot assemble leader-pure chains\n");
-      std::printf("  under asynchrony, so its per-decision cost is unbounded.\n");
-      std::printf("  Reduction: 100%% (flags-on decisions: %zu)\n", r_on.decisions);
-    } else {
-      const double drop =
-          (r_off.msgs_per_decision() - r_on.msgs_per_decision()) / r_off.msgs_per_decision();
-      std::printf("\n  msgs/decision: off=%.0f on=%.0f reduction=%.1f%%\n",
-                  r_off.msgs_per_decision(), r_on.msgs_per_decision(), drop * 100.0);
-    }
+    gate.commit_target = 0;  // run the whole horizon
+    const Row r = run_one("ace-gate", 100, gate);
+    print_row(r);
+    emit_row(json_path, r, true);
   }
 
   std::printf("\nReading: steady cost is O(n) per decision and flat in n per\n");

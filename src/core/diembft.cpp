@@ -118,7 +118,7 @@ void DiemBftReplica::maybe_propose() {
 void DiemBftReplica::arm_timer() {
   if (timer_ != sim::kInvalidEvent) sim().cancel(timer_);
   const std::uint64_t factor =
-      std::min<std::uint64_t>(1 + consecutive_timeouts_, config().max_timeout_factor);
+      std::min<std::uint64_t>(1 + consecutive_timeouts_, kMaxTimeoutFactor);
   const Round round = r_cur_;
   timer_ = sim().schedule_after(config().base_timeout_us * factor,
                                 [this, round] { on_timer_fired(round); });

@@ -344,7 +344,7 @@ void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
 void FallbackReplica::arm_timer() {
   if (timer_ != sim::kInvalidEvent) sim().cancel(timer_);
   const std::uint64_t factor =
-      std::min<std::uint64_t>(1 + consecutive_timeouts_, config().max_timeout_factor);
+      std::min<std::uint64_t>(1 + consecutive_timeouts_, kMaxTimeoutFactor);
   const Round round = r_cur_;
   timer_ = sim().schedule_after(config().base_timeout_us * factor,
                                 [this, round] { on_timer_fired(round); });
@@ -597,7 +597,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   // so this stays a pure send-suppression. The condition is keyed on the
   // exact block id — never on (owner, round) or (owner, height), which
   // are not comparable across the re-proposed chain of a restarted owner.
-  if (config().cert_relay && smr::relay_active(params().n)) {
+  if (smr::relay_active(params().n)) {
     const smr::Certificate* have = store().certificate_for(block_id);
     if (have != nullptr && have->kind == smr::CertKind::kFallback && have->height == h) {
       ++stats_.fb_votes_thinned;
@@ -681,15 +681,14 @@ void FallbackReplica::note_fallback_qc(const smr::Certificate& fqc, ReplicaId hi
   if (!fallback_mode_) return;
 
   // §3 optimization / Fig 4: extend the first certified f-block we see at
-  // each height instead of waiting for our own chain. With fb_adopt on,
-  // the always-fallback baseline applies the rule *strictly* — adopt only
-  // a chain certified at a higher position than our own (the §3 wording).
-  // Adopting at an equal position forks our chain onto a foreign proposer
-  // mid-chain, and such mixed-proposer chains can never satisfy the
-  // endorsed 3-chain commit rule; at scale that starves decisions
-  // entirely (DESIGN.md §13).
-  const bool strict = fb_.always_fallback && config().fb_adopt;
-  const bool behind = strict ? own_height_ < fqc.height : own_height_ <= fqc.height;
+  // each height instead of waiting for our own chain. The always-fallback
+  // baseline applies the rule *strictly* — adopt only a chain certified
+  // at a higher position than our own (the §3 wording). Adopting at an
+  // equal position forks our chain onto a foreign proposer mid-chain, and
+  // such mixed-proposer chains can never satisfy the endorsed 3-chain
+  // commit rule; at scale that starves decisions entirely (DESIGN.md §13).
+  const bool behind =
+      fb_.always_fallback ? own_height_ < fqc.height : own_height_ <= fqc.height;
   if (fb_.adoption_enabled() && fqc.height < fb_.chain_len && behind) {
     trace(obs::EventKind::kChainAdopted, fqc.view, fqc.round, fqc.height, fqc.proposer);
     propose_fblock(fqc.height + 1, fqc, std::nullopt);
@@ -735,8 +734,7 @@ void FallbackReplica::maybe_trigger_election() {
   // Certificate relay (DESIGN.md §13): once the coin-QC itself has been
   // observed, our share can no longer contribute to assembling it — the
   // aggregate certificate supersedes the share traffic.
-  if (config().cert_relay && smr::relay_active(params().n) &&
-      coin_for(v_cur_) != nullptr) {
+  if (smr::relay_active(params().n) && coin_for(v_cur_) != nullptr) {
     ++stats_.coin_shares_suppressed;
     sent_coin_share_view_ = v_cur_;
     return;
@@ -765,16 +763,14 @@ void FallbackReplica::handle_coin_share(ReplicaId from, const smr::CoinShareMsg&
 void FallbackReplica::process_coin(const smr::CoinQC& coin) {
   const bool fresh = install_coin(coin);
   if (fresh) {
-    // Exit Fallback: forward the coin-QC. With certificate relay on, only
-    // the view's f+1 designated relayers multicast it — shares were
-    // multicast, so every honest replica assembles the coin-QC itself;
-    // the relay only shaves latency for stragglers, and f+1 designated
-    // relayers always include an honest one (DESIGN.md §13).
-    if (!config().cert_relay ||
-        smr::is_coin_relayer(id(), coin.view, params().n, params().f)) {
+    // Exit Fallback: forward the coin-QC. Only the view's designated
+    // relayers (all n at n <= 8) multicast it — shares were multicast, so
+    // every honest replica assembles the coin-QC itself; the relay only
+    // shaves latency for stragglers, and f+1 designated relayers always
+    // include an honest one (DESIGN.md §13).
+    if (smr::is_coin_relayer(id(), coin.view, params().n, params().f)) {
       smr::CoinQcMsg relay{coin, std::nullopt};
-      if (config().cert_relay && smr::relay_active(params().n) &&
-          frontier_.view() == coin.view) {
+      if (smr::relay_active(params().n) && frontier_.view() == coin.view) {
         // Piggyback the elected leader's best f-QC so a straggler exits
         // with the same endorsed lock without waiting for the f-QC to
         // arrive separately.

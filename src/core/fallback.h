@@ -13,7 +13,8 @@
 //  * always_fallback: strips the synchronous path entirely and runs the
 //    fallback machinery view after view — an ACE/VABA-style asynchronous
 //    SMR baseline paying O(n^2) per decision always (Table 1's "async
-//    SMR" row).
+//    SMR" row). It adopts strictly: only chains certified at a higher
+//    position than its own (DESIGN.md §13).
 #pragma once
 
 #include <optional>
@@ -37,6 +38,8 @@ struct FallbackParams {
   /// adoption (and its distinct-signer election counting) makes one live
   /// chain suffice, which is also how VABA-family protocols behave.
   bool adoption_enabled() const { return adoption || chain_len == 2 || always_fallback; }
+
+  bool operator==(const FallbackParams&) const = default;
 };
 
 class FallbackReplica final : public ReplicaBase {

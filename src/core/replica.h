@@ -50,7 +50,7 @@ struct ReplicaContext {
   /// Decode-once delivery cache. The harness shares one instance across
   /// all replicas of a simulation (they receive the same broadcast bytes,
   /// so one decode serves n deliveries); when unset the replica builds a
-  /// private cache of config.decode_cache_capacity entries.
+  /// private cache of DecodeCache::kDefaultCapacity entries.
   std::shared_ptr<smr::DecodeCache> decode_cache;
 
   /// Optional certificate audit for the structural-lemma checker. The
@@ -135,19 +135,19 @@ struct ReplicaStats {
   obs::Counter batch_ref_misses;
   /// Pull responses suppressed by the per-(peer, batch) cooldown — a
   /// nonzero count under honest load means peers are re-pulling faster
-  /// than batch_pull_timeout_us, i.e. the cooldown is misconfigured.
+  /// than ReplicaBase::kBatchPullTimeoutUs, i.e. the cooldown is too short.
   obs::Counter batch_pushes_suppressed;
   /// Scale-out fallback optimizations (DESIGN.md §13): fallback votes
   /// suppressed because the chain already held a completed f-QC at that
-  /// position (cert_relay); coin-QC re-multicasts skipped by
-  /// non-designated relayers (cert_relay); and certificates whose
+  /// position; coin-QC re-multicasts skipped by non-designated relayers
+  /// (both only where smr::relay_active(n)); and certificates whose
   /// threshold signature failed verification — rejected, with per-sender
   /// blame recorded (the Byzantine-adoption defense).
   obs::Counter fb_votes_thinned;
   obs::Counter coin_relays_suppressed;
   /// Coin shares not sent because the assembled coin-QC was already
   /// observed when our election triggered — the aggregate certificate
-  /// supersedes the share (cert_relay).
+  /// supersedes the share (only where smr::relay_active(n)).
   obs::Counter coin_shares_suppressed;
   obs::Counter bad_certs_rejected;
 };

@@ -23,10 +23,7 @@ ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
       on_commit_(ctx.on_commit),
       fallback_duration_hist_(ctx.fallback_duration_hist),
       wal_(ctx.wal),
-      dcache_(ctx.decode_cache
-                  ? ctx.decode_cache
-                  : std::make_shared<smr::DecodeCache>(ctx.config.decode_cache_capacity)),
-      batch_store_(ctx.config.batch_store_bytes) {
+      dcache_(ctx.decode_cache ? ctx.decode_cache : std::make_shared<smr::DecodeCache>()) {
   REPRO_ASSERT(sim_ != nullptr && net_ != nullptr && crypto_ != nullptr);
   qc_high_ = smr::genesis_certificate();
 }
@@ -501,7 +498,7 @@ void ReplicaBase::maybe_forge_ghost_chain(const smr::Block& real) {
   last_ghost_round_ = r;
   // A deterministic ghost batch, round-stamped so each round's fabricated
   // chain is distinct and large enough to ship as a reference.
-  Bytes batch_data(cfg_.batch_ref_min_bytes + 64, 0x6b);
+  Bytes batch_data(kBatchRefMinBytes + 64, 0x6b);
   Encoder stamp;
   stamp.u64(r);
   stamp.u64(id_);
@@ -581,7 +578,7 @@ void ReplicaBase::send_batch_pull(const smr::BatchId& ref) {
   ++stats_.batches_pulled;
   send(target, smr::BatchPullMsg{ref});
   const smr::BatchId ref_copy = ref;
-  st.timer = sim_->schedule_after(cfg_.batch_pull_timeout_us,
+  st.timer = sim_->schedule_after(kBatchPullTimeoutUs,
                                   [this, ref_copy] { on_batch_pull_timer(ref_copy); });
 }
 
@@ -593,7 +590,7 @@ void ReplicaBase::on_batch_pull_timer(const smr::BatchId& ref) {
     batch_pulls_.erase(it);
     return;
   }
-  if (++it->second.attempts > cfg_.batch_pull_retries) {
+  if (++it->second.attempts > kBatchPullRetries) {
     // Give up for now; the waiting_batch_ entries stay, so a late batch
     // still resolves, and a commit attempt restarts the pull.
     ++stats_.batch_pull_timeouts;
@@ -608,7 +605,7 @@ bool ReplicaBase::allow_batch_push(ReplicaId peer, const smr::BatchId& ref) {
   auto& log = recent_pushes_[peer];
   // Lazy expiry keeps the per-peer map to pushes inside the window.
   for (auto it = log.begin(); it != log.end();) {
-    it = now - it->second >= cfg_.batch_pull_timeout_us ? log.erase(it) : std::next(it);
+    it = now - it->second >= kBatchPullTimeoutUs ? log.erase(it) : std::next(it);
   }
   const bool fresh = log.emplace(ref, now).second;
   if (!fresh) ++stats_.batch_pushes_suppressed;

@@ -64,6 +64,20 @@ class SigPool {
 
 class ReplicaBase : public IReplica {
  public:
+  /// Cap on the round timer's growth factor: a replica waits
+  /// base_timeout_us x min(1 + consecutive timeouts, this).
+  static constexpr std::uint32_t kMaxTimeoutFactor = 8;
+  /// Only reference batches larger than this; smaller payloads (and the
+  /// empty batches of complexity benches) ship inline, since a 32-byte
+  /// digest plus an announcement round-trip costs more than it saves.
+  static constexpr std::size_t kBatchRefMinBytes = 256;
+  /// Retry cadence for pulling a missing batch (also the per-peer push
+  /// cooldown), and how many replicas to try, rotating from the proposer,
+  /// before counting a pull timeout and leaving recovery to the round
+  /// timer / fallback.
+  static constexpr SimTime kBatchPullTimeoutUs = 50'000;
+  static constexpr std::uint32_t kBatchPullRetries = 10;
+
   explicit ReplicaBase(const ReplicaContext& ctx);
 
   // IReplica ----------------------------------------------------------
@@ -365,7 +379,7 @@ class ReplicaBase : public IReplica {
   /// Whether a payload of `size` bytes ships as a 32-byte batch reference
   /// (the digest only pays off once the payload outweighs it).
   bool use_batch_ref(std::size_t size) const {
-    return cfg_.batch_refs && size > cfg_.batch_ref_min_bytes;
+    return cfg_.batch_refs && size > kBatchRefMinBytes;
   }
 
   /// Adaptive batch-size target (inert unless batch_bytes_max is set):
@@ -551,7 +565,7 @@ class ReplicaBase : public IReplica {
   std::unordered_map<smr::BatchId, BatchPull, smr::BlockIdHash> batch_pulls_;
   /// Recent pushes per peer (batch id -> send time), pruned lazily to the
   /// cooldown window. Bounded: entries exist only for batches we actually
-  /// hold (the byte-bounded store) and expire after batch_pull_timeout_us.
+  /// hold (the byte-bounded store) and expire after kBatchPullTimeoutUs.
   std::unordered_map<ReplicaId, std::unordered_map<smr::BatchId, SimTime, smr::BlockIdHash>>
       recent_pushes_;
   /// Proposal-authentication gate (see note_vote_candidate).

@@ -78,31 +78,6 @@ bool parse_fault_token(const std::string& s, core::FaultKind* out) {
   return true;
 }
 
-namespace {
-
-const char* protocol_token(Protocol p) {
-  switch (p) {
-    case Protocol::kDiemBft: return "diem";
-    case Protocol::kFallback3: return "fallback3";
-    case Protocol::kFallback3Adopt: return "fallback3adopt";
-    case Protocol::kFallback2: return "fallback2";
-    case Protocol::kAlwaysFallback: return "ace";
-  }
-  return "?";
-}
-
-bool parse_protocol_token(const std::string& s, Protocol* out) {
-  if (s == "diem") *out = Protocol::kDiemBft;
-  else if (s == "fallback3") *out = Protocol::kFallback3;
-  else if (s == "fallback3adopt") *out = Protocol::kFallback3Adopt;
-  else if (s == "fallback2") *out = Protocol::kFallback2;
-  else if (s == "ace") *out = Protocol::kAlwaysFallback;
-  else return false;
-  return true;
-}
-
-}  // namespace
-
 // ---- generator ---------------------------------------------------------
 
 ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosGenOptions& opt) {
@@ -694,7 +669,9 @@ std::optional<ChaosSchedule> schedule_from_json(const std::string& json) {
   s.n = static_cast<std::uint32_t>(u64_field("n", 4));
   if (s.n < 1 || s.n > 1'000) return std::nullopt;
   if (const Jv* v = root.get("protocol"); v != nullptr) {
-    if (v->t != Jv::T::kStr || !parse_protocol_token(v->str, &s.protocol)) return std::nullopt;
+    const auto protocol = v->t == Jv::T::kStr ? parse_protocol(v->str) : std::nullopt;
+    if (!protocol) return std::nullopt;
+    s.protocol = *protocol;
   }
   s.horizon_us = u64_field("horizon_us", 60'000'000);
   s.commit_target = u64_field("commit_target", 25);

@@ -7,17 +7,6 @@
 
 namespace repro::harness {
 
-const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kDiemBft: return "DiemBFT";
-    case Protocol::kFallback3: return "Fallback-3chain";
-    case Protocol::kFallback3Adopt: return "Fallback-3chain+adopt";
-    case Protocol::kFallback2: return "Fallback-2chain";
-    case Protocol::kAlwaysFallback: return "AlwaysFallback(ACE-style)";
-  }
-  return "?";
-}
-
 Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_.n) {
   crypto_ = crypto::CryptoSystem::deal(QuorumParams::for_n(cfg_.n), cfg_.seed ^ 0xc0ffee);
   ever_faulty_.assign(cfg_.n, 0);
@@ -30,7 +19,7 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
   // One decode cache for the whole system: every replica observes the same
   // broadcast bytes, so each distinct payload is parsed once — not once per
   // recipient (and not at all when the sender pre-populated at encode).
-  decode_cache_ = std::make_shared<smr::DecodeCache>(cfg_.pcfg.decode_cache_capacity);
+  decode_cache_ = std::make_shared<smr::DecodeCache>();
 
   // Observability: latency histograms owned by the registry, every
   // NetStats counter attached in place (the registry reads the same
@@ -88,7 +77,7 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
     };
     ctx.fallback_duration_hist = fallback_duration_hist_;
     ctxs_.push_back(ctx);
-    replicas_.push_back(build_replica_with_ctx(ctx));
+    replicas_.push_back(build_replica(cfg_.protocol, ctx));
     core::register_replica_stats(registry_, replicas_[id]->stats(), id);
     const obs::Labels labels{{"replica", std::to_string(id)}};
     // Gauges read through replicas_[id] at snapshot time, so they keep
@@ -136,30 +125,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
   }
 }
 
-std::unique_ptr<core::IReplica> Experiment::build_replica_with_ctx(
-    const core::ReplicaContext& ctx) {
-  core::FallbackParams fb;
-  switch (cfg_.protocol) {
-    case Protocol::kDiemBft:
-      return std::make_unique<core::DiemBftReplica>(ctx);
-    case Protocol::kFallback3:
-      fb.chain_len = 3;
-      break;
-    case Protocol::kFallback3Adopt:
-      fb.chain_len = 3;
-      fb.adoption = true;
-      break;
-    case Protocol::kFallback2:
-      fb.chain_len = 2;
-      break;
-    case Protocol::kAlwaysFallback:
-      fb.chain_len = 3;
-      fb.always_fallback = true;
-      break;
-  }
-  return std::make_unique<core::FallbackReplica>(ctx, fb);
-}
-
 std::unique_ptr<net::DelayModel> Experiment::build_delay_model() {
   if (cfg_.make_delay) return cfg_.make_delay();
   switch (cfg_.scenario) {
@@ -201,7 +166,7 @@ bool Experiment::restart_replica(ReplicaId id) {
   // bodies of the certificates the old one recorded.
   replicas_[id]->halt();
   parked_.push_back(std::move(replicas_[id]));
-  replicas_[id] = build_replica_with_ctx(ctxs_[id]);
+  replicas_[id] = build_replica(cfg_.protocol, ctxs_[id]);
   // The new instance owns fresh counter storage; re-attach it under the
   // same metric identity (the registry replaces the old pointers).
   core::register_replica_stats(registry_, replicas_[id]->stats(), id);

@@ -10,22 +10,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/diembft.h"
-#include "core/fallback.h"
+#include "harness/protocol.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 
 namespace repro::harness {
-
-enum class Protocol {
-  kDiemBft,         ///< Figure 1 baseline
-  kFallback3,       ///< Figure 2 (3-chain)
-  kFallback3Adopt,  ///< Figure 2 + §3 chain-adoption optimization
-  kFallback2,       ///< Figure 4 (2-chain)
-  kAlwaysFallback,  ///< ACE/VABA-style always-async baseline
-};
-
-const char* protocol_name(Protocol p);
 
 /// Network scenarios used across experiments.
 enum class NetScenario {
@@ -193,7 +182,6 @@ class Experiment {
 
  private:
   std::unique_ptr<net::DelayModel> build_delay_model();
-  std::unique_ptr<core::IReplica> build_replica_with_ctx(const core::ReplicaContext& ctx);
 
   ExperimentConfig cfg_;
   sim::Simulation sim_;

@@ -128,7 +128,8 @@ InvariantReport check_invariants(const Experiment& exp) {
   // Consecutive rounds hold only for the fallback protocols, whose vote
   // rule adds r == qc.r + 1 (Fig 2); DiemBFT legitimately skips rounds
   // after a TC, so only monotonicity applies there.
-  const bool consecutive_rounds = exp.config().protocol != Protocol::kDiemBft;
+  const auto& fallback = protocol_info(exp.config().protocol).fallback;
+  const bool consecutive_rounds = fallback.has_value();
   for (const smr::BlockId& id : certified_ids) {
     const auto b = find_block(id);
     if (!b) {
@@ -161,10 +162,7 @@ InvariantReport check_invariants(const Experiment& exp) {
   // safety then rests on Lemma 1 (per-(view,round) uniqueness, enforced by
   // the strictly-increasing r̄_vote[j] voting rule) plus commit adjacency —
   // a commit pair through a foreign, non-endorsed parent never counts.
-  const bool adoption = exp.config().protocol == Protocol::kFallback3Adopt ||
-                        exp.config().protocol == Protocol::kFallback2 ||
-                        exp.config().protocol == Protocol::kAlwaysFallback;
-  if (!adoption) {
+  if (!fallback || !fallback->adoption_enabled()) {
     std::map<View, std::map<Round, smr::BlockHeader>> per_view;
     for (const auto& c : certs) {
       if (!endorsed(c)) continue;

@@ -47,7 +47,12 @@ struct Batch {
 /// stored under the hash of their own bytes (see put()).
 class BatchStore {
  public:
-  explicit BatchStore(std::size_t max_bytes) : max_bytes_(max_bytes == 0 ? 1 : max_bytes) {}
+  /// A replica's bound: a safety limit against announcement floods, far
+  /// above any honest working set.
+  static constexpr std::size_t kDefaultMaxBytes = 64u << 20;
+
+  explicit BatchStore(std::size_t max_bytes = kDefaultMaxBytes)
+      : max_bytes_(max_bytes == 0 ? 1 : max_bytes) {}
 
   /// Store `data` under the hash the caller computed from it (callers
   /// MUST pass id == Batch::compute_id(data); the receive paths hash the

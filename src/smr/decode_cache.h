@@ -61,6 +61,8 @@ namespace repro::smr {
 
 class DecodeCache {
  public:
+  /// LRU entries. Bounded so a Byzantine flood of distinct valid messages
+  /// cannot grow replica memory without limit.
   static constexpr std::size_t kDefaultCapacity = 1024;
 
   /// hits counts deliveries served from the cache by remembered buffer.

@@ -87,8 +87,8 @@ class FallbackFrontier {
 /// relayer sets visibly widen the exit spread at small n — exactly where
 /// the relay savings are negligible (the suppression saves (n - relayers)
 /// · n messages per view, ~2/3 of the coin-QC traffic at n >= 100 but
-/// nothing worth having at n <= 8). Below the floor every replica relays,
-/// which is the seed behaviour.
+/// nothing worth having at n <= 8). At or below the floor every replica
+/// relays.
 inline constexpr std::uint32_t kMinCoinRelayers = 8;
 
 /// Designated coin-QC relayers for `view`: the max(f+1, kMinCoinRelayers)
@@ -111,8 +111,8 @@ inline bool is_coin_relayer(ReplicaId id, View view, std::uint32_t n, std::uint3
 /// exactly the configurations where one message can decide whether a
 /// crash-recovery trajectory converges. Above the floor the savings are
 /// O(n^2) per view and the suppressions carry the scale-out win
-/// (DESIGN.md §13). cert_relay=on at n <= kMinCoinRelayers is therefore
-/// byte-identical to cert_relay=off.
+/// (DESIGN.md §13). At n <= kMinCoinRelayers the protocol therefore sends
+/// exactly what relay-everywhere, vote-always would.
 inline bool relay_active(std::uint32_t n) { return n > kMinCoinRelayers; }
 
 }  // namespace repro::smr

@@ -1,8 +1,7 @@
-// Scale-out fallback optimizations (DESIGN.md §13): the strict
-// higher-position adoption rule, certificate relay, and their safety
-// properties under Byzantine certificate forgery — plus the seeded
-// determinism pins that hold the flags-off behaviour byte-identical to
-// the pre-optimization releases.
+// Scale-out fallback rules (DESIGN.md §13): the strict higher-position
+// adoption rule, certificate relay, and their safety properties under
+// Byzantine certificate forgery — plus seeded determinism pins on the
+// default protocol paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -105,51 +104,35 @@ TEST(ByzantineAdoption, ForgedCertsNeverEnterTheFrontier) {
   }
 }
 
-// ---- adoption on/off: both modes are safe and live ----------------------------
+// ---- strict adoption is safe and live ----------------------------------------
 
-TEST(AdoptionModes, StrictAndSeedAdoptionBothCommitWithPrefixAgreement) {
-  for (bool strict : {true, false}) {
-    ExperimentConfig cfg = ace_config(7, 21);
-    cfg.pcfg.fb_adopt = strict;
-    Experiment exp(cfg);
-    exp.start();
-    ASSERT_TRUE(exp.run_until_commits(12, 600'000'000)) << "fb_adopt=" << strict;
-    EXPECT_TRUE(exp.check_safety().ok) << "fb_adopt=" << strict;
-    check_chain_invariants(exp);
-  }
+TEST(AdoptionModes, StrictAdoptionCommitsWithPrefixAgreement) {
+  Experiment exp(ace_config(7, 21));
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(12, 600'000'000));
+  EXPECT_TRUE(exp.check_safety().ok);
+  check_chain_invariants(exp);
 }
 
 // ---- certificate relay: reduction smoke ---------------------------------------
 
 // Above the relayer floor (n > 8) the designated-relayer rule must
-// actually suppress coin-QC re-multicasts, with no safety cost; below or
-// with the flag off, the counters stay zero (seed behaviour).
+// actually suppress coin-QC re-multicasts, with no safety cost.
 TEST(CertRelay, SuppressesCoinRelaysAboveTheFloor) {
-  std::uint64_t suppressed_on = 0;
-  for (bool relay : {true, false}) {
-    ExperimentConfig cfg = ace_config(16, 1);
-    cfg.pcfg.cert_relay = relay;
-    Experiment exp(cfg);
-    exp.start();
-    ASSERT_TRUE(exp.run_until_commits(5, 600'000'000)) << "cert_relay=" << relay;
-    EXPECT_TRUE(exp.check_safety().ok);
-    std::uint64_t suppressed = 0;
-    for (ReplicaId id = 0; id < exp.n(); ++id) {
-      suppressed += exp.replica(id).stats().coin_relays_suppressed;
-    }
-    if (relay) {
-      suppressed_on = suppressed;
-    } else {
-      EXPECT_EQ(suppressed, 0u) << "flags off must not suppress anything";
-    }
+  Experiment exp(ace_config(16, 1));
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(5, 600'000'000));
+  EXPECT_TRUE(exp.check_safety().ok);
+  std::uint64_t suppressed = 0;
+  for (ReplicaId id = 0; id < exp.n(); ++id) {
+    suppressed += exp.replica(id).stats().coin_relays_suppressed;
   }
-  EXPECT_GT(suppressed_on, 0u) << "designated relayers never engaged at n=16";
+  EXPECT_GT(suppressed, 0u) << "designated relayers never engaged at n=16";
 }
 
 TEST(CertRelay, InertAtOrBelowTheRelayerFloor) {
   // n=7 <= kMinCoinRelayers: every replica is a designated relayer and
-  // both suppressions are gated off, so the counters must stay zero even
-  // with the flag on.
+  // both suppressions are gated off, so the counters must stay zero.
   Experiment exp(ace_config(7, 2));
   exp.start();
   ASSERT_TRUE(exp.run_until_commits(8, 600'000'000));
@@ -162,46 +145,43 @@ TEST(CertRelay, InertAtOrBelowTheRelayerFloor) {
 
 // ---- seeded determinism pins --------------------------------------------------
 
-// With both flags off, the protocol must be byte-identical to the
-// pre-optimization releases: same proposals, same certificates, same
-// commit timestamps, same trace stream. The golden hashes below were
-// recorded from the seed tree (equivalently: this tree with fb_adopt =
-// cert_relay = false), over bftlab's exact configurations:
+// The default protocol paths, trace for trace. The hashes match bftlab's
+// `--trace-out` file for the same run, e.g.
 //
 //   bftlab --protocol ace --net sync --n 7 --seed 42 --commits 20
-//          --no-adopt --no-relay --trace-out pin.ndjson
-//   bftlab --protocol fallback3adopt --net psync --n 7 --seed 7
-//          --commits 30 --no-adopt --no-relay --trace-out pin.ndjson
+//          --trace-out pin.ndjson && sha256sum pin.ndjson
 //
-// A hash change here means the flags-off path is no longer the seed
-// protocol — a silent behavioural change the differential benchmarks
-// would then be blind to.
-TEST(DeterminismPin, FlagsOffAceTraceIsByteIdentical) {
-  ExperimentConfig cfg = ace_config(7, 42);
-  cfg.pcfg.fb_adopt = false;
-  cfg.pcfg.cert_relay = false;
+// and each covers a different rule: strict adoption (ace), lenient §3
+// adoption with a timer-driven fallback (fallback3adopt under partial
+// synchrony), and certificate relay, which engages only above
+// smr::kMinCoinRelayers (ace at n=16: relayed coin-QCs and thinned
+// votes). A hash change means a refactor changed what the protocol does.
+std::string pinned_trace_hash(ExperimentConfig cfg, std::size_t commits) {
   cfg.trace_capacity = 1 << 16;  // bftlab's --trace-out ring size
   Experiment exp(cfg);
   exp.start();
-  ASSERT_TRUE(exp.run_until_commits(20, 600'000'000));
-  EXPECT_EQ(trace_hash(exp),
-            "8a03ae45e06c8f993a8aded09135e48d605215a1d9c240c46244977912c42f2a");
+  EXPECT_TRUE(exp.run_until_commits(commits, 600'000'000));
+  return trace_hash(exp);
 }
 
-TEST(DeterminismPin, FlagsOffFallbackAdoptTraceIsByteIdentical) {
+TEST(DeterminismPin, DefaultAceTraceIsByteIdentical) {
+  EXPECT_EQ(pinned_trace_hash(ace_config(7, 42), 20),
+            "f643c6688bb37457a690c4ea13b024a71e4826d13be5bd82f7f85436b14f22e8");
+}
+
+TEST(DeterminismPin, DefaultFallbackAdoptTraceIsByteIdentical) {
   ExperimentConfig cfg;
   cfg.n = 7;
   cfg.protocol = Protocol::kFallback3Adopt;
   cfg.scenario = NetScenario::kPartialSynchrony;
   cfg.seed = 7;
-  cfg.pcfg.fb_adopt = false;
-  cfg.pcfg.cert_relay = false;
-  cfg.trace_capacity = 1 << 16;
-  Experiment exp(cfg);
-  exp.start();
-  ASSERT_TRUE(exp.run_until_commits(30, 600'000'000));
-  EXPECT_EQ(trace_hash(exp),
+  EXPECT_EQ(pinned_trace_hash(cfg, 30),
             "7970de19efc07c5a346d784c7289bd4f6fb4a0d10966d843274b50b0e6d63ad1");
+}
+
+TEST(DeterminismPin, RelayActiveAceTraceIsByteIdentical) {
+  EXPECT_EQ(pinned_trace_hash(ace_config(16, 1), 5),
+            "bfd02ee44d122573fdf4efb323a9d8b0b72509c56a02966b67ce01f09cbad9f2");
 }
 
 }  // namespace

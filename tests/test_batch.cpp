@@ -95,7 +95,7 @@ TEST(BatchRef, RoundTripCommitsWithAnnouncedBatches) {
   cfg.n = 4;
   cfg.protocol = harness::Protocol::kFallback3;
   cfg.seed = 91;
-  cfg.pcfg.batch_bytes = 1024;  // > batch_ref_min_bytes: refs engage
+  cfg.pcfg.batch_bytes = 1024;  // > kBatchRefMinBytes: refs engage
   cfg.trace_capacity = 1 << 14;
   cfg.make_delay = [] { return std::make_unique<net::FixedDelayModel>(1'000); };
   harness::Experiment exp(cfg);
@@ -395,7 +395,7 @@ TEST(BatchRef, PullResponsesAreRateLimitedPerPeer) {
   EXPECT_EQ(pushes_to(3), 1u);
   // Past the cooldown the original peer is served again (honest retries
   // rotate through all n replicas, landing far outside the window).
-  rig.sim.run_until(rig.sim.now() + 2 * pcfg.batch_pull_timeout_us);
+  rig.sim.run_until(rig.sim.now() + 2 * core::ReplicaBase::kBatchPullTimeoutUs);
   rig.inject(2, smr::BatchPullMsg{ref});
   EXPECT_EQ(pushes_to(2), 2u);
 }

@@ -207,7 +207,7 @@ TEST(CrashRecovery, CrashDuringBatchRecoveryResumesPulls) {
   // that crashes mid-recovery re-issues the pulls immediately on restart
   // instead of stalling until some later proposal references the batch.
   auto cfg = recovery_config(Protocol::kFallback3, 29);
-  cfg.pcfg.batch_bytes = 512;       // > batch_ref_min_bytes -> reference blocks
+  cfg.pcfg.batch_bytes = 512;       // > kBatchRefMinBytes -> reference blocks
   cfg.pcfg.batch_announce = false;  // force every payload through the pull path
   Experiment exp(cfg);
   exp.start();

@@ -30,10 +30,15 @@ using namespace repro::harness;
 namespace {
 
 void usage() {
+  std::string protocols;
+  for (const ProtocolInfo& info : kProtocolTable) {
+    if (!protocols.empty()) protocols += " | ";
+    protocols += info.token;
+  }
   std::printf(
       "usage: bftlab [options]\n"
       "       bftlab fuzz [fuzz-options]   (see bftlab fuzz --help)\n"
-      "  --protocol P   diem | fallback3 | fallback3adopt | fallback2 | ace\n"
+      "  --protocol P   %s\n"
       "                 (default fallback3)\n"
       "  --net S        sync | async | psync | attack  (default sync)\n"
       "  --n N          replicas, n = 3f+1 recommended  (default 4)\n"
@@ -49,25 +54,12 @@ void usage() {
       "                 badshare | impersonate | forgeqc | ghost | tamperfb\n"
       "  --eager        verify every threshold share on arrival (default is\n"
       "                 optimistic combine-then-verify accumulation)\n"
-      "  --no-adopt     disable the strict higher-position adoption rule in\n"
-      "                 the ace baseline (ProtocolConfig::fb_adopt = false)\n"
-      "  --no-relay     disable certificate relay (designated coin-QC\n"
-      "                 relayers + redundant-vote suppression; cert_relay = false)\n"
       "  --wal          enable write-ahead logs\n"
       "  --quiet        metrics only, no banner\n"
       "  --trace-out F  write the merged NDJSON event trace to F\n"
       "                 (analyze with tools/tracecat)\n"
-      "  --metrics-out F  write an NDJSON registry snapshot to F\n");
-}
-
-bool parse_protocol(const std::string& s, Protocol* out) {
-  if (s == "diem") *out = Protocol::kDiemBft;
-  else if (s == "fallback3") *out = Protocol::kFallback3;
-  else if (s == "fallback3adopt") *out = Protocol::kFallback3Adopt;
-  else if (s == "fallback2") *out = Protocol::kFallback2;
-  else if (s == "ace") *out = Protocol::kAlwaysFallback;
-  else return false;
-  return true;
+      "  --metrics-out F  write an NDJSON registry snapshot to F\n",
+      protocols.c_str());
 }
 
 bool parse_net(const std::string& s, NetScenario* out) {
@@ -292,7 +284,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--protocol") {
-      if (!parse_protocol(next(), &cfg.protocol)) { usage(); return 2; }
+      const auto protocol = parse_protocol(next());
+      if (!protocol) { usage(); return 2; }
+      cfg.protocol = *protocol;
     } else if (arg == "--net") {
       if (!parse_net(next(), &cfg.scenario)) { usage(); return 2; }
     } else if (arg == "--n") {
@@ -312,10 +306,6 @@ int main(int argc, char** argv) {
       cfg.async_max = cfg.async_mean * 4;
     } else if (arg == "--eager") {
       cfg.pcfg.lazy_share_verify = false;
-    } else if (arg == "--no-adopt") {
-      cfg.pcfg.fb_adopt = false;
-    } else if (arg == "--no-relay") {
-      cfg.pcfg.cert_relay = false;
     } else if (arg == "--wal") {
       cfg.enable_wal = true;
     } else if (arg == "--quiet") {

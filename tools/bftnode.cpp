@@ -10,7 +10,7 @@
 //   peer = 127.0.0.1:9002
 //   peer = 127.0.0.1:9003
 //   seed = 7                   # cluster key seed — MUST match on all nodes
-//   protocol = fallback3       # fallback3 | fallback3adopt | fallback2 | diem
+//   protocol = fallback3       # diem | fallback3 | fallback3adopt | fallback2 | ace
 //   timeout_ms = 300
 //   batch_bytes = 256
 //   wal = node0.wal            # optional: durable vote state
@@ -39,8 +39,7 @@
 #include <thread>
 
 #include "common/config_file.h"
-#include "core/diembft.h"
-#include "core/fallback.h"
+#include "harness/protocol.h"
 #include "obs/admin.h"
 #include "obs/flight.h"
 #include "transport/node.h"
@@ -97,28 +96,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string protocol = cfg_file->get_str("protocol", "fallback3");
-  ReplicaFactory factory;
-  if (protocol == "diem") {
-    factory = [](const core::ReplicaContext& ctx) {
-      return std::make_unique<core::DiemBftReplica>(ctx);
-    };
-  } else {
-    core::FallbackParams fb;
-    if (protocol == "fallback3") {
-      fb.chain_len = 3;
-    } else if (protocol == "fallback3adopt") {
-      fb.chain_len = 3;
-      fb.adoption = true;
-    } else if (protocol == "fallback2") {
-      fb.chain_len = 2;
-    } else {
-      std::fprintf(stderr, "bftnode: unknown protocol '%s'\n", protocol.c_str());
-      return 2;
-    }
-    factory = [fb](const core::ReplicaContext& ctx) {
-      return std::make_unique<core::FallbackReplica>(ctx, fb);
-    };
+  const auto variant = harness::parse_protocol(protocol);
+  if (!variant) {
+    std::fprintf(stderr, "bftnode: unknown protocol '%s'\n", protocol.c_str());
+    return 2;
   }
+  const ReplicaFactory factory = [p = *variant](const core::ReplicaContext& ctx) {
+    return harness::build_replica(p, ctx);
+  };
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);

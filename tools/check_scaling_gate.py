@@ -1,35 +1,29 @@
 #!/usr/bin/env python3
-"""CI gate for the scale-out acceptance rows (PR 8, DESIGN.md §13).
+"""CI gate for the scale-out acceptance row (DESIGN.md §13).
 
-Reads a bench NDJSON file (BENCH_pr8.json) and asserts that on the
-always-fallback n=100 asynchrony rows (bench_scaling's `gate_row`
-pair, both sides run for the SAME fixed virtual horizon) the
-scale-out flags (strict f-block adoption + certificate relay) cut
-messages-per-decision by at least `min_drop`.
+Reads a bench NDJSON file written by `bench_scaling --json` and asserts
+that the always-fallback n=100 asynchrony row (bench_scaling's
+`gate_row`, run for a fixed 30-virtual-second horizon) commits at least
+one block. Strict f-block adoption is what lets always-fallback build
+the leader-pure chains the endorsed-consecutive commit rule needs under
+asynchrony; without it this row commits nothing. The gate also prints
+messages per decision, the cost certificate relay keeps down.
 
-The flags-off side reproduces the seed protocol. Under asynchrony
-its equal-height adoption never assembles the leader-pure chains the
-endorsed-consecutive commit rule needs, so it commits NOTHING in the
-horizon (the row carries `baseline_starved: 1`). A starved baseline
-has unbounded per-decision cost: the reduction is 100%, provided the
-flags-on side actually commits — that second condition is what this
-gate really enforces (asynchronous liveness at n=100), the message
-accounting covers the non-starved case.
-
-Usage: check_scaling_gate.py BENCH_pr8.json [min_drop] [n]
-  min_drop: minimum fractional msgs/decision reduction (default 0.25).
-  n:        committee size of the gated rows (default 100).
+Usage: check_scaling_gate.py SCALING.json [n]
+  n: committee size of the gated row (default 100).
 """
 import json
 import sys
 
 
 def main() -> int:
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_pr8.json"
-    min_drop = float(sys.argv[2]) if len(sys.argv) > 2 else 0.25
-    n_gate = int(sys.argv[3]) if len(sys.argv) > 3 else 100
+    if len(sys.argv) < 2:
+        print(__doc__)
+        return 2
+    path = sys.argv[1]
+    n_gate = int(sys.argv[2]) if len(sys.argv) > 2 else 100
 
-    off = on = None
+    gate = None
     with open(path) as f:
         for line in f:
             line = line.strip()
@@ -38,41 +32,22 @@ def main() -> int:
             row = json.loads(line)
             if row.get("bench") != "scaling" or not row.get("gate_row"):
                 continue
-            if int(row["n"]) != n_gate:
-                continue
-            # Last matching pair wins (the file accumulates across runs).
-            if row.get("fb_adopt") or row.get("cert_relay"):
-                on = row
-            else:
-                off = row
+            if int(row["n"]) == n_gate:
+                gate = row  # last matching row wins
 
-    if off is None or on is None:
-        print(f"scaling gate: no flags-on/off gate_row pair at n={n_gate} in {path}")
+    if gate is None:
+        print(f"scaling gate: no gate_row at n={n_gate} in {path}")
         return 1
 
-    on_dec = int(on["decisions"])
-    if on_dec == 0:
-        print(f"scaling gate: FAIL — flags-on run committed nothing at n={n_gate} "
-              "(asynchronous liveness lost)")
+    decisions = int(gate["decisions"])
+    if decisions == 0:
+        print(f"scaling gate: FAIL — always-fallback committed nothing at n={n_gate} "
+              f"in {gate['virtual_time_s']:.0f} virtual s (asynchronous liveness lost)")
         return 1
-
-    off_dec = int(off["decisions"])
-    if off_dec == 0:
-        if not off.get("baseline_starved"):
-            print("scaling gate: baseline committed nothing but the row is not "
-                  "flagged baseline_starved — bench and gate disagree")
-            return 1
-        print(f"scaling gate: OK — baseline starved (0 decisions in the horizon), "
-              f"flags-on committed {on_dec}: reduction 100% >= {min_drop:.0%}")
-        return 0
-
-    off_mpd = float(off["msgs_per_decision"])
-    on_mpd = float(on["msgs_per_decision"])
-    drop = (off_mpd - on_mpd) / off_mpd if off_mpd > 0 else 0.0
-    verdict = drop >= min_drop
-    print(f"scaling gate: n={n_gate} msgs/decision off={off_mpd:.0f} on={on_mpd:.0f} "
-          f"reduction={drop:.1%} (floor {min_drop:.0%}) -> {'OK' if verdict else 'FAIL'}")
-    return 0 if verdict else 1
+    print(f"scaling gate: OK — n={n_gate} always-fallback committed {decisions} blocks "
+          f"in {gate['virtual_time_s']:.0f} virtual s, "
+          f"{float(gate['msgs_per_decision']):.0f} msgs/decision")
+    return 0
 
 
 if __name__ == "__main__":
