@@ -5,6 +5,9 @@
 //
 // Network: synchronous for 10s, leader-attack asynchronous for 20s,
 // synchronous again for 10s. Confirm rule: f+1 acks.
+//
+// Exits 1 if any ack's Merkle proof is rejected, or if a fallback
+// protocol confirms nothing during the bad window.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -26,6 +29,7 @@ struct Outcome {
   std::uint64_t confirmed_good1 = 0, confirmed_bad = 0, confirmed_good2 = 0;
   double p50_good_ms = 0, p99_all_ms = 0;
   std::uint64_t unconfirmed_at_end = 0;
+  std::uint64_t bad_proofs = 0;
   /// Commit -> first client confirm (the span layer's chain tail): the
   /// ack fan-out + f+1 quorum cost on top of consensus latency.
   obs::LatencyStats commit_to_confirm;
@@ -75,6 +79,7 @@ Outcome run(Protocol p, std::uint64_t seed) {
   exp.sim().run_until(kEnd);
   out.confirmed_good2 = swarm.stats().confirmed - out.confirmed_good1 - out.confirmed_bad;
   out.unconfirmed_at_end = swarm.in_flight();
+  out.bad_proofs = swarm.stats().bad_proofs;
 
   auto lats = swarm.stats().confirm_latencies_us;
   if (!lats.empty()) {
@@ -96,6 +101,7 @@ int main() {
   std::printf("==============================================================\n\n");
   std::printf("  %-22s %12s %12s %12s %10s %10s %12s\n", "protocol", "conf(good1)",
               "conf(bad)", "conf(good2)", "p50 ms", "p99 ms", "stuck@end");
+  bool ok = true;
   for (auto [p, label] : {std::pair{Protocol::kDiemBft, "DiemBFT"},
                           std::pair{Protocol::kFallback3, "Ours (Fig 2)"},
                           std::pair{Protocol::kFallback2, "Ours 2-chain"}}) {
@@ -112,9 +118,18 @@ int main() {
                   o.commit_to_confirm.p99_us / 1000.0,
                   static_cast<unsigned long long>(o.commit_to_confirm.count));
     }
+    if (o.bad_proofs > 0) {
+      std::printf("  FAIL: %s rejected %llu ack proofs\n", label,
+                  static_cast<unsigned long long>(o.bad_proofs));
+      ok = false;
+    }
+    if (p != Protocol::kDiemBft && o.confirmed_bad == 0) {
+      std::printf("  FAIL: %s confirmed nothing in the bad window\n", label);
+      ok = false;
+    }
   }
   std::printf("\nReading: during the bad window DiemBFT confirms ~0 transactions\n");
   std::printf("(they pile up as stuck/in-flight until recovery); the fallback\n");
   std::printf("protocols keep confirming, at fallback (quadratic-path) latency.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

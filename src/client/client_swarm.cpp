@@ -8,15 +8,29 @@ namespace repro::client {
 
 // ---- TxnPools --------------------------------------------------------------
 
-void TxnPools::submit(ReplicaId to, const TxnId& id, BytesView payload) {
+TxnId txn_id(BytesView body) { return crypto::sha256_tagged("repro/txn", body); }
+
+void TxnPools::submit(ReplicaId to, BytesView body) {
   REPRO_ASSERT(to < queues_.size());
+  const TxnId id = txn_id(body);
   if (!queued_ids_[to].insert(id).second) return;
   auto& q = queues_[to];
   if (q.size() >= capacity()) {
     queued_ids_[to].erase(q.front().id);
     q.pop_front();
   }
-  q.push_back(Pending{id, Bytes(payload.begin(), payload.end())});
+  q.push_back(Pending{id, Bytes(body.begin(), body.end())});
+}
+
+void TxnPools::retire(ReplicaId replica, const std::vector<TxnId>& ids) {
+  REPRO_ASSERT(replica < queues_.size());
+  auto& queued = queued_ids_[replica];
+  std::size_t matched = 0;
+  for (const TxnId& id : ids) matched += queued.erase(id);
+  if (matched == 0) return;
+  // The id set mirrored the queue, so the entries it no longer holds are
+  // exactly the retired ones.
+  std::erase_if(queues_[replica], [&](const Pending& p) { return !queued.contains(p.id); });
 }
 
 Bytes TxnPools::next_batch(ReplicaId proposer) {
@@ -27,7 +41,6 @@ Bytes TxnPools::next_batch(ReplicaId proposer) {
   enc.u32(static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     const Pending& p = q.front();
-    enc.raw(BytesView(p.id.data(), p.id.size()));
     enc.bytes(p.payload);
     queued_ids_[proposer].erase(p.id);
     q.pop_front();
@@ -37,17 +50,7 @@ Bytes TxnPools::next_batch(ReplicaId proposer) {
 
 std::vector<TxnId> TxnPools::decode_txn_ids(BytesView payload) {
   std::vector<TxnId> ids;
-  Decoder dec(payload);
-  auto count = dec.u32();
-  if (!count) return ids;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto raw = dec.raw(32);
-    auto body = dec.bytes();
-    if (!raw || !body) return ids;
-    TxnId id;
-    std::copy(raw->begin(), raw->end(), id.begin());
-    ids.push_back(id);
-  }
+  for (const Bytes& body : decode_txn_payloads(payload)) ids.push_back(txn_id(body));
   return ids;
 }
 
@@ -57,9 +60,8 @@ std::vector<Bytes> TxnPools::decode_txn_payloads(BytesView payload) {
   auto count = dec.u32();
   if (!count) return out;
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto raw = dec.raw(32);
     auto body = dec.bytes();
-    if (!raw || !body) return out;
+    if (!body) return out;
     out.push_back(std::move(*body));
   }
   return out;
@@ -100,7 +102,7 @@ void ClientSwarm::submit_txn(std::uint32_t client) {
   while (enc.size() < cfg_.txn_bytes) enc.u64(rng_.next());
   Bytes payload = std::move(enc).result();
   payload.resize(cfg_.txn_bytes);
-  const TxnId id = crypto::sha256_tagged("repro/txn", payload);
+  const TxnId id = txn_id(payload);
 
   InFlight fl;
   fl.client = client;
@@ -118,10 +120,9 @@ void ClientSwarm::send_to_replica(const TxnId& id, ReplicaId target) {
   auto it = in_flight_.find(id);
   if (it == in_flight_.end()) return;
   ++stats_.rpc_messages;
-  stats_.rpc_bytes += it->second.payload.size() + 32;
-  const Bytes payload = it->second.payload;
-  exp_.sim().schedule_after(rpc_delay(), [this, id, target, payload] {
-    pools_->submit(target, id, payload);
+  stats_.rpc_bytes += it->second.payload.size();  // the body; its id is derived
+  exp_.sim().schedule_after(rpc_delay(), [this, target, payload = it->second.payload] {
+    pools_->submit(target, payload);
   });
 }
 
@@ -148,9 +149,11 @@ std::deque<ClientSwarm::CommittedBatch>::iterator ClientSwarm::committed_batch(
                          [&](const CommittedBatch& b) { return b.block_id == block.id; });
   if (it != batch_memo_.end()) return it;
   if (batch_memo_.size() >= kBatchMemoCap) batch_memo_.pop_front();
-  batch_memo_.push_back(CommittedBatch{
-      block.id, TxnPools::decode_txn_ids(block.txns()),
-      crypto::MerkleTree(TxnPools::decode_txn_payloads(block.txns())), 0});
+  std::vector<Bytes> bodies = TxnPools::decode_txn_payloads(block.txns());
+  std::vector<TxnId> ids;
+  ids.reserve(bodies.size());
+  for (const Bytes& body : bodies) ids.push_back(txn_id(body));
+  batch_memo_.push_back(CommittedBatch{block.id, std::move(ids), crypto::MerkleTree(bodies), 0});
   return std::prev(batch_memo_.end());
 }
 
@@ -159,6 +162,8 @@ void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
   // inclusion proof to each acknowledgment.
   const auto batch = committed_batch(block);
   const std::vector<TxnId>& ids = batch->ids;
+  // The committing replica will not propose these again (DESIGN.md §20).
+  pools_->retire(replica, ids);
   const crypto::MerkleTree& tree = batch->tree;
   const std::uint64_t block_key = crypto::digest_prefix_u64(block.id);
   for (std::uint32_t i = 0; i < ids.size(); ++i) {

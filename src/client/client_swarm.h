@@ -30,6 +30,11 @@ namespace repro::client {
 
 using TxnId = crypto::Digest;
 
+/// A transaction's id: the tagged hash of its body. Batches carry bodies
+/// only, and every reader derives the ids with this one function, so an
+/// id always agrees with the bytes it names.
+TxnId txn_id(BytesView body);
+
 struct TxnIdHash {
   std::size_t operator()(const TxnId& id) const {
     return static_cast<std::size_t>(crypto::digest_prefix_u64(id));
@@ -74,20 +79,27 @@ class TxnPools {
       : queues_(n), queued_ids_(n), max_batch_(max_batch_txns) {}
 
   /// Enqueue a transaction at one replica's pool, unless that pool already
-  /// holds it (a retry may land at a replica already holding the txn). A
-  /// full pool drops its oldest txn first. A txn drained into a batch can
-  /// be submitted again.
-  void submit(ReplicaId to, const TxnId& id, BytesView payload);
+  /// holds it (a retry may land at a replica already holding the txn). The
+  /// pool keys it by txn_id(body). A full pool drops its oldest txn first.
+  /// A txn drained into a batch can be submitted again.
+  void submit(ReplicaId to, BytesView body);
+
+  /// Commit-side: drop the txns of a block `replica` committed from its own
+  /// pool, so it never proposes them again. Other pools are untouched:
+  /// each replica drops its copies when it commits the block itself.
+  void retire(ReplicaId replica, const std::vector<TxnId>& ids);
 
   /// Txns waiting in one replica's pool, and the most a pool holds.
   std::size_t size(ReplicaId r) const { return queues_[r].size(); }
   std::size_t capacity() const { return kCapacityBatches * max_batch_; }
 
   /// Proposer-side: drain up to max_batch txns into a block payload.
-  /// Encoding: u32 count, then per txn (32-byte id, length-prefixed body).
+  /// Encoding: u32 count, then one length-prefixed body per txn (u32
+  /// length, bytes); no ids, since each id is txn_id(body) (DESIGN.md §20).
   Bytes next_batch(ReplicaId proposer);
 
-  /// Decode the txn ids inside a committed block payload.
+  /// Decode the txn ids inside a committed block payload, deriving each
+  /// from its body. A truncated payload yields the ids of its whole bodies.
   static std::vector<TxnId> decode_txn_ids(BytesView payload);
 
   /// Decode the raw txn payloads of a batch (Merkle leaves).

@@ -55,11 +55,13 @@ void DiemBftReplica::lock_step(const smr::Certificate& qc, ReplicaId hint) {
 
 void DiemBftReplica::advance_to(Round round, const std::optional<smr::TimeoutCert>& tc) {
   if (round <= r_cur_) return;
+  const bool crossed = round / 64 != r_cur_ / 64;
   r_cur_ = round;
   timed_out_cur_round_ = false;
   entry_tc_ = tc;
-  if (r_cur_ % 64 == 0) {
+  if (crossed) {
     // Bound memory on long runs: shares for long-past rounds are dead.
+    // Rounds jump, so the prune runs whenever a multiple of 64 is crossed.
     const Round floor = r_cur_ > 64 ? r_cur_ - 64 : 0;
     votes_.erase_if([floor](const std::tuple<smr::BlockId, Round>& key) {
       return std::get<1>(key) < floor;

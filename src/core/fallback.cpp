@@ -165,10 +165,12 @@ void FallbackReplica::lock_full(const smr::Certificate& cert, ReplicaId hint) {
 void FallbackReplica::advance_round_from(const smr::Certificate& cert) {
   const Round target = cert.round + 1;
   if (target <= r_cur_) return;
+  // Rounds jump, so prune whenever the new round crosses a multiple of 64.
+  const bool crossed = target / 64 != r_cur_ / 64;
   r_cur_ = target;
   timed_out_cur_round_ = false;
   consecutive_timeouts_ = 0;  // a QC means progress
-  if (r_cur_ % 64 == 0) prune_stale_pools();
+  if (crossed) prune_stale_pools();
   if (!fb_.always_fallback) arm_timer();
   maybe_propose_steady();
 }

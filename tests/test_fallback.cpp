@@ -379,6 +379,22 @@ TEST(Fallback, LargerScaleSanity) {
   check_chain_invariants(exp);
 }
 
+TEST(Fallback, LongAsyncRunKeepsItsShareQuorums) {
+  // Rounds jump by several at a time, so a share-pool prune that ran only
+  // when r % 64 == 0 was mostly stepped over. The f-vote pool then filled
+  // its cap and evicted live shares, and this run stopped at 433
+  // decisions with an empty event queue. The prune now runs whenever the
+  // round crosses a multiple of 64.
+  auto cfg = fb_config(Protocol::kFallback3, 4, /*seed=*/1);
+  cfg.scenario = NetScenario::kAsynchronous;
+  Experiment exp(cfg);
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(500, 1'000'000'000'000ull))
+      << "stopped at " << exp.min_honest_commits() << " decisions";
+  EXPECT_TRUE(exp.check_safety().ok);
+  check_chain_invariants(exp);
+}
+
 TEST(Fallback, DeterministicForFixedSeed) {
   auto run = [](std::uint64_t seed) {
     auto cfg = fb_config(Protocol::kFallback3, 4, seed);

@@ -3,7 +3,8 @@
 // stays prefix-consistent, and tolerates a node crash + rejoin.
 //
 // These tests use real time and real sockets; they are kept short (a few
-// hundred milliseconds each) and use pid-derived ports to avoid clashes.
+// hundred milliseconds each) and take their ports from the kernel
+// (test_ports.h), so parallel test processes never clash.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -14,15 +15,11 @@
 #include <thread>
 
 #include "core/fallback.h"
+#include "test_ports.h"
 #include "transport/node.h"
 
 namespace repro::transport {
 namespace {
-
-std::uint16_t base_port() {
-  // Spread across runs; stay above the ephemeral floor most systems use.
-  return static_cast<std::uint16_t>(21000 + (::getpid() * 37) % 20000);
-}
 
 ReplicaFactory fallback_factory(core::FallbackParams fb = {}) {
   return [fb](const core::ReplicaContext& ctx) {
@@ -36,11 +33,11 @@ struct Cluster {
   std::vector<std::unique_ptr<storage::FileWal>> wals;
   std::vector<std::unique_ptr<TcpNode>> nodes;
 
-  Cluster(std::uint32_t n, std::uint16_t port0, bool with_wal = false) {
+  /// One node per port in `ports`.
+  explicit Cluster(const std::vector<std::uint16_t>& ports, bool with_wal = false) {
+    const auto n = static_cast<std::uint32_t>(ports.size());
     crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(n), 99);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      peers.push_back(PeerAddress{"127.0.0.1", static_cast<std::uint16_t>(port0 + i)});
-    }
+    for (const std::uint16_t port : ports) peers.push_back(PeerAddress{"127.0.0.1", port});
     for (ReplicaId i = 0; i < n; ++i) {
       NodeConfig cfg;
       cfg.id = i;
@@ -50,7 +47,7 @@ struct Cluster {
       cfg.pcfg.base_timeout_us = 200'000;
       if (with_wal) {
         wals.push_back(std::make_unique<storage::FileWal>(
-            ::testing::TempDir() + "tcp_wal_" + std::to_string(port0 + i) + ".log"));
+            ::testing::TempDir() + "tcp_wal_" + std::to_string(ports[i]) + ".log"));
         cfg.wal = wals.back().get();
       }
       nodes.push_back(std::make_unique<TcpNode>(cfg, fallback_factory()));
@@ -100,7 +97,7 @@ struct Cluster {
 };
 
 TEST(TcpCluster, FourNodesCommitOverRealSockets) {
-  Cluster cluster(4, base_port());
+  Cluster cluster(kernel_ports(4));
   cluster.start_all();
   ASSERT_TRUE(cluster.wait_commits(10, std::chrono::seconds(20)));
   cluster.stop_all();
@@ -114,7 +111,7 @@ TEST(TcpCluster, FourNodesCommitOverRealSockets) {
 TEST(TcpCluster, SurvivesSlowStart) {
   // Start nodes staggered: late joiners connect through the reconnect
   // path and the cluster still commits.
-  Cluster cluster(4, static_cast<std::uint16_t>(base_port() + 100));
+  Cluster cluster(kernel_ports(4));
   cluster.nodes[0]->start();
   cluster.nodes[1]->start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -126,8 +123,7 @@ TEST(TcpCluster, SurvivesSlowStart) {
 }
 
 TEST(TcpCluster, NodeCrashAndWalRecoveryOverTcp) {
-  const auto port0 = static_cast<std::uint16_t>(base_port() + 200);
-  Cluster cluster(4, port0, /*with_wal=*/true);
+  Cluster cluster(kernel_ports(4), /*with_wal=*/true);
   cluster.start_all();
   ASSERT_TRUE(cluster.wait_commits(5, std::chrono::seconds(20)));
 

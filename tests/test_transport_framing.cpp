@@ -12,32 +12,26 @@
 #include <thread>
 
 #include "core/fallback.h"
+#include "test_ports.h"
 #include "transport/node.h"
 
 namespace repro::transport {
 namespace {
 
-std::uint16_t framing_port(int offset) {
-  return static_cast<std::uint16_t>(27000 + (::getpid() * 7) % 6000 + offset * 8);
-}
-
 struct NodeRig {
   std::shared_ptr<const crypto::CryptoSystem> crypto_sys;
   std::unique_ptr<TcpNode> node;
-  std::uint16_t port;
+  std::uint16_t port = 0;  // node 0's listen port
 
-  explicit NodeRig(int offset, SimTime hello_timeout = 2'000'000)
-      : port(framing_port(offset)) {
+  explicit NodeRig(SimTime hello_timeout = 2'000'000) {
     // A 4-peer cluster where only replica 0 actually runs; the test
     // socket impersonates replica 3 (3 > 0, so it dials us — matching the
     // connection convention).
     crypto_sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 5);
     NodeConfig cfg;
     cfg.id = 0;
-    for (int i = 0; i < 4; ++i) {
-      cfg.peers.push_back(
-          PeerAddress{"127.0.0.1", static_cast<std::uint16_t>(port + i)});
-    }
+    for (const std::uint16_t p : kernel_ports(4)) cfg.peers.push_back(PeerAddress{"127.0.0.1", p});
+    port = cfg.peers[0].port;
     cfg.crypto = crypto_sys;
     cfg.seed = 1;
     cfg.pcfg.base_timeout_us = 200'000;
@@ -96,7 +90,7 @@ struct NodeRig {
 };
 
 TEST(TcpFraming, WholeStreamAtOnce) {
-  NodeRig rig(0);
+  NodeRig rig;
   const int fd = rig.connect_raw();
   NodeRig::send_all(fd, rig.hello_and_message());
   // A BlockRequest for genesis earns a BlockResponse.
@@ -105,7 +99,7 @@ TEST(TcpFraming, WholeStreamAtOnce) {
 }
 
 TEST(TcpFraming, ByteByByteFragmentation) {
-  NodeRig rig(1);
+  NodeRig rig;
   const int fd = rig.connect_raw();
   const Bytes stream = rig.hello_and_message();
   for (std::uint8_t b : stream) {
@@ -117,7 +111,7 @@ TEST(TcpFraming, ByteByByteFragmentation) {
 }
 
 TEST(TcpFraming, OversizedFrameClosesConnection) {
-  NodeRig rig(2);
+  NodeRig rig;
   const int fd = rig.connect_raw();
   Bytes stream = NodeRig::le32(3);                  // hello
   const Bytes huge = NodeRig::le32(64u << 20);      // 64 MiB claim > 16 MiB cap
@@ -132,7 +126,7 @@ TEST(TcpFraming, OversizedFrameClosesConnection) {
 }
 
 TEST(TcpFraming, BogusHelloClosesConnection) {
-  NodeRig rig(3);
+  NodeRig rig;
   const int fd = rig.connect_raw();
   NodeRig::send_all(fd, NodeRig::le32(999));  // peer id out of range
   std::uint8_t buf[16];
@@ -143,7 +137,7 @@ TEST(TcpFraming, BogusHelloClosesConnection) {
 }
 
 TEST(TcpFraming, AbruptDisconnectDoesNotWedgeNode) {
-  NodeRig rig(4);
+  NodeRig rig;
   for (int i = 0; i < 5; ++i) {
     const int fd = rig.connect_raw();
     NodeRig::send_all(fd, NodeRig::le32(3));
@@ -160,7 +154,7 @@ TEST(TcpFraming, AbruptDisconnectDoesNotWedgeNode) {
 TEST(TcpFraming, HalfOpenConnectionIsReapedAfterHelloDeadline) {
   // A connection that never completes the 4-byte hello must not hold a
   // conns_ slot forever: the node closes it once hello_timeout passes.
-  NodeRig rig(6, /*hello_timeout=*/200'000);  // 200 ms
+  NodeRig rig(/*hello_timeout=*/200'000);  // 200 ms
   const int fd = rig.connect_raw();
   NodeRig::send_all(fd, Bytes{3});  // one byte of hello, then stall
   std::uint8_t buf[16];
@@ -179,7 +173,7 @@ TEST(TcpFraming, HalfOpenConnectionIsReapedAfterHelloDeadline) {
 TEST(TcpFraming, PromptHelloIsNotReaped) {
   // The deadline applies only to unidentified connections: an identified
   // peer idling past hello_timeout stays connected.
-  NodeRig rig(7, /*hello_timeout=*/200'000);
+  NodeRig rig(/*hello_timeout=*/200'000);
   const int fd = rig.connect_raw();
   NodeRig::send_all(fd, NodeRig::le32(3));  // complete hello immediately
   std::this_thread::sleep_for(std::chrono::milliseconds(400));  // idle past deadline
@@ -193,7 +187,7 @@ TEST(TcpFraming, PromptHelloIsNotReaped) {
 }
 
 TEST(TcpFraming, GarbagePayloadInsideValidFrameIsDropped) {
-  NodeRig rig(5);
+  NodeRig rig;
   const int fd = rig.connect_raw();
   Bytes stream = NodeRig::le32(3);
   const Bytes junk = {0xde, 0xad, 0xbe, 0xef, 0x01};
