@@ -55,19 +55,11 @@ void DiemBftReplica::lock_step(const smr::Certificate& qc, ReplicaId hint) {
 
 void DiemBftReplica::advance_to(Round round, const std::optional<smr::TimeoutCert>& tc) {
   if (round <= r_cur_) return;
-  const bool crossed = round / 64 != r_cur_ / 64;
   r_cur_ = round;
   timed_out_cur_round_ = false;
   entry_tc_ = tc;
-  if (crossed) {
-    // Bound memory on long runs: shares for long-past rounds are dead.
-    // Rounds jump, so the prune runs whenever a multiple of 64 is crossed.
-    const Round floor = r_cur_ > 64 ? r_cur_ - 64 : 0;
-    votes_.erase_if([floor](const std::tuple<smr::BlockId, Round>& key) {
-      return std::get<1>(key) < floor;
-    });
-    timeout_shares_.erase_if([floor](Round r) { return r < floor; });
-  }
+  votes_.erase_before({round_window_floor(), smr::BlockId{}});
+  timeout_shares_.erase_before(round_window_floor());
   if (tc) {
     // "Upon entering round r, the replica sends the round-(r-1) tc to L_r."
     send(leader_of(round), smr::DiemTcMsg{*tc});
@@ -211,8 +203,8 @@ void DiemBftReplica::on_batch_resolved(const smr::Block& block, ReplicaId) {
 }
 
 void DiemBftReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
-  if (msg.view != 0) return;
-  const auto key = std::make_tuple(msg.block_id, msg.round);
+  if (msg.view != 0 || beyond_round_window(msg.round)) return;
+  const auto key = std::make_tuple(msg.round, msg.block_id);
   auto sig = add_share(votes_, key, from, msg.share, crypto_sys().quorum_sigs, [&] {
     return smr::cert_signing_message(smr::CertKind::kQuorum, msg.block_id, msg.round, 0, 0, 0);
   });
@@ -237,7 +229,7 @@ void DiemBftReplica::handle_timeout(ReplicaId from, const smr::DiemTimeoutMsg& m
     lock_step(msg.qc_high, from);
   }
 
-  if (msg.round <= highest_tc_formed_) return;
+  if (msg.round <= highest_tc_formed_ || beyond_round_window(msg.round)) return;
   auto sig = add_share(timeout_shares_, msg.round, from, msg.round_share,
                        crypto_sys().quorum_sigs,
                        [&] { return smr::tc_signing_message(msg.round); });

@@ -16,10 +16,7 @@ namespace repro::core {
 
 class DiemBftReplica final : public ReplicaBase {
  public:
-  explicit DiemBftReplica(const ReplicaContext& ctx) : ReplicaBase(ctx) {
-    votes_.set_max_entries(512);          // flood backstop; see DESIGN.md §13.4
-    timeout_shares_.set_max_entries(64);  // honest load: one round in flight
-  }
+  explicit DiemBftReplica(const ReplicaContext& ctx) : ReplicaBase(ctx) {}
 
   void start() override;
   bool in_fallback() const override { return false; }
@@ -84,8 +81,9 @@ class DiemBftReplica final : public ReplicaBase {
 
   // Share accumulators (combine-then-verify; see smr/share_accumulator.h).
   // Pool keys cover every field of the signing message, so one accumulator
-  // never mixes shares of different messages.
-  smr::SharePool<std::tuple<smr::BlockId, Round>> votes_;  ///< collected as L_{r+1}
+  // never mixes shares of different messages; they lead with the round,
+  // which kRoundWindow bounds on both sides (DESIGN.md §21).
+  smr::SharePool<std::tuple<Round, smr::BlockId>> votes_;  ///< collected as L_{r+1}
   smr::SharePool<Round> timeout_shares_;
   Round highest_tc_formed_ = 0;  ///< don't re-form TCs for old rounds
 };

@@ -9,14 +9,6 @@ FallbackReplica::FallbackReplica(const ReplicaContext& ctx, FallbackParams fb)
   REPRO_ASSERT(fb_.chain_len == 2 || fb_.chain_len == 3);
   r_vote_bar_.assign(params().n, 0);
   h_vote_bar_.assign(params().n, 0);
-  // Byzantine-flood backstops (DESIGN.md §13.4). The periodic pruning
-  // already bounds honest load far below these caps (views: horizon 8 +
-  // floor 4; rounds: 64-round window; fb-votes: own chain only), so an
-  // eviction here can only hit an attacker-created key.
-  view_timeout_shares_.set_max_entries(64);
-  coin_shares_.set_max_entries(64);
-  fb_votes_.set_max_entries(256);
-  votes_.set_max_entries(512);
   recover_from_wal();  // restores vote state if a WAL with history is attached
 }
 
@@ -165,33 +157,12 @@ void FallbackReplica::lock_full(const smr::Certificate& cert, ReplicaId hint) {
 void FallbackReplica::advance_round_from(const smr::Certificate& cert) {
   const Round target = cert.round + 1;
   if (target <= r_cur_) return;
-  // Rounds jump, so prune whenever the new round crosses a multiple of 64.
-  const bool crossed = target / 64 != r_cur_ / 64;
   r_cur_ = target;
   timed_out_cur_round_ = false;
   consecutive_timeouts_ = 0;  // a QC means progress
-  if (crossed) prune_stale_pools();
+  votes_.erase_before({round_window_floor(), 0, smr::BlockId{}});
   if (!fb_.always_fallback) arm_timer();
   maybe_propose_steady();
-}
-
-void FallbackReplica::prune_stale_pools() {
-  // Shares for long-past rounds/views can never reach a quorum we still
-  // care about; dropping them bounds memory on long runs.
-  const Round round_floor = r_cur_ > 64 ? r_cur_ - 64 : 0;
-  votes_.erase_if([round_floor](const std::tuple<smr::BlockId, Round, View>& key) {
-    return std::get<1>(key) < round_floor;
-  });
-  const View view_floor = v_cur_ > 4 ? v_cur_ - 4 : 0;
-  view_timeout_shares_.erase_if([view_floor](View v) { return v < view_floor; });
-  coin_shares_.erase_if([view_floor](View v) { return v < view_floor; });
-  fb_votes_.erase_if([this](const std::tuple<smr::BlockId, FallbackHeight>& key) {
-    // Keep only shares for blocks of our current own chain.
-    for (const auto& [h, id] : own_fblock_) {
-      if (id == std::get<0>(key)) return false;
-    }
-    return true;
-  });
 }
 
 void FallbackReplica::maybe_propose_steady() {
@@ -325,7 +296,8 @@ void FallbackReplica::on_batch_resolved(const smr::Block& block, ReplicaId) {
 }
 
 void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
-  const auto key = std::make_tuple(msg.block_id, msg.round, msg.view);
+  if (beyond_round_window(msg.round)) return;
+  const auto key = std::make_tuple(msg.round, msg.view, msg.block_id);
   auto sig = add_share(votes_, key, from, msg.share, crypto_sys().quorum_sigs, [&] {
     return smr::cert_signing_message(smr::CertKind::kQuorum, msg.block_id, msg.round,
                                      msg.view, 0, 0);
@@ -382,7 +354,8 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
   // "Upon receiving a valid timeout message, execute Lock" (on qc_high).
   if (verify(msg.qc_high)) lock_full(msg.qc_high, from);
 
-  if (msg.view < v_cur_) return;  // stale view; shares cannot help anymore
+  // Stale views cannot help anymore; far-future ones are pool-stuffing.
+  if (msg.view < v_cur_ || msg.view > v_cur_ + kViewHorizon) return;
   if (any_ftc_formed_ && msg.view <= highest_ftc_formed_) return;
   auto sig = add_share(view_timeout_shares_, msg.view, from, msg.view_share,
                        crypto_sys().quorum_sigs,
@@ -425,6 +398,9 @@ void FallbackReplica::enter_fallback(View view, const std::optional<smr::Fallbac
   r_vote_bar_.assign(params().n, 0);
   h_vote_bar_.assign(params().n, 0);
   frontier_.reset(view);
+  view_timeout_shares_.erase_before(view);
+  coin_shares_.erase_before(view);
+  fb_votes_.clear();  // then holds only own_fblock_'s <= chain_len targets
   own_fblock_.clear();
   own_height_ = 0;
   top_fqc_proposers_.clear();
@@ -751,9 +727,8 @@ void FallbackReplica::maybe_trigger_election() {
 void FallbackReplica::handle_coin_share(ReplicaId from, const smr::CoinShareMsg& msg) {
   if (msg.view < v_cur_) return;
   // Honest replicas only share the coin of a view whose fallback they are
-  // in, so anything far ahead of us is Byzantine pool-stuffing: without a
-  // horizon the coin_shares_ pool grows without bound between prunes.
-  if (msg.view > v_cur_ + kCoinViewHorizon) return;
+  // in, so anything far ahead of us is Byzantine pool-stuffing.
+  if (msg.view > v_cur_ + kViewHorizon) return;
   auto sig = add_share(coin_shares_, msg.view, from, msg.share, crypto_sys().coin.scheme(),
                        [&] { return crypto::CommonCoin::coin_message(msg.view); });
   if (!sig) return;
@@ -808,6 +783,8 @@ void FallbackReplica::process_coin(const smr::CoinQC& coin) {
   }
   fallback_mode_ = false;
   v_cur_ = coin.view + 1;
+  view_timeout_shares_.erase_before(v_cur_);
+  coin_shares_.erase_before(v_cur_);
   timed_out_cur_round_ = false;
   consecutive_timeouts_ = 0;
   trace(obs::EventKind::kViewEntered, v_cur_, r_cur_);

@@ -44,11 +44,11 @@ struct FallbackParams {
 
 class FallbackReplica final : public ReplicaBase {
  public:
-  /// Coin shares for views beyond v_cur + this horizon are rejected:
-  /// honest replicas never run that far ahead, and accepting them would
-  /// let a Byzantine replica grow coin_shares_ without bound between
-  /// prunes (prune_stale_pools only drops *past* views).
-  static constexpr View kCoinViewHorizon = 8;
+  /// F-timeout and coin shares for views beyond v_cur + this horizon are
+  /// dropped: honest replicas never run that far ahead, and accepting
+  /// them would let a Byzantine replica grow the view-keyed pools without
+  /// bound (each view change erases only the views below v_cur).
+  static constexpr View kViewHorizon = 8;
 
   FallbackReplica(const ReplicaContext& ctx, FallbackParams fb);
 
@@ -59,6 +59,9 @@ class FallbackReplica final : public ReplicaBase {
 
   /// This view's certified-chain bookkeeping (tests / introspection).
   const smr::FallbackFrontier& frontier() const { return frontier_; }
+
+  /// F-blocks of ours that are collecting votes (tests / introspection).
+  std::size_t fb_vote_targets() const { return fb_votes_.size(); }
 
   /// Quorum-assembly footprint: the four share pools, the per-view
   /// frontier and the Lagrange memo (the repro_share_pool_bytes gauge).
@@ -95,7 +98,6 @@ class FallbackReplica final : public ReplicaBase {
   void arm_timer();
   void on_timer_fired(Round round);
   void spam_timeouts();
-  void prune_stale_pools();
 
   // ---- fallback --------------------------------------------------------
   void handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg& msg);
@@ -164,10 +166,13 @@ class FallbackReplica final : public ReplicaBase {
   // Pool keys — together with the handler guards — pin every field of the
   // signing message, so one accumulator never mixes shares of different
   // messages (fb_votes_ checks the stored block's round/view/height).
+  // Each pool lives as long as its targets can still help (DESIGN.md §21):
+  // the view pools to the next view change, fb_votes_ to the next
+  // fallback entry, votes_ to kRoundWindow rounds behind r_cur.
   smr::SharePool<View> view_timeout_shares_;
   smr::SharePool<std::tuple<smr::BlockId, FallbackHeight>> fb_votes_;
   smr::SharePool<View> coin_shares_;
-  smr::SharePool<std::tuple<smr::BlockId, Round, View>> votes_;  ///< steady-state votes
+  smr::SharePool<std::tuple<Round, View, smr::BlockId>> votes_;  ///< steady-state votes
   View highest_ftc_formed_ = 0;
   bool any_ftc_formed_ = false;
 };

@@ -123,6 +123,10 @@ struct ReplicaStats {
   obs::Counter combines_optimistic;
   obs::Counter combine_fallbacks;
   obs::Counter bad_shares_rejected;
+  /// New quorum targets refused by a full share pool
+  /// (smr::SharePool::kMaxTargets). Only a Byzantine flood of distinct
+  /// targets gets there; honest runs read 0.
+  obs::Counter share_targets_refused;
   /// Pipelined proposal path (DESIGN.md §12): batches this replica sealed
   /// as (upcoming) leader, optimistic pre-broadcasts sent, pulls issued
   /// for missing batches, pulls that exhausted their retry budget, and
@@ -173,6 +177,7 @@ void for_each_counter(const ReplicaStats& s, Fn&& fn) {
   fn("repro_combines_optimistic_total", &s.combines_optimistic);
   fn("repro_combine_fallbacks_total", &s.combine_fallbacks);
   fn("repro_bad_shares_rejected_total", &s.bad_shares_rejected);
+  fn("repro_share_targets_refused_total", &s.share_targets_refused);
   fn("repro_batches_sealed_total", &s.batches_sealed);
   fn("repro_batches_announced_total", &s.batches_announced);
   fn("repro_batches_pulled_total", &s.batches_pulled);

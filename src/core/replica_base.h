@@ -19,54 +19,15 @@
 
 namespace repro::core {
 
-/// Accumulates threshold-signature shares per key, deduplicating signers.
-/// Callers verify shares *before* adding.
-template <typename Key>
-class SigPool {
- public:
-  /// Returns the number of distinct signers for `key` after the insert.
-  std::size_t add(const Key& key, const crypto::PartialSig& share) {
-    auto& m = pool_[key];
-    m.emplace(share.signer, share);
-    return m.size();
-  }
-
-  std::size_t count(const Key& key) const {
-    auto it = pool_.find(key);
-    return it == pool_.end() ? 0 : it->second.size();
-  }
-
-  std::vector<crypto::PartialSig> shares(const Key& key) const {
-    std::vector<crypto::PartialSig> out;
-    auto it = pool_.find(key);
-    if (it == pool_.end()) return out;
-    out.reserve(it->second.size());
-    for (const auto& [signer, share] : it->second) out.push_back(share);
-    return out;
-  }
-
-  void clear() { pool_.clear(); }
-
-  /// Drop entries whose key matches `pred` (periodic pruning of stale
-  /// rounds/views keeps long-running replicas at bounded memory).
-  template <typename Pred>
-  void erase_if(Pred pred) {
-    for (auto it = pool_.begin(); it != pool_.end();) {
-      it = pred(it->first) ? pool_.erase(it) : std::next(it);
-    }
-  }
-
-  std::size_t size() const { return pool_.size(); }
-
- private:
-  std::map<Key, std::map<ReplicaId, crypto::PartialSig>> pool_;
-};
-
 class ReplicaBase : public IReplica {
  public:
   /// Cap on the round timer's growth factor: a replica waits
   /// base_timeout_us x min(1 + consecutive timeouts, this).
   static constexpr std::uint32_t kMaxTimeoutFactor = 8;
+  /// Round window of the round-keyed share pools: shares for rounds more
+  /// than this far ahead of r_cur are dropped, and each round advance
+  /// erases the targets this far behind it (DESIGN.md §21).
+  static constexpr Round kRoundWindow = 64;
   /// Only reference batches larger than this; smaller payloads (and the
   /// empty batches of complexity benches) ship inline, since a 32-byte
   /// digest plus an announcement round-trip costs more than it saves.
@@ -230,6 +191,7 @@ class ReplicaBase : public IReplica {
     stats_.combines_optimistic = share_stats_.combines_optimistic;
     stats_.combine_fallbacks = share_stats_.combine_fallbacks;
     stats_.bad_shares_rejected = share_stats_.bad_shares_rejected;
+    stats_.share_targets_refused = share_stats_.targets_refused;
     return sig;
   }
 
@@ -462,6 +424,11 @@ class ReplicaBase : public IReplica {
   /// (after their own members exist, so the virtual restore dispatches).
   /// Returns true if a snapshot was restored.
   bool recover_from_wal();
+
+  /// kRoundWindow's two edges: rounds past the upper one are dropped on
+  /// arrival, targets below the lower one are erased on each advance.
+  bool beyond_round_window(Round r) const { return r > r_cur_ + kRoundWindow; }
+  Round round_window_floor() const { return r_cur_ > kRoundWindow ? r_cur_ - kRoundWindow : 0; }
 
   // Mutable protocol state shared by all variants -------------------------
   Round r_vote_ = 0;                ///< highest voted round

@@ -57,6 +57,7 @@ struct ShareStats {
   std::uint64_t combines_optimistic = 0; ///< certificates formed by combine-then-verify
   std::uint64_t combine_fallbacks = 0;   ///< combined check failed -> per-share pass
   std::uint64_t bad_shares_rejected = 0; ///< invalid shares evicted/rejected
+  std::uint64_t targets_refused = 0;     ///< new targets a full SharePool turned away
   /// Per-signer count of rejected shares (blame for flood diagnosis).
   std::vector<std::uint64_t> blame;
 
@@ -97,7 +98,7 @@ class ShareAccumulator {
   /// per-node constants cover the red-black-tree bookkeeping of the slot
   /// map / ban set; exactness doesn't matter, scaling with n does: one
   /// accumulator buffers up to n slots, so at n=300 a single in-flight
-  /// quorum costs ~21 KiB and the pool caps below bound the total.
+  /// quorum costs ~21 KiB and SharePool::kMaxTargets bounds the total.
   std::size_t approx_bytes() const {
     return sizeof(ShareAccumulator) + slots_.size() * (sizeof(ReplicaId) + sizeof(Slot) + 48) +
            banned_.size() * (sizeof(ReplicaId) + 40);
@@ -117,20 +118,31 @@ class ShareAccumulator {
   std::set<ReplicaId> banned_;       // signers whose share for this target was invalid
 };
 
-/// Keyed map of accumulators — the drop-in replacement for the verified
-/// SigPool at every quorum-collection site. The signing message is built
-/// lazily (first share for a key) by `make_msg`, so callers must key pools
-/// by every field that feeds the signing message.
+/// Keyed map of accumulators, one per quorum target. The signing
+/// message is built lazily (first share for a key) by `make_msg`, so
+/// callers must key pools by every field that feeds the signing message.
+///
+/// Lifetime (DESIGN.md §21): keys lead with their round or view, and the
+/// owner calls erase_before at the protocol event that makes the older
+/// targets dead; admission windows in the handlers keep keys from growing
+/// upward. kMaxTargets is the flood backstop beyond both: a full pool
+/// refuses a new target and never evicts one it already holds.
 template <typename Key>
 class SharePool {
  public:
+  /// Only targets sprayed by a Byzantine replica can fill a pool this far.
+  static constexpr std::size_t kMaxTargets = 512;
+
   /// Feed one share for `key`. See ShareAccumulator::add for semantics.
   template <typename MakeMsg>
   std::optional<crypto::ThresholdSig> add(const ShareEnv& env, const Key& key,
                                           const crypto::PartialSig& share, MakeMsg&& make_msg) {
     auto it = pool_.find(key);
     if (it == pool_.end()) {
-      if (max_entries_ != 0 && pool_.size() >= max_entries_) pool_.erase(pool_.begin());
+      if (pool_.size() >= kMaxTargets) {
+        ++env.stats->targets_refused;
+        return std::nullopt;
+      }
       it = pool_.emplace(key, ShareAccumulator(*env.scheme, make_msg())).first;
     }
     return it->second.add(env, share);
@@ -149,25 +161,10 @@ class SharePool {
 
   void clear() { pool_.clear(); }
 
-  /// Drop entries whose key matches `pred` (periodic pruning of stale
-  /// rounds/views keeps long-running replicas at bounded memory).
-  template <typename Pred>
-  void erase_if(Pred pred) {
-    for (auto it = pool_.begin(); it != pool_.end();) {
-      it = pred(it->first) ? pool_.erase(it) : std::next(it);
-    }
-  }
+  /// Drop every target ordered below `floor`; costs the number removed.
+  void erase_before(const Key& floor) { pool_.erase(pool_.begin(), pool_.lower_bound(floor)); }
 
   std::size_t size() const { return pool_.size(); }
-
-  /// Hard cap on live accumulators (0 = unbounded). The periodic
-  /// round/view pruning already bounds honest load; the cap is the
-  /// Byzantine-flood backstop that turns "bounded in expectation" into a
-  /// provable per-replica byte budget (DESIGN.md §13.4): when a new key
-  /// would exceed it, the lowest-ordered entry is evicted. Set it well
-  /// above the pruning window so honest runs never touch it — an evicted
-  /// live quorum would have to re-collect its shares.
-  void set_max_entries(std::size_t cap) { max_entries_ = cap; }
 
   /// Approximate heap footprint across all accumulators (the
   /// repro_share_pool_bytes gauge). Walks the pool — metrics snapshots
@@ -180,7 +177,6 @@ class SharePool {
 
  private:
   std::map<Key, ShareAccumulator> pool_;
-  std::size_t max_entries_ = 0;
 };
 
 }  // namespace repro::smr

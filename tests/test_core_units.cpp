@@ -382,27 +382,7 @@ TEST_F(CoreUnits, PointToPointBypassesDecodeCacheAndMulticastHitsIt) {
   EXPECT_EQ(reps[1]->stats().decode_misses, 2u);  // no parse for the multicast
 }
 
-// ---- SigPool / schedule -----------------------------------------------------------
-
-TEST(SigPoolTest, DeduplicatesSigners) {
-  SigPool<int> pool;
-  EXPECT_EQ(pool.add(7, crypto::PartialSig{0, 1}), 1u);
-  EXPECT_EQ(pool.add(7, crypto::PartialSig{0, 1}), 1u);  // same signer
-  EXPECT_EQ(pool.add(7, crypto::PartialSig{1, 2}), 2u);
-  EXPECT_EQ(pool.count(7), 2u);
-  EXPECT_EQ(pool.count(8), 0u);
-  EXPECT_EQ(pool.shares(7).size(), 2u);
-}
-
-TEST(SigPoolTest, KeysAreIndependent) {
-  SigPool<int> pool;
-  pool.add(1, crypto::PartialSig{0, 1});
-  pool.add(2, crypto::PartialSig{1, 1});
-  EXPECT_EQ(pool.count(1), 1u);
-  EXPECT_EQ(pool.count(2), 1u);
-  pool.clear();
-  EXPECT_EQ(pool.count(1), 0u);
-}
+// ---- leader schedule ---------------------------------------------------------------
 
 TEST(LeaderSchedule, RotatesEveryKRounds) {
   // Paper §3.1: L_{4k+1}..L_{4k+4} are the same replica.

@@ -380,11 +380,12 @@ TEST(Fallback, LargerScaleSanity) {
 }
 
 TEST(Fallback, LongAsyncRunKeepsItsShareQuorums) {
-  // Rounds jump by several at a time, so a share-pool prune that ran only
-  // when r % 64 == 0 was mostly stepped over. The f-vote pool then filled
-  // its cap and evicted live shares, and this run stopped at 433
-  // decisions with an empty event queue. The prune now runs whenever the
-  // round crosses a multiple of 64.
+  // Fallback views carry no timer, so a share dropped inside one is lost
+  // for good. When the share pools had caps that evicted their smallest
+  // key, the f-vote pool filled and evicted live f-block targets, and this
+  // run stopped at 433 decisions with an empty event queue. Each pool now
+  // lives exactly as long as its round or view (DESIGN.md §21), and no
+  // honest replica has a target refused.
   auto cfg = fb_config(Protocol::kFallback3, 4, /*seed=*/1);
   cfg.scenario = NetScenario::kAsynchronous;
   Experiment exp(cfg);
@@ -393,6 +394,9 @@ TEST(Fallback, LongAsyncRunKeepsItsShareQuorums) {
       << "stopped at " << exp.min_honest_commits() << " decisions";
   EXPECT_TRUE(exp.check_safety().ok);
   check_chain_invariants(exp);
+  for (ReplicaId id = 0; id < 4; ++id) {
+    EXPECT_EQ(exp.replica(id).stats().share_targets_refused, 0u) << "replica " << id;
+  }
 }
 
 TEST(Fallback, DeterministicForFixedSeed) {

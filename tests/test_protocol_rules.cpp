@@ -4,6 +4,7 @@
 // check emergent behaviour, these check the *letter* of each rule.
 #include <gtest/gtest.h>
 
+#include "core/diembft.h"
 #include "core/fallback.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -16,17 +17,19 @@ using smr::CertKind;
 using smr::Certificate;
 using smr::Message;
 
-/// Rig: replica 0 is the unit under test; deliveries to replicas 1..3 are
-/// captured for inspection.
-struct Rig {
+/// Rig: replica 0 (an `R`, built from the context plus `args`) is the unit
+/// under test; deliveries to replicas 1..3 are captured for inspection.
+template <typename R>
+struct BasicRig {
   sim::Simulation sim;
   std::shared_ptr<const crypto::CryptoSystem> crypto_sys;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<FallbackReplica> replica;
+  std::unique_ptr<R> replica;
   /// Captured (to, from, decoded message) triples.
   std::vector<std::tuple<ReplicaId, ReplicaId, Message>> captured;
 
-  explicit Rig(FallbackParams fb = {}, ProtocolConfig pcfg = {}) {
+  template <typename... Args>
+  explicit BasicRig(ProtocolConfig pcfg, Args... args) {
     crypto_sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 777);
     net = std::make_unique<net::Network>(sim, 4, std::make_unique<net::FixedDelayModel>(1),
                                          Rng(1));
@@ -37,7 +40,7 @@ struct Rig {
     ctx.id = 0;
     ctx.config = pcfg;
     ctx.seed = 7;
-    replica = std::make_unique<FallbackReplica>(ctx, fb);
+    replica = std::make_unique<R>(ctx, args...);
     net->register_handler(0, [this](ReplicaId from, const Bytes& payload) {
       replica->on_message(from, payload);
     });
@@ -100,7 +103,21 @@ struct Rig {
     m.qc_high = smr::genesis_certificate();
     return m;
   }
+
+  smr::VoteMsg vote_from(ReplicaId i, const smr::BlockId& id, Round r) const {
+    smr::VoteMsg m;
+    m.block_id = id;
+    m.round = r;
+    m.share = crypto_sys->quorum_sigs.sign_share(
+        i, cert_signing_message(CertKind::kQuorum, id, r, 0, 0, 0));
+    return m;
+  }
 };
+
+struct Rig : BasicRig<FallbackReplica> {
+  explicit Rig(FallbackParams fb = {}, ProtocolConfig pcfg = {}) : BasicRig(pcfg, fb) {}
+};
+using DiemRig = BasicRig<DiemBftReplica>;
 
 // ---- steady-state vote rule ---------------------------------------------------
 
@@ -388,17 +405,17 @@ TEST(ExitFallback, AttachedCoinIsSkippedWhenHeldAndBlamedWhenForged) {
   EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 1u);
 }
 
-// ---- coin-share view horizon --------------------------------------------------
+// ---- share-pool lifetimes: view horizon, round window, refusals ----------------
 
 TEST(CoinShareHorizon, FarFutureSharesAreRejected) {
   // coin_quorum = f+1 = 2 for n=4: two Byzantine shares for a far-future
   // view would otherwise combine into a coin-QC (stuffing coin_shares_,
-  // which prune_stale_pools never drops because it only prunes the past).
+  // which a view change erases only below v_cur).
   Rig rig;
   rig.replica->start();
   for (ReplicaId i : {1u, 2u}) {
     smr::CoinShareMsg m;
-    m.view = 50;  // far beyond v_cur (0) + kCoinViewHorizon (8)
+    m.view = 50;  // far beyond v_cur (0) + kViewHorizon (8)
     m.share = rig.crypto_sys->coin.coin_share(i, 50);
     rig.inject(i, m);
   }
@@ -408,11 +425,11 @@ TEST(CoinShareHorizon, FarFutureSharesAreRejected) {
 }
 
 TEST(CoinShareHorizon, SharesAtTheHorizonStillCombine) {
-  // The horizon is inclusive: view v_cur + kCoinViewHorizon is accepted,
+  // The horizon is inclusive: view v_cur + kViewHorizon is accepted,
   // so the check cannot strand a replica lagging a few views behind.
   Rig rig;
   rig.replica->start();
-  const View v = FallbackReplica::kCoinViewHorizon;  // v_cur == 0
+  const View v = FallbackReplica::kViewHorizon;  // v_cur == 0
   for (ReplicaId i : {1u, 2u}) {
     smr::CoinShareMsg m;
     m.view = v;
@@ -421,6 +438,91 @@ TEST(CoinShareHorizon, SharesAtTheHorizonStillCombine) {
   }
   EXPECT_EQ(rig.replica->coins().count(v), 1u);
   EXPECT_FALSE(rig.sent<smr::CoinQcMsg>().empty());
+}
+
+TEST(ViewPoolHorizon, FutureViewTimeoutFloodCannotEvictTheCurrentView) {
+  // A Byzantine replica's f-timeout shares for 64 future views must not
+  // push out the two honest view-0 shares already collected: once its own
+  // view-0 share arrives, the three form the f-TC. (A 64-target pool that
+  // evicted its smallest key lost view 0 here and never entered.) The
+  // 60 s timer keeps replica 0's own share out of the count.
+  ProtocolConfig pcfg;
+  pcfg.base_timeout_us = 60'000'000;
+  Rig rig({}, pcfg);
+  rig.replica->start();
+  for (ReplicaId i : {1u, 2u}) rig.inject(i, rig.timeout_from(i, 0));
+  for (View v = 1; v <= 64; ++v) rig.inject(3, rig.timeout_from(3, v));
+  ASSERT_FALSE(rig.replica->in_fallback());
+  rig.inject(3, rig.timeout_from(3, 0));
+  EXPECT_TRUE(rig.replica->in_fallback());
+  EXPECT_EQ(rig.replica->current_view(), 0u);
+  EXPECT_EQ(rig.replica->stats().share_targets_refused, 0u);
+}
+
+TEST(EnterFallback, ClearsTheFVotePool) {
+  // fb_votes_ is admitted only for our own f-blocks of the current view,
+  // so each fallback entry starts it empty; it never needs a prune. The
+  // replica votes for its own height-1 f-block, so that one target is
+  // there as soon as an entry settles.
+  Rig rig;
+  rig.replica->start();
+  for (ReplicaId i = 1; i <= 3; ++i) rig.inject(i, rig.timeout_from(i, 0));
+  ASSERT_TRUE(rig.replica->in_fallback());
+  EXPECT_EQ(rig.replica->fb_vote_targets(), 1u);
+
+  const std::vector<crypto::PartialSig> shares = {rig.crypto_sys->coin.coin_share(1, 0),
+                                                  rig.crypto_sys->coin.coin_share(2, 0)};
+  rig.inject(1, smr::CoinQcMsg{*smr::combine_coin_qc(*rig.crypto_sys, 0, shares), std::nullopt});
+  for (ReplicaId i = 1; i <= 3; ++i) rig.inject(i, rig.timeout_from(i, 1));
+  ASSERT_TRUE(rig.replica->in_fallback());
+  EXPECT_EQ(rig.replica->current_view(), 1u);
+  EXPECT_EQ(rig.replica->fb_vote_targets(), 1u);  // view 1's height-1 f-block only
+}
+
+/// Feeds replica 0 one vote at the edge of its round window and one past
+/// it; only the first may reach a share pool.
+template <typename AnyRig>
+void expect_votes_beyond_the_round_window_dropped(AnyRig& rig) {
+  const Round edge = rig.replica->current_round() + ReplicaBase::kRoundWindow;
+  const smr::BlockId id{7};
+  const ReplicaStats& st = rig.replica->stats();
+  rig.inject(1, rig.vote_from(1, id, edge + 1));
+  EXPECT_EQ(st.shares_deferred, 0u);
+  rig.inject(1, rig.vote_from(1, id, edge));
+  EXPECT_EQ(st.shares_deferred, 1u);
+}
+
+TEST(RoundWindow, FallbackDropsVotesBeyondTheWindow) {
+  Rig rig;
+  expect_votes_beyond_the_round_window_dropped(rig);
+}
+
+TEST(RoundWindow, DiemDropsVotesBeyondTheWindow) {
+  DiemRig rig(ProtocolConfig{});
+  expect_votes_beyond_the_round_window_dropped(rig);
+}
+
+TEST(ShareRefusals, AFullPoolRefusesNewTargetsAndKeepsTheLiveOne) {
+  // Byzantine replica 3 sprays distinct vote targets inside the round
+  // window until the steady vote pool is full. The pool refuses the
+  // excess (counted in repro_share_targets_refused_total) and keeps the
+  // target that already holds two honest shares, which 3's own share
+  // then completes into the QC that advances the round.
+  Rig rig;
+  const smr::BlockId live{1};
+  const Round r = 5;
+  for (ReplicaId i : {1u, 2u}) rig.inject(i, rig.vote_from(i, live, r));
+  const std::size_t cap = smr::SharePool<int>::kMaxTargets;
+  for (std::size_t k = 0; k < cap + 8; ++k) {
+    smr::BlockId junk{2};
+    junk[1] = static_cast<std::uint8_t>(k);
+    junk[2] = static_cast<std::uint8_t>(k >> 8);
+    rig.inject(3, rig.vote_from(3, junk, 1 + k % ReplicaBase::kRoundWindow));
+  }
+  EXPECT_EQ(rig.replica->stats().share_targets_refused, 9u);  // cap - 1 sprayed fit
+  EXPECT_EQ(rig.replica->current_round(), 1u);
+  rig.inject(3, rig.vote_from(3, live, r));
+  EXPECT_EQ(rig.replica->current_round(), r + 1);
 }
 
 TEST(BlockRetrieval, ResponseWithOneTamperedBlockStoresNothing) {

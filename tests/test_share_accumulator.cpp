@@ -152,7 +152,7 @@ TEST_F(ShareAccumulatorTest, AllBadSharesNeverFormCertificate) {
   EXPECT_EQ(acc.count(), 2u);
 }
 
-TEST(SharePool, KeysIsolateTargetsAndEraseIfPrunes) {
+TEST(SharePool, KeysIsolateTargetsAndEraseBeforePrunes) {
   Rng rng(9);
   auto scheme = crypto::ThresholdScheme::deal(4, 3, rng);
   crypto::LagrangeCache lagrange;
@@ -175,11 +175,33 @@ TEST(SharePool, KeysIsolateTargetsAndEraseIfPrunes) {
   ASSERT_TRUE(sig.has_value());
   EXPECT_TRUE(pool.formed(2));
   EXPECT_FALSE(pool.formed(1));
-  // Prune everything below round 3.
-  pool.erase_if([](std::uint64_t key) { return key < 3; });
+  // Prune everything below round 3; a floor below every key removes nothing.
+  pool.erase_before(3);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.count(3), 2u);
   EXPECT_EQ(pool.count(1), 0u);
+  pool.erase_before(0);
+  EXPECT_EQ(pool.size(), 1u);
+
+  // Fill the pool: a full pool refuses a new target (counted) and never
+  // evicts one it holds, so round 3's two shares still complete it.
+  const std::size_t cap = SharePool<std::uint64_t>::kMaxTargets;
+  for (std::uint64_t round = 4; pool.size() < cap; ++round) {
+    pool.add(env, round, scheme.sign_share(0, msg_for(round)), [&] { return msg_for(round); });
+  }
+  EXPECT_EQ(stats.targets_refused, 0u);
+  const std::uint64_t extra = 1000;
+  EXPECT_FALSE(pool.add(env, extra, scheme.sign_share(0, msg_for(extra)),
+                        [&] { return msg_for(extra); })
+                   .has_value());
+  EXPECT_EQ(stats.targets_refused, 1u);
+  EXPECT_EQ(pool.size(), cap);
+  EXPECT_EQ(pool.count(extra), 0u);
+  EXPECT_EQ(pool.count(3), 2u);
+  EXPECT_EQ(pool.count(4), 1u);
+  EXPECT_TRUE(pool.add(env, 3, scheme.sign_share(2, msg_for(3)), [&] { return msg_for(3); })
+                  .has_value());
+  EXPECT_EQ(stats.targets_refused, 1u);  // a held target is never refused
 }
 
 }  // namespace

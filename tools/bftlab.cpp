@@ -372,6 +372,7 @@ int main(int argc, char** argv) {
   std::uint64_t fallbacks = 0, fb_time = 0, fb_exits = 0;
   std::uint64_t dhits = 0, dmiss = 0;
   std::uint64_t sh_verified = 0, sh_deferred = 0, sh_opt = 0, sh_fb = 0, sh_bad = 0;
+  std::uint64_t sh_refused = 0;
   std::uint64_t thinned = 0, relays_skipped = 0, bad_certs = 0;
   std::size_t live_blocks = 0, live_certs = 0;
   for (ReplicaId id = 0; id < cfg.n; ++id) {
@@ -393,6 +394,7 @@ int main(int argc, char** argv) {
     sh_opt += exp.replica(id).stats().combines_optimistic;
     sh_fb += exp.replica(id).stats().combine_fallbacks;
     sh_bad += exp.replica(id).stats().bad_shares_rejected;
+    sh_refused += exp.replica(id).stats().share_targets_refused;
   }
 
   std::printf("reached target     : %s\n", reached ? "yes" : "NO");
@@ -436,6 +438,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sh_fb));
   if (sh_bad > 0) std::printf(", %llu bad shares rejected",
                               static_cast<unsigned long long>(sh_bad));
+  if (sh_refused > 0) std::printf(", %llu targets refused by full pools",
+                                  static_cast<unsigned long long>(sh_refused));
   std::printf("\n");
   std::printf("zero-copy multicast: %llu multicasts, %llu payload copies avoided\n",
               static_cast<unsigned long long>(st.multicasts),
