@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "client/client_swarm.h"
+#include "obs/span.h"
 
 using namespace repro;
 using namespace repro::client;
@@ -30,7 +31,7 @@ struct Outcome {
   double p50_good_ms = 0, p99_all_ms = 0;
   std::uint64_t unconfirmed_at_end = 0;
   std::uint64_t bad_proofs = 0;
-  /// Commit -> first client confirm (the span layer's chain tail): the
+  /// Commit -> first client confirm (the critical path's chain tail): the
   /// ack fan-out + f+1 quorum cost on top of consensus latency.
   obs::LatencyStats commit_to_confirm;
 };
@@ -42,7 +43,7 @@ Outcome run(Protocol p, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.scenario = NetScenario::kLeaderAttack;
   cfg.attack_delay = 5'000'000;
-  cfg.span_capacity = 1 << 16;  // commit->confirm attribution
+  cfg.trace_capacity = 1 << 16;  // commit->confirm attribution
 
   ClientConfig ccfg;
   ccfg.num_clients = 4;
@@ -88,7 +89,7 @@ Outcome run(Protocol p, std::uint64_t seed) {
     out.p50_good_ms = sorted[sorted.size() / 2] / 1000.0;
     out.p99_all_ms = sorted[sorted.size() * 99 / 100] / 1000.0;
   }
-  out.commit_to_confirm = obs::analyze_spans(exp.span_events()).commit_to_confirm;
+  out.commit_to_confirm = obs::analyze_spans(exp.trace_events()).commit_to_confirm;
   return out;
 }
 

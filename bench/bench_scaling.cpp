@@ -67,10 +67,9 @@ Row run_one(const char* mode, std::uint32_t n, const RunSpec& spec) {
   cfg.scenario = spec.scenario;
   cfg.seed = 80'000 + n;
   if (spec.async_mean != 0) cfg.async_mean = spec.async_mean;
-  // Per-replica observability budget for the memory audit: a small traced
-  // ring, clamped in bytes so n=300 x ring stays bounded (DESIGN.md §13.4).
-  cfg.trace_capacity = 1 << 12;
-  cfg.trace_budget_bytes = 128 * 1024;
+  // Per-replica observability budget for the memory audit: a 128 KiB
+  // event ring, so n=300 x ring stays bounded (DESIGN.md §13.4).
+  cfg.trace_capacity = 128 * 1024 / sizeof(obs::TraceEvent);
 
   const auto t0 = std::chrono::steady_clock::now();
   Experiment exp(cfg);

@@ -9,7 +9,8 @@
 // write (the per-peer send queues batch every frame produced in one poll
 // iteration into a single writev), payload copies avoided by refcounted
 // multicast buffers, and backpressure drops. `--json <path>` appends the
-// numbers as NDJSON.
+// numbers as NDJSON; `--trace-out <path>` writes the event stream of the
+// last recorded run (read it with tracecat, --critical-path included).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "core/fallback.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/trace.h"
 #include "transport/node.h"
 
 using namespace repro;
@@ -42,6 +44,9 @@ struct RunResult {
   std::uint64_t fallbacks = 0;
   net::NetStats net;  ///< summed over all nodes
   double wall_seconds = 0;
+  /// Every node's recorded events, merged; ring overwrites summed.
+  std::vector<obs::TraceEvent> events;
+  std::uint64_t events_dropped = 0;
   // Pipelined-dissemination counters (DESIGN.md §12), summed over nodes.
   std::uint64_t batches_sealed = 0;
   std::uint64_t batches_announced = 0;
@@ -64,9 +69,9 @@ struct RunOpts {
   /// Digest-referenced payload dissemination (ProtocolConfig::batch_refs);
   /// false pins the inline wire format for A/B rows.
   bool batch_refs = true;
-  /// Commit-lifecycle span ring shared by every node (wall-clock mode);
-  /// null runs spans-off, the baseline side of the overhead gate.
-  std::shared_ptr<obs::SpanRing> spans;
+  /// Per-node event ring capacity (wall-clock mode); 0 runs with
+  /// recording off, the baseline side of the overhead gate.
+  std::size_t trace_capacity = 0;
 };
 
 RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
@@ -80,6 +85,7 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
   core::FallbackParams fb;
   fb.always_fallback = opts.always_fallback;
   std::vector<std::unique_ptr<TcpNode>> nodes;
+  std::vector<std::shared_ptr<obs::TraceRing>> rings;
   for (ReplicaId i = 0; i < n; ++i) {
     NodeConfig cfg;
     cfg.id = i;
@@ -89,7 +95,12 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     cfg.pcfg.base_timeout_us = 150'000;
     cfg.pcfg.batch_bytes = batch_bytes;
     cfg.pcfg.batch_refs = opts.batch_refs;
-    cfg.spans = opts.spans;
+    if (opts.trace_capacity > 0) {
+      // One ring per node, as in the simulator: its node thread is the
+      // only writer, so recording never contends across nodes.
+      rings.push_back(std::make_shared<obs::TraceRing>(opts.trace_capacity, /*wall_clock=*/true));
+      cfg.trace = rings.back();
+    }
     nodes.push_back(std::make_unique<TcpNode>(cfg, [fb](const core::ReplicaContext& ctx) {
       return std::make_unique<core::FallbackReplica>(ctx, fb);
     }));
@@ -118,6 +129,12 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
   }
   for (auto& node : nodes) r.fallbacks += node->replica().stats().fallbacks_entered;
   r.wall_seconds = millis / 1000.0;
+  std::vector<std::vector<obs::TraceEvent>> per_node;
+  for (const auto& ring : rings) {
+    per_node.push_back(ring->events());
+    r.events_dropped += ring->dropped();
+  }
+  r.events = obs::merge_traces(per_node);
   for (auto& node : nodes) {
     const net::NetStats st = node->net_stats();  // safe: all nodes stopped
     r.net.messages += st.messages;
@@ -144,9 +161,9 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
 
 int main(int argc, char** argv) {
   const char* json_path = bench::json_path_arg(argc, argv);
-  const char* spans_out = nullptr;
+  const char* trace_out = nullptr;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--spans-out") == 0) spans_out = argv[i + 1];
+    if (std::strcmp(argv[i], "--trace-out") == 0) trace_out = argv[i + 1];
   }
   std::printf("==============================================================\n");
   std::printf("TCP: real-socket reality check (localhost, 1 thread/replica)\n");
@@ -261,20 +278,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n--- commit-lifecycle spans: overhead + critical path -----------\n");
-  std::printf("    n=16 always-fallback — the worst-case span volume (every\n");
+  std::printf("\n--- event recording: overhead + critical path -----------------\n");
+  std::printf("    n=16 always-fallback — the worst-case event volume (every\n");
   std::printf("    view is an O(n^2) proposal/vote storm). Interleaved best-of-5\n");
-  std::printf("    spans-off vs spans-on (noise only lowers throughput, so the\n");
-  std::printf("    best sample per side is the stable estimator — same statistic\n");
-  std::printf("    as the trace-ring overhead gate); check_span_gate.py\n");
+  std::printf("    recording off vs on (noise only lowers throughput, so the\n");
+  std::printf("    best sample per side is the stable estimator); check_span_gate.py\n");
   std::printf("    requires on >= 0.95x off. The stage table below attributes each\n");
   std::printf("    commit's end-to-end latency to its critical-path stages; the\n");
-  std::printf("    telescoped stage sum must cover >= 90%% of encode->commit.\n");
+  std::printf("    telescoped stage sum must cover >= 90%% of send->commit.\n");
   {
     const std::uint32_t n = 16;
     constexpr int kReps = 5;
     RunResult runs[2][kReps];
-    std::shared_ptr<obs::SpanRing> last_ring;
     for (int rep = 0; rep < kReps; ++rep) {
       for (std::size_t pos = 0; pos < 2; ++pos) {
         // Alternate which side goes first each rep so slow machine drift
@@ -283,15 +298,11 @@ int main(int argc, char** argv) {
         const std::size_t si = (rep % 2 == 0) ? pos : 1 - pos;
         RunOpts opts;
         opts.always_fallback = true;
-        if (si == 1) {
-          // Fresh ring per run so each sample pays full recording cost
-          // and the analyzed window is one clean run.
-          // 2^19 slots (~25 MiB): a 2 s always-fallback storm emits ~260k
-          // span events; the window must hold a whole run so every commit
-          // keeps its encode record (chains == commits, zero drops).
-          last_ring = std::make_shared<obs::SpanRing>(1 << 19, /*wall_clock=*/true);
-          opts.spans = last_ring;
-        }
+        // Fresh rings per run so each sample pays full recording cost
+        // and the analyzed window is one clean run: the last 2^15 events
+        // per node (~36 MiB over 16 nodes). Commits whose proposal record
+        // fell out of the window count but do not chain.
+        if (si == 1) opts.trace_capacity = 1 << 15;
         runs[si][rep] = run_cluster(n, 2000, 0, opts);
       }
     }
@@ -311,25 +322,26 @@ int main(int argc, char** argv) {
       std::printf("}");
     }
     std::printf("\n");
-    std::printf("    spans-off %.0f blocks/s, spans-on %.0f blocks/s "
+    std::printf("    recording off %.0f blocks/s, on %.0f blocks/s "
                 "(overhead %.1f%%)\n\n",
                 best[0], best[1], overhead * 100.0);
 
-    const std::vector<obs::SpanEvent> events = last_ring->events();
-    if (spans_out != nullptr) {
-      const std::string ndjson = obs::spans_to_ndjson(events);
-      std::FILE* f = std::fopen(spans_out, "w");
+    const RunResult& last_on = runs[1][kReps - 1];
+    const std::vector<obs::TraceEvent>& events = last_on.events;
+    if (trace_out != nullptr) {
+      const std::string ndjson = obs::to_ndjson(events);
+      std::FILE* f = std::fopen(trace_out, "w");
       if (f != nullptr) {
         std::fwrite(ndjson.data(), 1, ndjson.size(), f);
         std::fclose(f);
-        std::printf("    span stream -> %s (%zu events)\n\n", spans_out, events.size());
+        std::printf("    event stream -> %s (%zu events)\n\n", trace_out, events.size());
       }
     }
     obs::SpanReport report = obs::analyze_spans(events);
-    report.dropped += last_ring->dropped();
+    report.dropped += last_on.events_dropped;
     std::fputs(report.summary().c_str(), stdout);
     if (report.chains.empty()) {
-      std::fprintf(stderr, "FAIL: no critical-path chains stitched from %zu span "
+      std::fprintf(stderr, "FAIL: no critical-path chains stitched from %zu "
                            "events\n", events.size());
       return 1;
     }
@@ -350,7 +362,7 @@ int main(int argc, char** argv) {
           .field("blocks_per_sec_on", best[1])
           .field("overhead_frac", overhead)
           .field("span_events", std::uint64_t{events.size()})
-          .field("span_dropped", last_ring->dropped())
+          .field("span_dropped", last_on.events_dropped)
           .field("chains", std::uint64_t{report.chains.size()})
           .field("commits_seen", std::uint64_t{report.commits_seen})
           .field("coverage_min", report.coverage_min)

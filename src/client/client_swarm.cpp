@@ -194,17 +194,17 @@ void ClientSwarm::deliver_ack(ReplicaId replica, const TxnId& id, std::uint64_t 
   const SimTime latency = exp_.sim().now() - it->second.submitted_at;
   stats_.confirm_latencies_us.push_back(latency);
   ++stats_.confirmed;
-  if (const auto& spans = exp_.spans(); spans && spans->enabled()) {
+  if (obs::TraceRing* ring = exp_.trace_ring(replica)) {
     // Chain tail: the f+1'th ack closes the loop the client opened at
     // submit. Keyed by the committing block so analyze_spans can extend
     // that block's chain to client-perceived latency.
-    obs::SpanEvent ev;
-    ev.stage = obs::SpanStage::kClientConfirm;
+    obs::TraceEvent ev;
+    ev.kind = obs::EventKind::kClientConfirm;
     ev.replica = replica;
     ev.t_us = exp_.sim().now();
     ev.key = block_key;
     ev.aux = latency;
-    spans->push(ev);
+    ring->push(ev);
   }
   in_flight_.erase(it);
 }

@@ -91,7 +91,7 @@ void DiemBftReplica::maybe_propose() {
       send(to, std::move(msg));
     }
     ++stats_.proposals_sent;
-    trace(obs::EventKind::kProposalSent, 0, r_cur_);
+    record(obs::EventKind::kProposalSent, 0, r_cur_, 0, 0, crypto::digest_prefix_u64(a.id));
     return;
   }
 
@@ -105,8 +105,9 @@ void DiemBftReplica::maybe_propose() {
   msg.block = std::move(block);
   msg.tc = entry_tc_;
   ++stats_.proposals_sent;
-  trace(obs::EventKind::kProposalSent, 0, r_cur_);
-  multicast(std::move(msg));
+  const std::uint64_t key = crypto::digest_prefix_u64(msg.block.id);
+  const std::uint64_t wire_key = multicast(std::move(msg));
+  record(obs::EventKind::kProposalSent, 0, r_cur_, 0, wire_key, key);
 }
 
 void DiemBftReplica::arm_timer() {
@@ -153,7 +154,7 @@ void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   note_vote_candidate(block);
   const smr::BlockId block_id = block.id;
   store_block(std::move(block), from);
-  trace(obs::EventKind::kProposalReceived, 0, r, 0, from);
+  record(obs::EventKind::kProposalReceived, 0, r, 0, from, crypto::digest_prefix_u64(block_id));
 
   // "Upon receiving the first valid proposal from L_r, execute Lock."
   lock_step(parent, from);
@@ -184,7 +185,7 @@ void DiemBftReplica::try_vote(const smr::Block& block) {
   r_vote_ = r;
   persist_vote_state();  // durable before the vote leaves
   ++stats_.votes_sent;
-  trace(obs::EventKind::kVoteSent, 0, r);
+  record(obs::EventKind::kVoteSent, 0, r, 0, 0, crypto::digest_prefix_u64(block.id));
   smr::VoteMsg vote;
   vote.block_id = block.id;
   vote.round = r;
@@ -215,9 +216,7 @@ void DiemBftReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
   qc.block_id = msg.block_id;
   qc.round = msg.round;
   qc.sig = *sig;
-  trace(obs::EventKind::kQcFormed, 0, msg.round);
-  span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id), 0,
-       msg.round);
+  record(obs::EventKind::kQcFormed, 0, msg.round, 0, 0, crypto::digest_prefix_u64(msg.block_id));
   lock_step(qc, from);
 }
 
@@ -235,7 +234,7 @@ void DiemBftReplica::handle_timeout(ReplicaId from, const smr::DiemTimeoutMsg& m
                        [&] { return smr::tc_signing_message(msg.round); });
   if (!sig) return;
   const smr::TimeoutCert tc{msg.round, *sig};
-  trace(obs::EventKind::kTcFormed, 0, msg.round);
+  record(obs::EventKind::kTcFormed, 0, msg.round);
   highest_tc_formed_ = msg.round;
   handle_tc(tc);
 }

@@ -189,7 +189,7 @@ void FallbackReplica::maybe_propose_steady() {
       send(to, std::move(msg));
     }
     ++stats_.proposals_sent;
-    trace(obs::EventKind::kProposalSent, v_cur_, r_cur_);
+    record(obs::EventKind::kProposalSent, v_cur_, r_cur_, 0, 0, crypto::digest_prefix_u64(a.id));
     return;
   }
 
@@ -205,8 +205,9 @@ void FallbackReplica::maybe_propose_steady() {
   msg.block = std::move(block);
   msg.coins = evidence_for(qc_high());
   ++stats_.proposals_sent;
-  trace(obs::EventKind::kProposalSent, v_cur_, r_cur_);
-  multicast(std::move(msg));
+  const std::uint64_t key = crypto::digest_prefix_u64(msg.block.id);
+  const std::uint64_t wire_key = multicast(std::move(msg));
+  record(obs::EventKind::kProposalSent, v_cur_, r_cur_, 0, wire_key, key);
 }
 
 void FallbackReplica::spam_timeouts() {
@@ -240,7 +241,7 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   note_vote_candidate(block);
   const smr::BlockId block_id = block.id;
   store_block(std::move(block), from);
-  trace(obs::EventKind::kProposalReceived, v, r, 0, from);
+  record(obs::EventKind::kProposalReceived, v, r, 0, from, crypto::digest_prefix_u64(block_id));
 
   lock_full(parent, from);
 
@@ -277,7 +278,7 @@ void FallbackReplica::try_vote_steady(const smr::Block& block) {
   r_vote_ = r;
   persist_vote_state();  // durable before the vote leaves
   ++stats_.votes_sent;
-  trace(obs::EventKind::kVoteSent, v, r);
+  record(obs::EventKind::kVoteSent, v, r, 0, 0, crypto::digest_prefix_u64(block.id));
   smr::VoteMsg vote;
   vote.block_id = block.id;
   vote.round = r;
@@ -309,9 +310,8 @@ void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
   qc.round = msg.round;
   qc.view = msg.view;
   qc.sig = *sig;
-  trace(obs::EventKind::kQcFormed, msg.view, msg.round);
-  span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
-       msg.view, msg.round);
+  record(obs::EventKind::kQcFormed, msg.view, msg.round, 0, 0,
+         crypto::digest_prefix_u64(msg.block_id));
   lock_full(qc, from);
 }
 
@@ -362,7 +362,7 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
                        [&] { return smr::ftc_signing_message(msg.view); });
   if (!sig) return;
   const smr::FallbackTC ftc{msg.view, *sig};
-  trace(obs::EventKind::kFtcFormed, msg.view, 0);
+  record(obs::EventKind::kFtcFormed, msg.view, 0);
   highest_ftc_formed_ = msg.view;
   any_ftc_formed_ = true;
   handle_ftc(ftc);
@@ -386,8 +386,8 @@ void FallbackReplica::enter_fallback(View view, const std::optional<smr::Fallbac
   entered_ftc_ = ftc;
   fallback_entered_at_ = sim().now();
   ++stats_.fallbacks_entered;
-  trace(obs::EventKind::kViewEntered, view, r_cur_);
-  trace(obs::EventKind::kFallbackEntered, view, r_cur_, 0,
+  record(obs::EventKind::kViewEntered, view, r_cur_);
+  record(obs::EventKind::kFallbackEntered, view, r_cur_, 0,
         ftc ? obs::kFallbackReasonFtc : obs::kFallbackReasonAlways);
   if (timer_ != sim::kInvalidEvent) {
     sim().cancel(timer_);
@@ -475,7 +475,8 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
       send(to, std::move(msg));
     }
     ++stats_.proposals_sent;
-    trace(obs::EventKind::kProposalSent, v_cur_, parent.round + 1, height);
+    record(obs::EventKind::kProposalSent, v_cur_, parent.round + 1, height, 0,
+           crypto::digest_prefix_u64(a.id));
     return;
   }
 
@@ -495,8 +496,9 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
   msg.ftc = ftc;
   msg.coins = evidence_for(parent);
   ++stats_.proposals_sent;
-  trace(obs::EventKind::kProposalSent, v_cur_, parent.round + 1, height);
-  multicast(std::move(msg));
+  const std::uint64_t key = crypto::digest_prefix_u64(msg.block.id);
+  const std::uint64_t wire_key = multicast(std::move(msg));
+  record(obs::EventKind::kProposalSent, v_cur_, parent.round + 1, height, wire_key, key);
 }
 
 void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& msg) {
@@ -535,7 +537,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   const ReplicaId j = from;
   const smr::BlockId block_id = block.id;
   store_block(std::move(block), from);
-  trace(obs::EventKind::kProposalReceived, v, r, h, from);
+  record(obs::EventKind::kProposalReceived, v, r, h, from, crypto::digest_prefix_u64(block_id));
 
   // Regular-QC parents feed Lock; f-QC parents are recorded (and drive
   // adoption). Endorsed f-QC parents also feed Lock via lock_full.
@@ -591,7 +593,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   h_vote_bar_[j] = h;
   persist_vote_state();  // durable before the fallback vote leaves
   ++stats_.votes_sent;
-  trace(obs::EventKind::kVoteSent, v, r, h);
+  record(obs::EventKind::kVoteSent, v, r, h, 0, crypto::digest_prefix_u64(block_id));
   smr::FbVoteMsg vote;
   vote.block_id = block_id;
   vote.round = r;
@@ -631,9 +633,8 @@ void FallbackReplica::handle_fb_vote(ReplicaId from, const smr::FbVoteMsg& msg) 
   fqc.height = msg.height;
   fqc.proposer = id();
   fqc.sig = *sig;
-  trace(obs::EventKind::kFBlockCertified, msg.view, msg.round, msg.height);
-  span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
-       msg.view, msg.round, msg.height);
+  record(obs::EventKind::kFBlockCertified, msg.view, msg.round, msg.height, 0,
+         crypto::digest_prefix_u64(msg.block_id));
   note_fallback_qc(fqc, id());
 
   // ---- Fallback Propose (Fig 2) ----
@@ -668,7 +669,7 @@ void FallbackReplica::note_fallback_qc(const smr::Certificate& fqc, ReplicaId hi
   const bool behind =
       fb_.always_fallback ? own_height_ < fqc.height : own_height_ <= fqc.height;
   if (fb_.adoption_enabled() && fqc.height < fb_.chain_len && behind) {
-    trace(obs::EventKind::kChainAdopted, fqc.view, fqc.round, fqc.height, fqc.proposer);
+    record(obs::EventKind::kChainAdopted, fqc.view, fqc.round, fqc.height, fqc.proposer);
     propose_fblock(fqc.height + 1, fqc, std::nullopt);
   }
   // Fig 4 Fallback Propose: re-sign and multicast the first completed
@@ -733,7 +734,7 @@ void FallbackReplica::handle_coin_share(ReplicaId from, const smr::CoinShareMsg&
                        [&] { return crypto::CommonCoin::coin_message(msg.view); });
   if (!sig) return;
   const smr::CoinQC coin{msg.view, *sig};
-  trace(obs::EventKind::kCoinQcFormed, msg.view, 0);
+  record(obs::EventKind::kCoinQcFormed, msg.view, 0);
   process_coin(coin);
 }
 
@@ -765,7 +766,7 @@ void FallbackReplica::process_coin(const smr::CoinQC& coin) {
 
   // ---- Exit Fallback (Fig 2) ----
   const ReplicaId leader = coin.leader(crypto_sys());
-  trace(obs::EventKind::kLeaderElected, coin.view, 0, 0, leader);
+  record(obs::EventKind::kLeaderElected, coin.view, 0, 0, leader);
   const bool was_in_this_fallback =
       fallback_mode_ && fallback_entered_view_ && *fallback_entered_view_ == coin.view;
   if (was_in_this_fallback) {
@@ -779,7 +780,7 @@ void FallbackReplica::process_coin(const smr::CoinQC& coin) {
     if (fallback_duration_hist() != nullptr) {
       fallback_duration_hist()->observe(duration);
     }
-    trace(obs::EventKind::kFallbackExited, coin.view, 0, 0, leader);
+    record(obs::EventKind::kFallbackExited, coin.view, 0, 0, leader);
   }
   fallback_mode_ = false;
   v_cur_ = coin.view + 1;
@@ -787,7 +788,7 @@ void FallbackReplica::process_coin(const smr::CoinQC& coin) {
   coin_shares_.erase_before(v_cur_);
   timed_out_cur_round_ = false;
   consecutive_timeouts_ = 0;
-  trace(obs::EventKind::kViewEntered, v_cur_, r_cur_);
+  record(obs::EventKind::kViewEntered, v_cur_, r_cur_);
   persist_vote_state();  // view change + adopted r_vote become durable
 
   // Execute Lock on the highest (now endorsed) f-QC of the elected leader

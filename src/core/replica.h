@@ -13,7 +13,6 @@
 #include "crypto/dealer.h"
 #include "net/network.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "smr/block_store.h"
@@ -59,17 +58,10 @@ struct ReplicaContext {
   /// state only. Not owned.
   smr::CertAudit* audit = nullptr;
 
-  /// Optional structured trace sink. When set, the replica records its
+  /// Optional event sink (obs/trace.h). When set, the replica records its
   /// protocol milestones (proposals, votes, certificates, fallback
-  /// transitions, commits) into this ring; when unset tracing is free.
+  /// transitions, commits) into this ring; when unset recording is free.
   std::shared_ptr<obs::TraceRing> trace;
-
-  /// Optional commit-lifecycle span sink (obs/span.h). Unlike `trace`
-  /// this ring is usually *shared* across replicas of a run — the span
-  /// analyzer stitches cross-replica critical paths, so one merged,
-  /// lock-free stream is the natural shape. Unset (or capacity 0) makes
-  /// every span call a branch and nothing else.
-  std::shared_ptr<obs::SpanRing> spans;
 
   /// Optional harness hook: invoked once per record this replica commits
   /// (after the ledger append). Distinct from Ledger::set_commit_callback,

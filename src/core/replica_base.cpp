@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "obs/span.h"
 
 namespace repro::core {
 
@@ -19,7 +20,6 @@ ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
       on_block_born_(ctx.on_block_born),
       payload_source_(ctx.payload_source),
       trace_(ctx.trace),
-      spans_(ctx.spans),
       on_commit_(ctx.on_commit),
       fallback_duration_hist_(ctx.fallback_duration_hist),
       wal_(ctx.wal),
@@ -230,17 +230,6 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
     return;
   }
 
-  if (spans_on()) {
-    // The handler-entry milestone for proposals: queue/verify/decode time
-    // is behind us, protocol work starts now.
-    if (const auto* pm = std::get_if<smr::ProposalMsg>(&msg)) {
-      span(obs::SpanStage::kDispatch, crypto::digest_prefix_u64(pm->block.id),
-           pm->block.view, pm->block.round);
-    } else if (const auto* fp = std::get_if<smr::FbProposalMsg>(&msg)) {
-      span(obs::SpanStage::kDispatch, crypto::digest_prefix_u64(fp->block.id),
-           fp->block.view, fp->block.round, fp->block.height);
-    }
-  }
   handle_message(from, std::move(msg));
 }
 
@@ -266,57 +255,19 @@ void ReplicaBase::seed_decode_cache(smr::Message&& msg, const SharedBytes& paylo
   dcache_->remember_buffer(payload, key);
 }
 
-ReplicaBase::SpanPlan ReplicaBase::span_plan(const smr::Message& msg) {
-  SpanPlan p;
-  if (const auto* pm = std::get_if<smr::ProposalMsg>(&msg)) {
-    p = {SpanPlan::kProposal, crypto::digest_prefix_u64(pm->block.id),
-         pm->block.view, pm->block.round, 0};
-  } else if (const auto* fp = std::get_if<smr::FbProposalMsg>(&msg)) {
-    p = {SpanPlan::kProposal, crypto::digest_prefix_u64(fp->block.id),
-         fp->block.view, fp->block.round, fp->block.height};
-  } else if (const auto* v = std::get_if<smr::VoteMsg>(&msg)) {
-    p = {SpanPlan::kVote, crypto::digest_prefix_u64(v->block_id), v->view,
-         v->round, 0};
-  } else if (const auto* fv = std::get_if<smr::FbVoteMsg>(&msg)) {
-    p = {SpanPlan::kVote, crypto::digest_prefix_u64(fv->block_id), fv->view,
-         fv->round, fv->height};
-  }
-  return p;
-}
-
-void ReplicaBase::record_span_plan(const SpanPlan& plan, const SharedBytes& payload) {
-  switch (plan.kind) {
-    case SpanPlan::kProposal:
-      // aux carries the payload content key: the bridge from this block's
-      // protocol-level spans to the transport spans keyed on wire bytes.
-      span(obs::SpanStage::kProposalEncode, plan.key, plan.view, plan.round,
-           obs::span_key_of(*payload));
-      break;
-    case SpanPlan::kVote:
-      span(obs::SpanStage::kVoteSend, plan.key, plan.view, plan.round,
-           plan.height);
-      break;
-    case SpanPlan::kNone:
-      break;
-  }
-}
-
 void ReplicaBase::send(ReplicaId to, smr::Message msg) {
   // One recipient, one delivery: nothing to seed (see on_message).
-  const SpanPlan plan = spans_on() ? span_plan(msg) : SpanPlan{};
-  SharedBytes payload = encode_signed(msg);
-  record_span_plan(plan, payload);
-  net_->send(id_, to, std::move(payload));
+  net_->send(id_, to, encode_signed(msg));
 }
 
-void ReplicaBase::multicast(smr::Message msg) {
+std::uint64_t ReplicaBase::multicast(smr::Message msg) {
   ++stats_.multicast_encodes;
-  // Captured before seeding moves the message into the decode cache.
-  const SpanPlan plan = spans_on() ? span_plan(msg) : SpanPlan{};
   SharedBytes payload = encode_signed(msg);
   seed_decode_cache(std::move(msg), payload);
-  record_span_plan(plan, payload);
+  const std::uint64_t wire_key =
+      trace_ && trace_->enabled() ? obs::span_key_of(*payload) : 0;
   net_->multicast(id_, std::move(payload));
+  return wire_key;
 }
 
 bool ReplicaBase::is_endorsed(const smr::Certificate& cert) const {
@@ -425,9 +376,8 @@ void ReplicaBase::maybe_announce_batch(Round round) {
     batch_store_.put(batch.id, batch.data);
     if (cfg_.batch_announce && !cfg_.fault.mute()) {
       ++stats_.batches_announced;
-      trace(obs::EventKind::kBatchAnnounced, v_cur_, round, 0, batch.data.size());
-      span(obs::SpanStage::kBatchAnnounce, crypto::digest_prefix_u64(batch.id),
-           v_cur_, round, batch.data.size());
+      record(obs::EventKind::kBatchAnnounced, v_cur_, round, 0, batch.data.size(),
+             crypto::digest_prefix_u64(batch.id));
       multicast(smr::BatchMsg{batch.data});
     }
   }
@@ -453,9 +403,8 @@ ReplicaBase::PayloadChoice ReplicaBase::take_payload() {
   batch_store_.put(batch.id, batch.data);
   if (cfg_.batch_announce && !cfg_.fault.mute()) {
     ++stats_.batches_announced;
-    trace(obs::EventKind::kBatchAnnounced, v_cur_, r_cur_, 0, batch.data.size());
-    span(obs::SpanStage::kBatchAnnounce, crypto::digest_prefix_u64(batch.id),
-         v_cur_, r_cur_, batch.data.size());
+    record(obs::EventKind::kBatchAnnounced, v_cur_, r_cur_, 0, batch.data.size(),
+           crypto::digest_prefix_u64(batch.id));
     multicast(smr::BatchMsg{batch.data});
   }
   return {Bytes(batch.id.begin(), batch.id.end()), smr::kBatchRefPayload};
@@ -468,7 +417,7 @@ void ReplicaBase::try_resolve_block(const smr::BlockId& id, ReplicaId hint) {
   if (const Bytes* data = batch_store_.get(ref)) {
     b->resolved_payload = *data;
     ++stats_.batch_ref_hits;
-    trace(obs::EventKind::kBatchResolved, b->view, b->round);
+    record(obs::EventKind::kBatchResolved, b->view, b->round);
     return;
   }
   ++stats_.batch_ref_misses;
@@ -549,7 +498,7 @@ void ReplicaBase::accept_batch(Bytes data, ReplicaId from) {
       smr::Block* b = store_.get_mutable(bid);
       if (b == nullptr || b->payload_resolved()) continue;
       b->resolved_payload = *stored;
-      trace(obs::EventKind::kBatchResolved, b->view, b->round);
+      record(obs::EventKind::kBatchResolved, b->view, b->round);
       on_batch_resolved(*b, from);
     }
   }
@@ -736,10 +685,8 @@ void ReplicaBase::try_commit_from(const smr::Certificate& cert, ReplicaId hint) 
               static_cast<unsigned long long>(oldest->view));
     for (std::size_t i = before; i < ledger_.size(); ++i) {
       const smr::CommitRecord& rec = ledger_.records()[i];
-      trace(obs::EventKind::kBlockCommitted, rec.view, rec.round, rec.height,
-            smr::BlockIdHash{}(rec.id));
-      span(obs::SpanStage::kCommit, crypto::digest_prefix_u64(rec.id), rec.view,
-           rec.round, rec.height);
+      const std::uint64_t key = crypto::digest_prefix_u64(rec.id);
+      record(obs::EventKind::kBlockCommitted, rec.view, rec.round, rec.height, key, key);
       if (on_commit_) on_commit_(rec);
     }
     prune_batch_waiters();

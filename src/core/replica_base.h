@@ -143,8 +143,11 @@ class ReplicaBase : public IReplica {
   // its own loopback delivery — and, with the harness-shared cache, every
   // simulated recipient — skips the redundant parse. A point-to-point
   // buffer is delivered once, so it is never hashed or seeded.
+  // multicast returns the transport key of the wire bytes (obs::span_key_of)
+  // while recording, else 0: kProposalSent carries it to bridge the block
+  // key to the send_flush / socket_read events of the same frame.
   void send(ReplicaId to, smr::Message msg);
-  void multicast(smr::Message msg);
+  std::uint64_t multicast(smr::Message msg);
 
   // Certificate verification ---------------------------------------------
   // The full threshold check, on every copy: in this scheme it is one
@@ -284,36 +287,15 @@ class ReplicaBase : public IReplica {
   }
 
   // Observability ---------------------------------------------------------
-  /// Record a structured trace event at the current sim time. Free (one
-  /// branch) when no trace ring is installed.
-  void trace(obs::EventKind kind, View view, Round round,
-             std::uint64_t height = 0, std::uint64_t aux = 0) {
+  /// Record an event at the current executor time; `key` is the block (or
+  /// batch) id prefix of block milestones. Free (one branch) when no ring
+  /// is installed.
+  void record(obs::EventKind kind, View view, Round round, std::uint64_t height = 0,
+              std::uint64_t aux = 0, std::uint64_t key = 0) {
     if (trace_ && trace_->enabled()) {
-      trace_->push({kind, id_, sim_->now(), 0, view, round, height, aux});
+      trace_->push({kind, id_, obs::kNoPeer, sim_->now(), 0, view, round, height, aux, key});
     }
   }
-
-  /// Record a commit-lifecycle span milestone at the current sim time.
-  /// Free (one branch) when no span ring is installed; in wall-clock
-  /// rings the push overrides t_us with CLOCK_REALTIME itself.
-  void span(obs::SpanStage stage, std::uint64_t key, View view = 0,
-            Round round = 0, std::uint64_t aux = 0) {
-    if (spans_ && spans_->enabled()) {
-      obs::SpanEvent ev;
-      ev.stage = stage;
-      ev.replica = id_;
-      ev.t_us = sim_->now();
-      ev.key = key;
-      ev.view = view;
-      ev.round = round;
-      ev.aux = aux;
-      spans_->push(ev);
-    }
-  }
-
-  /// True when span recording is live (gates work done only to feed spans,
-  /// e.g. hashing an encoded payload for the transport-correlation key).
-  bool spans_on() const { return spans_ && spans_->enabled(); }
 
   /// Fallback-duration histogram installed by the harness (may be null).
   obs::Histogram* fallback_duration_hist() { return fallback_duration_hist_; }
@@ -481,7 +463,6 @@ class ReplicaBase : public IReplica {
   std::function<void(const smr::BlockId&, SimTime)> on_block_born_;
   std::function<Bytes()> payload_source_;
   std::shared_ptr<obs::TraceRing> trace_;
-  std::shared_ptr<obs::SpanRing> spans_;
   std::function<void(const smr::CommitRecord&)> on_commit_;
   obs::Histogram* fallback_duration_hist_ = nullptr;
   storage::Wal* wal_ = nullptr;
@@ -498,20 +479,6 @@ class ReplicaBase : public IReplica {
   /// Multicast only: file the decoded form under `payload`'s content key
   /// and remember the buffer, so its deliveries skip the parse.
   void seed_decode_cache(smr::Message&& msg, const SharedBytes& payload);
-
-  /// Span milestones derived from an outgoing message. Captured *before*
-  /// seed_decode_cache moves the message into the decode cache; the
-  /// payload content key (bridging to transport spans) is only computable
-  /// after encoding.
-  struct SpanPlan {
-    enum Kind : std::uint8_t { kNone, kProposal, kVote } kind = kNone;
-    std::uint64_t key = 0;  ///< block-id prefix
-    View view = 0;
-    Round round = 0;
-    std::uint64_t height = 0;
-  };
-  static SpanPlan span_plan(const smr::Message& msg);
-  void record_span_plan(const SpanPlan& plan, const SharedBytes& payload);
 
   // Pipelined proposal path state ----------------------------------------
   smr::BatchStore batch_store_;

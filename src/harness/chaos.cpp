@@ -202,9 +202,6 @@ ChaosResult run_schedule(const ChaosSchedule& s, const std::string& forensics_di
   cfg.seed = s.seed;
   cfg.enable_wal = true;  // restart events need crash recovery
   cfg.trace_capacity = 1 << 14;
-  // Span recording is forensics-only: the fuzz sweep itself stays lean,
-  // and the span stream never feeds the trace sha256 pin either way.
-  if (!forensics_dir.empty()) cfg.span_capacity = 1 << 14;
   cfg.pcfg.base_timeout_us = s.base_timeout_us;
   cfg.pcfg.batch_bytes = s.batch_bytes;
   cfg.pcfg.batch_announce = s.batch_announce;
@@ -348,7 +345,6 @@ ChaosResult run_schedule(const ChaosSchedule& s, const std::string& forensics_di
   if (!res.ok && !forensics_dir.empty()) {
     obs::FlightRecorder::Sources src;
     src.traces = [&exp] { return exp.traces_ndjson(); };
-    src.spans = [&exp] { return exp.spans_ndjson(); };
     src.metrics = [&exp] { return exp.registry().snapshot().ndjson(); };
     src.manifest_extra = [&s, &res] {
       return ",\"seed\":" + std::to_string(s.seed) +
@@ -755,9 +751,9 @@ FuzzStats ChaosFuzzer::run(const std::function<void(std::uint64_t, const ChaosRe
       }
       fail.shrunk.expect_trace_sha256 = fail.result.trace_sha256;
       if (!opt_.forensics_dir.empty()) {
-        // Re-execute the minimal repro with spans on: the bundle then
-        // captures the failing run's full trace/span/metrics window next
-        // to the replayable schedule artifact.
+        // Re-execute the minimal repro: the bundle then captures the
+        // failing run's event/metrics window next to the replayable
+        // schedule artifact.
         const ChaosResult forensic = run_schedule(fail.shrunk, opt_.forensics_dir);
         fail.forensics_path = forensic.forensics_path;
       }

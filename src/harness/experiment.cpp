@@ -28,12 +28,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
   fallback_duration_hist_ = &registry_.histogram("repro_fallback_duration_us");
   net::register_net_stats(registry_, net_->stats());
 
-  if (cfg_.span_capacity > 0) {
-    // One shared ring: the sim executor is single-threaded, so events land
-    // in causal order and the analyzer needs no merge.
-    spans_ = std::make_shared<obs::SpanRing>(cfg_.span_capacity, /*wall_clock=*/false);
-  }
-
   replicas_.reserve(cfg_.n);
   for (ReplicaId id = 0; id < cfg_.n; ++id) {
     core::ReplicaContext ctx;
@@ -59,15 +53,9 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
     ctx.decode_cache = decode_cache_;
     ctx.audit = &audit_;
     if (cfg_.trace_capacity > 0) {
-      std::size_t cap = cfg_.trace_capacity;
-      if (cfg_.trace_budget_bytes > 0) {
-        cap = std::min(cap, std::max<std::size_t>(1, cfg_.trace_budget_bytes /
-                                                         sizeof(obs::TraceEvent)));
-      }
-      traces_.push_back(std::make_shared<obs::TraceRing>(cap, /*wall_clock=*/false));
+      traces_.push_back(std::make_shared<obs::TraceRing>(cfg_.trace_capacity));
       ctx.trace = traces_.back();
     }
-    ctx.spans = spans_;
     ctx.on_commit = [this, id](const smr::CommitRecord& rec) {
       auto it = births_.find(rec.id);
       if (it != births_.end() && rec.commit_time >= it->second) {
@@ -272,15 +260,6 @@ std::string Experiment::traces_ndjson() const {
   return obs::to_ndjson(trace_events());
 }
 
-std::vector<obs::SpanEvent> Experiment::span_events() const {
-  if (!spans_) return {};
-  return spans_->events();
-}
-
-std::string Experiment::spans_ndjson() const {
-  return obs::spans_to_ndjson(span_events());
-}
-
 namespace {
 bool write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -292,10 +271,6 @@ bool write_file(const std::string& path, const std::string& content) {
 
 bool Experiment::write_traces(const std::string& path) const {
   return write_file(path, traces_ndjson());
-}
-
-bool Experiment::write_spans(const std::string& path) const {
-  return write_file(path, spans_ndjson());
 }
 
 bool Experiment::write_metrics(const std::string& path) const {

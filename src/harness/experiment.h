@@ -53,23 +53,10 @@ struct ExperimentConfig {
   /// Experiment) so restart_replica() can crash-recover it.
   bool enable_wal = false;
 
-  /// Structured-trace ring capacity per replica; 0 disables tracing (the
-  /// replicas then skip event recording entirely).
+  /// Event ring capacity per replica (DESIGN.md §10); 0 disables
+  /// recording (the replicas then skip it entirely). Rings preallocate
+  /// capacity * sizeof(obs::TraceEvent) up front.
   std::size_t trace_capacity = 0;
-
-  /// Commit-lifecycle span ring capacity (events), shared by all replicas;
-  /// 0 disables span recording entirely (DESIGN.md §15). A single ring is
-  /// correct under the sim's one-threaded executor and keeps the merged
-  /// stream already in causal order.
-  std::size_t span_capacity = 0;
-
-  /// Optional per-replica byte budget for the trace ring (0 = no clamp).
-  /// Rings preallocate capacity * sizeof(TraceEvent) up front, which at
-  /// n=300 with a 2^18-event ring would commit ~4 GiB across replicas;
-  /// scale sweeps set a budget and the harness clamps the ring capacity
-  /// to budget / sizeof(TraceEvent). Opt-in so seeded trace pins keep
-  /// their exact ring size (ring overwrite changes which events survive).
-  std::size_t trace_budget_bytes = 0;
 
   /// Optional harness-level commit hook, invoked after the latency
   /// histogram for every record any replica commits. The chaos fuzzer
@@ -144,21 +131,18 @@ class Experiment {
   obs::Registry& registry() { return registry_; }
   const obs::Registry& registry() const { return registry_; }
 
-  /// Merged global timeline of every replica's trace ring, ordered by
+  /// Merged global timeline of every replica's event ring, ordered by
   /// (time, replica). Empty unless cfg.trace_capacity > 0.
   std::vector<obs::TraceEvent> trace_events() const;
 
   /// NDJSON of the merged timeline (deterministic for identical runs).
   std::string traces_ndjson() const;
 
-  /// Commit-lifecycle span ring (null unless cfg.span_capacity > 0).
-  const std::shared_ptr<obs::SpanRing>& spans() const { return spans_; }
-  /// All recorded span events (empty when spans are disabled).
-  std::vector<obs::SpanEvent> span_events() const;
-  /// NDJSON of the span stream — a separate stream from traces_ndjson(),
-  /// so seeded trace pins are untouched by span configuration.
-  std::string spans_ndjson() const;
-  bool write_spans(const std::string& path) const;
+  /// Replica `id`'s event ring, or null when recording is off. Simulated
+  /// clients record their confirms into the acking replica's ring.
+  obs::TraceRing* trace_ring(ReplicaId id) const {
+    return traces_.empty() ? nullptr : traces_[id].get();
+  }
 
   /// Write the merged NDJSON trace / a registry metrics snapshot to a
   /// file. Returns false on I/O failure.
@@ -200,10 +184,8 @@ class Experiment {
   /// Block id -> creation time (filled by the replicas' birth hook).
   std::unordered_map<smr::BlockId, SimTime, smr::BlockIdHash> births_;
   obs::Registry registry_;
-  /// Per-replica trace rings (empty when tracing is disabled).
+  /// Per-replica event rings (empty when recording is disabled).
   std::vector<std::shared_ptr<obs::TraceRing>> traces_;
-  /// Shared commit-lifecycle span ring (null when spans are disabled).
-  std::shared_ptr<obs::SpanRing> spans_;
   obs::Histogram* commit_latency_hist_ = nullptr;    ///< owned by registry_
   obs::Histogram* fallback_duration_hist_ = nullptr; ///< owned by registry_
 };

@@ -66,18 +66,9 @@ AdminServer::AdminServer(std::uint16_t port, Options options)
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
   port_ = ntohs(addr.sin_port);
   thread_ = std::thread([this] { serve_loop(); });
-  LOG_INFO("admin: serving /metrics /trace /spans /healthz /dump on 127.0.0.1:%u",
+  LOG_INFO("admin: serving /metrics /trace /healthz /dump on 127.0.0.1:%u",
            unsigned(port_));
 }
-
-AdminServer::AdminServer(std::uint16_t port, const Registry* registry,
-                         std::shared_ptr<const TraceRing> trace)
-    : AdminServer(port, [&] {
-        Options o;
-        o.registry = registry;
-        o.trace = std::move(trace);
-        return o;
-      }()) {}
 
 AdminServer::~AdminServer() {
   stop_.store(true, std::memory_order_relaxed);
@@ -146,8 +137,6 @@ void AdminServer::handle_client(int fd) {
     meta.recorded = opts_.trace->recorded();
     respond(fd, 200, "application/x-ndjson",
             trace_meta_line(meta) + to_ndjson(opts_.trace->events()));
-  } else if (path == "/spans" && opts_.spans != nullptr) {
-    respond(fd, 200, "application/x-ndjson", spans_to_ndjson(opts_.spans->events()));
   } else if (path == "/dump" && opts_.dump_fn) {
     const std::string bundle = opts_.dump_fn();
     if (bundle.empty()) {

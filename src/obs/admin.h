@@ -1,5 +1,5 @@
 // Minimal local admin endpoint for real-time nodes: serves the metrics
-// registry in Prometheus text format and the trace ring as NDJSON over
+// registry in Prometheus text format and the event ring as NDJSON over
 // plain HTTP/1.0 on a loopback TCP port. One blocking accept thread, one
 // request per connection — diagnostics plumbing, not a web server.
 #pragma once
@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace repro::obs {
@@ -25,7 +24,6 @@ class AdminServer {
   struct Options {
     const Registry* registry = nullptr;
     std::shared_ptr<const TraceRing> trace;
-    std::shared_ptr<const SpanRing> spans;
     /// Replica id stamped into the /trace meta header line.
     ReplicaId replica = 0;
     /// Liveness probe: returns {http status, body}. Implementations
@@ -39,14 +37,10 @@ class AdminServer {
 
   /// Binds 127.0.0.1:`port` (port 0 lets the kernel pick; see port()).
   /// Routes: GET /metrics (Prometheus), GET /trace (NDJSON, meta header
-  /// line first), GET /spans (NDJSON), GET /healthz (liveness),
+  /// line first), GET /healthz (liveness),
   /// GET /dump (forensics bundle). Oversized or malformed request lines
   /// get 400.
   AdminServer(std::uint16_t port, Options options);
-
-  /// Back-compat shorthand: registry + trace only.
-  AdminServer(std::uint16_t port, const Registry* registry,
-              std::shared_ptr<const TraceRing> trace);
   ~AdminServer();
 
   AdminServer(const AdminServer&) = delete;

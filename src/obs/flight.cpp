@@ -42,9 +42,6 @@ std::string FlightRecorder::dump(const std::string& reason) {
   if (sources_.traces) {
     if (!write_file(bundle / "trace.ndjson", sources_.traces())) return "";
   }
-  if (sources_.spans) {
-    if (!write_file(bundle / "spans.ndjson", sources_.spans())) return "";
-  }
   if (sources_.metrics) {
     if (!write_file(bundle / "metrics.ndjson", sources_.metrics())) return "";
   }

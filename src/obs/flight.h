@@ -1,11 +1,10 @@
 // Flight recorder: on invariant violation, commit-stall watchdog expiry,
-// or an admin `GET /dump`, snapshot the last-N trace/span window plus a
+// or an admin `GET /dump`, snapshot the last-N event window plus a
 // metrics dump into a forensics bundle directory:
 //
 //   <dir>/<reason>-<seq>/
 //     manifest.json    {"reason":...,"seq":...,...extra fields}
-//     trace.ndjson     TraceRing snapshot (with a trailing meta line)
-//     spans.ndjson     SpanRing snapshot (with a trailing meta line)
+//     trace.ndjson     event ring snapshot (bftnode leads with a meta line)
 //     metrics.ndjson   Registry snapshot
 //
 // Sources are pull-style closures so the recorder stays decoupled from
@@ -24,8 +23,7 @@ namespace repro::obs {
 class FlightRecorder {
  public:
   struct Sources {
-    std::function<std::string()> traces;          ///< trace NDJSON (or empty)
-    std::function<std::string()> spans;           ///< span NDJSON (or empty)
+    std::function<std::string()> traces;          ///< event NDJSON (or empty)
     std::function<std::string()> metrics;         ///< metrics NDJSON (or empty)
     std::function<std::string()> manifest_extra;  ///< extra manifest JSON
                                                   ///< fields, ",\"k\":v" form

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <deque>
 #include <map>
 #include <set>
@@ -13,129 +11,17 @@
 namespace repro::obs {
 namespace {
 
-struct StageName {
-  SpanStage stage;
-  const char* name;
-};
-
-constexpr StageName kStageNames[] = {
-    {SpanStage::kBatchAnnounce, "batch_announce"},
-    {SpanStage::kProposalEncode, "proposal_encode"},
-    {SpanStage::kSendFlush, "send_flush"},
-    {SpanStage::kSocketRead, "socket_read"},
-    {SpanStage::kDispatch, "dispatch"},
-    {SpanStage::kVoteSend, "vote_send"},
-    {SpanStage::kQcFormed, "qc_formed"},
-    {SpanStage::kCommit, "commit"},
-    {SpanStage::kClientConfirm, "client_confirm"},
-    {SpanStage::kClockOffset, "clock_offset"},
-};
-static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) == kSpanStageCount);
-
 /// Critical-path stage labels; stage i spans milestone i -> i+1.
 constexpr const char* kChainStageNames[SpanChain::kMilestones - 1] = {
-    "sendq_wait",   // proposal encode -> send-queue flush
+    "sendq_wait",   // proposal sent -> send-queue flush
     "wire",         // flush -> critical voter's socket read
-    "dispatch",     // socket read -> proposal handler entry
-    "vote_handler", // handler entry -> vote send
+    "dispatch",     // socket read -> proposal received (decoded, verified, stored)
+    "vote_handler", // proposal received -> vote sent
     "quorum",       // vote send -> QC formed
     "commit_rule",  // QC formed -> commit (the k-chain rule's trailing wait)
 };
 
-std::uint64_t wall_now_us() {
-  timespec ts{};
-  clock_gettime(CLOCK_REALTIME, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000 +
-         static_cast<std::uint64_t>(ts.tv_nsec) / 1'000;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-bool json_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* p = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(p, &end, 10);
-  if (end == p) return false;
-  *out = v;
-  return true;
-}
-
-bool json_str(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) return false;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-void fill_latency(LatencyStats* out, std::vector<std::uint64_t> samples) {
-  out->count = samples.size();
-  if (samples.empty()) return;
-  std::sort(samples.begin(), samples.end());
-  std::uint64_t sum = 0;
-  for (auto s : samples) sum += s;
-  out->mean_us = static_cast<double>(sum) / static_cast<double>(samples.size());
-  out->p50_us = samples[samples.size() / 2];
-  out->p99_us = samples[std::min(samples.size() - 1, samples.size() * 99 / 100)];
-}
-
-// Slot word packing: w0 = stage(8) | replica(28)<<8 | peer(24)<<36,
-// w1 = t_us, w2 = key, w3 = aux, w4 = view(32) | round(32)<<32.
-constexpr std::uint64_t kReplicaMask = (1ull << 28) - 1;
-constexpr std::uint64_t kPeerMask = (1ull << 24) - 1;
-
-std::uint64_t pack_w0(const SpanEvent& ev) {
-  return static_cast<std::uint64_t>(ev.stage) |
-         ((ev.replica & kReplicaMask) << 8) |
-         ((static_cast<std::uint64_t>(ev.peer) & kPeerMask) << 36);
-}
-
-void unpack(const std::uint64_t w[5], SpanEvent* ev) {
-  ev->stage = static_cast<SpanStage>(w[0] & 0xFF);
-  ev->replica = static_cast<ReplicaId>((w[0] >> 8) & kReplicaMask);
-  ev->peer = static_cast<ReplicaId>((w[0] >> 36) & kPeerMask);
-  ev->t_us = w[1];
-  ev->key = w[2];
-  ev->aux = w[3];
-  ev->view = static_cast<View>(w[4] & 0xFFFFFFFFull);
-  ev->round = static_cast<Round>(w[4] >> 32);
-}
-
-std::size_t round_pow2(std::size_t v) {
-  if (v == 0) return 0;
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 }  // namespace
-
-const char* span_stage_name(SpanStage s) {
-  for (const auto& sn : kStageNames) {
-    if (sn.stage == s) return sn.name;
-  }
-  return "?";
-}
-
-bool span_stage_from_name(const std::string& name, SpanStage* out) {
-  for (const auto& sn : kStageNames) {
-    if (name == sn.name) {
-      *out = sn.stage;
-      return true;
-    }
-  }
-  return false;
-}
 
 const char* span_chain_stage_name(std::size_t i) {
   return i < SpanChain::kMilestones - 1 ? kChainStageNames[i] : "?";
@@ -155,154 +41,21 @@ std::uint64_t span_key_of(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-SpanRing::SpanRing(std::size_t capacity, bool wall_clock)
-    : capacity_(round_pow2(capacity)),
-      mask_(capacity_ == 0 ? 0 : capacity_ - 1),
-      wall_clock_(wall_clock) {
-  if (capacity_ != 0) slots_ = std::make_unique<Slot[]>(capacity_);
-}
-
-void SpanRing::push(SpanEvent ev) {
-  if (capacity_ == 0) return;
-  if (wall_clock_) ev.t_us = wall_now_us();
-  const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = slots_[ticket & mask_];
-  // Seqlock write: invalidate, store payload, publish. Readers that race
-  // with us observe seq != ticket+1 and skip the slot.
-  s.seq.store(0, std::memory_order_release);
-  s.w[0].store(pack_w0(ev), std::memory_order_relaxed);
-  s.w[1].store(ev.t_us, std::memory_order_relaxed);
-  s.w[2].store(ev.key, std::memory_order_relaxed);
-  s.w[3].store(ev.aux, std::memory_order_relaxed);
-  s.w[4].store((ev.view & 0xFFFFFFFFull) |
-                   (static_cast<std::uint64_t>(ev.round & 0xFFFFFFFFull) << 32),
-               std::memory_order_relaxed);
-  s.seq.store(ticket + 1, std::memory_order_release);
-}
-
-std::vector<SpanEvent> SpanRing::events() const {
-  std::vector<SpanEvent> out;
-  if (capacity_ == 0) return out;
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = std::min<std::uint64_t>(head, capacity_);
-  out.reserve(n);
-  for (std::uint64_t ticket = head - n; ticket < head; ++ticket) {
-    const Slot& s = slots_[ticket & mask_];
-    if (s.seq.load(std::memory_order_acquire) != ticket + 1) continue;
-    std::uint64_t w[5];
-    for (std::size_t i = 0; i < 5; ++i) w[i] = s.w[i].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != ticket + 1) continue;
-    SpanEvent ev;
-    unpack(w, &ev);
-    out.push_back(ev);
-  }
-  return out;
-}
-
-std::uint64_t SpanRing::recorded() const {
-  return head_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SpanRing::dropped() const {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  return head > capacity_ ? head - capacity_ : 0;
-}
-
-std::string spans_to_ndjson(const std::vector<SpanEvent>& events) {
-  std::string out;
-  out.reserve(events.size() * 96);
-  for (const auto& ev : events) {
-    out += "{\"stage\":\"";
-    out += span_stage_name(ev.stage);
-    out += "\",\"replica\":";
-    append_u64(out, ev.replica);
-    out += ",\"t_us\":";
-    append_u64(out, ev.t_us);
-    out += ",\"key\":";
-    append_u64(out, ev.key);
-    if (ev.view != 0) {
-      out += ",\"view\":";
-      append_u64(out, ev.view);
-    }
-    if (ev.round != 0) {
-      out += ",\"round\":";
-      append_u64(out, ev.round);
-    }
-    if (ev.aux != 0) {
-      out += ",\"aux\":";
-      append_u64(out, ev.aux);
-    }
-    if (ev.peer != kSpanNoPeer) {
-      out += ",\"peer\":";
-      append_u64(out, ev.peer);
-    }
-    out += "}\n";
-  }
-  return out;
-}
-
-std::vector<SpanEvent> parse_spans_ndjson(const std::string& text,
-                                          std::size_t* bad_lines) {
-  std::vector<SpanEvent> out;
-  std::size_t bad = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // Mixed streams are fine: trace events and meta lines are simply not
-    // span lines. Only lines claiming to be spans can be malformed.
-    if (line.find("\"stage\":") == std::string::npos) continue;
-    std::string name;
-    SpanEvent ev;
-    std::uint64_t replica = 0;
-    if (!json_str(line, "stage", &name) || !span_stage_from_name(name, &ev.stage) ||
-        !json_u64(line, "replica", &replica) || !json_u64(line, "t_us", &ev.t_us) ||
-        !json_u64(line, "key", &ev.key)) {
-      ++bad;
-      continue;
-    }
-    ev.replica = static_cast<ReplicaId>(replica);
-    json_u64(line, "view", &ev.view);
-    json_u64(line, "round", &ev.round);
-    json_u64(line, "aux", &ev.aux);
-    std::uint64_t peer = kSpanNoPeer;
-    json_u64(line, "peer", &peer);
-    ev.peer = static_cast<ReplicaId>(peer);
-    out.push_back(ev);
-  }
-  if (bad_lines != nullptr) *bad_lines = bad;
-  return out;
-}
-
-void sort_spans(std::vector<SpanEvent>& events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     if (a.t_us != b.t_us) return a.t_us < b.t_us;
-                     if (a.replica != b.replica) return a.replica < b.replica;
-                     if (a.stage != b.stage) return a.stage < b.stage;
-                     return a.key < b.key;
-                   });
-}
-
-std::size_t apply_clock_offsets(std::vector<SpanEvent>& events) {
+std::size_t apply_clock_offsets(std::vector<TraceEvent>& events) {
   // Last published estimate per (measurer, peer): offset = peer_clock -
   // measurer_clock. Senders only publish min-RTT-improved samples, so the
   // final one is the tightest.
   std::map<std::pair<ReplicaId, ReplicaId>, std::int64_t> pair_offset;
-  ReplicaId ref = kSpanNoPeer;
+  ReplicaId ref = kNoPeer;
   for (const auto& ev : events) {
     if (ev.replica < ref) ref = ev.replica;
-    if (ev.stage == SpanStage::kClockOffset) {
+    if (ev.kind == EventKind::kClockOffset) {
       std::int64_t off = 0;
       std::memcpy(&off, &ev.aux, sizeof off);
-      pair_offset[{ev.replica, static_cast<ReplicaId>(ev.key)}] = off;
+      pair_offset[{ev.replica, ev.peer}] = off;
     }
   }
-  if (pair_offset.empty() || ref == kSpanNoPeer) return 0;
+  if (pair_offset.empty() || ref == kNoPeer) return 0;
 
   // BFS the (undirected) measurement graph from the reference replica,
   // accumulating each replica's offset relative to the reference clock.
@@ -337,20 +90,19 @@ std::size_t apply_clock_offsets(std::vector<SpanEvent>& events) {
   return adjusted;
 }
 
-SpanReport analyze_spans(std::vector<SpanEvent> events) {
+SpanReport analyze_spans(std::vector<TraceEvent> events) {
   SpanReport rep;
   rep.events_total = events.size();
 
-  std::map<std::pair<ReplicaId, ReplicaId>, bool> pairs;
-  for (const auto& ev : events) {
-    if (ev.stage == SpanStage::kClockOffset) {
-      pairs[{ev.replica, static_cast<ReplicaId>(ev.key)}] = true;
-    }
+  std::set<std::pair<ReplicaId, ReplicaId>> pairs;
+  for (auto& ev : events) {
+    if (ev.wall_us != 0) ev.t_us = ev.wall_us;
+    if (ev.kind == EventKind::kClockOffset) pairs.insert({ev.replica, ev.peer});
   }
   rep.clock_pairs = pairs.size();
   apply_clock_offsets(events);
 
-  struct Encode {
+  struct Sent {
     ReplicaId replica = 0;
     std::uint64_t t = 0;
     std::uint64_t payload_key = 0;
@@ -363,11 +115,11 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
     Round round = 0;
     std::uint64_t height = 0;
   };
-  std::map<std::uint64_t, Encode> encodes;                       // block key
+  std::map<std::uint64_t, Sent> proposals;                       // block key
   std::map<std::uint64_t, std::map<std::pair<ReplicaId, ReplicaId>, std::uint64_t>>
       flushes;                                                   // payload key
   std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> reads;     // payload
-  std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> dispatches;  // block
+  std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> receipts;    // block
   std::map<std::uint64_t, std::map<ReplicaId, std::uint64_t>> votes;       // block
   std::map<std::uint64_t, std::uint64_t> qcs;                              // block
   std::map<std::uint64_t, Commit> commits;                                 // block
@@ -380,45 +132,43 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
   };
 
   for (const auto& ev : events) {
-    switch (ev.stage) {
-      case SpanStage::kProposalEncode: {
-        auto [it, fresh] = encodes.emplace(
-            ev.key, Encode{ev.replica, ev.t_us, ev.aux, ev.view, ev.round});
-        if (!fresh && ev.t_us < it->second.t) {
-          it->second = Encode{ev.replica, ev.t_us, ev.aux, ev.view, ev.round};
-        }
+    if (ev.key == 0) continue;
+    switch (ev.kind) {
+      case EventKind::kProposalSent: {
+        const Sent sent{ev.replica, ev.t_us, ev.aux, ev.view, ev.round};
+        auto [it, fresh] = proposals.emplace(ev.key, sent);
+        if (!fresh && ev.t_us < it->second.t) it->second = sent;
         break;
       }
-      case SpanStage::kSendFlush: {
+      case EventKind::kSendFlush: {
         auto& m = flushes[ev.key];
         const auto link = std::make_pair(ev.replica, ev.peer);
         auto [it, fresh] = m.emplace(link, ev.t_us);
         if (!fresh && ev.t_us < it->second) it->second = ev.t_us;
         break;
       }
-      case SpanStage::kSocketRead:
+      case EventKind::kSocketRead:
         keep_min(reads[ev.key], ev.replica, ev.t_us);
         break;
-      case SpanStage::kDispatch:
-        keep_min(dispatches[ev.key], ev.replica, ev.t_us);
+      case EventKind::kProposalReceived:
+        keep_min(receipts[ev.key], ev.replica, ev.t_us);
         break;
-      case SpanStage::kVoteSend:
+      case EventKind::kVoteSent:
         keep_min(votes[ev.key], ev.replica, ev.t_us);
         break;
-      case SpanStage::kQcFormed: {
+      case EventKind::kQcFormed:
+      case EventKind::kFBlockCertified: {
         auto [it, fresh] = qcs.emplace(ev.key, ev.t_us);
         if (!fresh && ev.t_us < it->second) it->second = ev.t_us;
         break;
       }
-      case SpanStage::kCommit: {
-        auto [it, fresh] =
-            commits.emplace(ev.key, Commit{ev.t_us, ev.view, ev.round, ev.aux});
-        if (!fresh && ev.t_us < it->second.t) {
-          it->second = Commit{ev.t_us, ev.view, ev.round, ev.aux};
-        }
+      case EventKind::kBlockCommitted: {
+        const Commit commit{ev.t_us, ev.view, ev.round, ev.height};
+        auto [it, fresh] = commits.emplace(ev.key, commit);
+        if (!fresh && ev.t_us < it->second.t) it->second = commit;
         break;
       }
-      case SpanStage::kClientConfirm: {
+      case EventKind::kClientConfirm: {
         auto [it, fresh] = confirms.emplace(ev.key, ev.t_us);
         if (!fresh && ev.t_us < it->second) it->second = ev.t_us;
         break;
@@ -442,23 +192,23 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
       confirm_samples.push_back(cit->second - commit.t);
     }
 
-    auto eit = encodes.find(key);
-    if (eit == encodes.end()) continue;
-    const Encode& enc = eit->second;
-    if (commit.t < enc.t) continue;  // irreparable clock garbage
+    auto eit = proposals.find(key);
+    if (eit == proposals.end()) continue;
+    const Sent& sent = eit->second;
+    if (commit.t < sent.t) continue;  // irreparable clock garbage
 
     SpanChain chain;
     chain.key = key;
     chain.view = commit.view;
     chain.round = commit.round;
     chain.height = commit.height;
-    chain.proposer = enc.replica;
+    chain.proposer = sent.replica;
 
     // The critical voter: the latest vote at or before QC formation (the
     // one that completed the quorum); with no QC record, the latest vote.
     const auto qit = qcs.find(key);
     const std::uint64_t t_qc = qit != qcs.end() ? qit->second : 0;
-    ReplicaId critical = enc.replica;
+    ReplicaId critical = sent.replica;
     std::uint64_t best_t = 0;
     bool found = false;
     if (auto vit = votes.find(key); vit != votes.end()) {
@@ -490,19 +240,19 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
       return jt == it->second.end() ? 0 : jt->second;
     };
 
-    chain.t[0] = enc.t;
-    if (auto fit = flushes.find(enc.payload_key); fit != flushes.end()) {
-      auto jt = fit->second.find(std::make_pair(enc.replica, critical));
+    chain.t[0] = sent.t;
+    if (auto fit = flushes.find(sent.payload_key); fit != flushes.end()) {
+      auto jt = fit->second.find(std::make_pair(sent.replica, critical));
       if (jt != fit->second.end()) chain.t[1] = jt->second;
     }
-    chain.t[2] = lookup(reads, enc.payload_key, critical);
-    chain.t[3] = lookup(dispatches, key, critical);
+    chain.t[2] = lookup(reads, sent.payload_key, critical);
+    chain.t[3] = lookup(receipts, key, critical);
     chain.t[4] = found ? best_t : 0;
     chain.t[5] = t_qc;
     chain.t[6] = commit.t;
 
     // Telescope: each stage measures from the previous *present* milestone,
-    // so the stage sum covers encode -> commit even with gaps. Negative
+    // so the stage sum covers send -> commit even with gaps. Negative
     // steps (residual skew) clamp to zero but still advance the cursor.
     std::size_t last = 0;
     std::uint64_t sum = 0;
@@ -515,7 +265,7 @@ SpanReport analyze_spans(std::vector<SpanEvent> events) {
       sum += d;
       last = j;
     }
-    chain.total_us = commit.t - enc.t;
+    chain.total_us = commit.t - sent.t;
     chain.coverage = chain.total_us == 0
                          ? 1.0
                          : static_cast<double>(sum) /
@@ -549,11 +299,11 @@ std::string SpanReport::summary() const {
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof buf,
-                "span events: %zu  commits: %zu  chains: %zu  clock pairs: %zu\n",
+                "events: %zu  commits: %zu  chains: %zu  clock pairs: %zu\n",
                 events_total, commits_seen, chains.size(), clock_pairs);
   out += buf;
   if (chains.empty()) {
-    out += "no critical-path chains (need kProposalEncode + kCommit pairs)\n";
+    out += "no critical-path chains (need proposal_sent + block_committed pairs)\n";
     return out;
   }
   const struct {

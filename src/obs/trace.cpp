@@ -8,7 +8,6 @@
 #include <ctime>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "obs/metrics.h"
 
@@ -37,7 +36,12 @@ constexpr KindName kKindNames[] = {
     {EventKind::kBlockCommitted, "block_committed"},
     {EventKind::kBatchAnnounced, "batch_announced"},
     {EventKind::kBatchResolved, "batch_resolved"},
+    {EventKind::kSendFlush, "send_flush"},
+    {EventKind::kSocketRead, "socket_read"},
+    {EventKind::kClientConfirm, "client_confirm"},
+    {EventKind::kClockOffset, "clock_offset"},
 };
+static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) == kEventKindCount);
 
 std::uint64_t wall_now_us() {
   timespec ts{};
@@ -79,6 +83,8 @@ bool json_str(const std::string& line, const char* key, std::string* out) {
   return true;
 }
 
+}  // namespace
+
 void fill_latency(LatencyStats* out, std::vector<std::uint64_t> samples) {
   out->count = samples.size();
   if (samples.empty()) return;
@@ -89,8 +95,6 @@ void fill_latency(LatencyStats* out, std::vector<std::uint64_t> samples) {
   out->p50_us = samples[samples.size() / 2];
   out->p99_us = samples[std::min(samples.size() - 1, samples.size() * 99 / 100)];
 }
-
-}  // namespace
 
 const char* event_name(EventKind k) {
   for (const auto& kn : kKindNames) {
@@ -170,6 +174,14 @@ std::string to_ndjson(const std::vector<TraceEvent>& events) {
     append_u64(out, ev.height);
     out += ",\"aux\":";
     append_u64(out, ev.aux);
+    if (ev.key != 0) {
+      out += ",\"key\":";
+      append_u64(out, ev.key);
+    }
+    if (ev.peer != kNoPeer) {
+      out += ",\"peer\":";
+      append_u64(out, ev.peer);
+    }
     out += "}\n";
   }
   return out;
@@ -186,12 +198,8 @@ std::vector<TraceEvent> parse_ndjson(const std::string& text,
     const std::string line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // Mixed observability streams interleave span lines and ring-health
-    // meta lines with trace events; neither is malformed, just not ours.
-    if (line.find("\"stage\":") != std::string::npos ||
-        line.find("\"trace_meta\":") != std::string::npos) {
-      continue;
-    }
+    // Ring-health meta lines ride in the same files; they are not events.
+    if (line.find("\"trace_meta\":") != std::string::npos) continue;
     std::string name;
     TraceEvent ev;
     std::uint64_t replica = 0;
@@ -206,6 +214,10 @@ std::vector<TraceEvent> parse_ndjson(const std::string& text,
     json_u64(line, "round", &ev.round);
     json_u64(line, "height", &ev.height);
     json_u64(line, "aux", &ev.aux);
+    json_u64(line, "key", &ev.key);
+    std::uint64_t peer = kNoPeer;
+    json_u64(line, "peer", &peer);
+    ev.peer = static_cast<ReplicaId>(peer);
     out.push_back(ev);
   }
   if (bad_lines != nullptr) *bad_lines = bad;
@@ -265,26 +277,31 @@ TraceReport analyze_trace(const std::vector<TraceEvent>& merged) {
   TraceReport rep;
   rep.events_total = merged.size();
 
-  // (view, round, height) coordinates identify a proposal across replicas.
-  using Coord = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-  std::map<Coord, std::uint64_t> first_proposal;   // earliest kProposalSent
-  std::map<Coord, std::uint64_t> first_commit;     // earliest kBlockCommitted
-  std::set<std::uint64_t> views_entered;           // views with a fallback
-  std::set<std::uint64_t> views_won;               // ... that committed an f-block
+  // The block key identifies a proposal across replicas. A coordinate
+  // does not: in a fallback every replica proposes its own f-chain at the
+  // same (view, round, height).
+  std::map<std::uint64_t, std::uint64_t> first_proposal;  // earliest kProposalSent
+  struct Commit {
+    std::uint64_t t_us;
+    std::uint64_t height;
+  };
+  std::map<std::uint64_t, Commit> first_commit;  // earliest kBlockCommitted
+  std::set<std::uint64_t> views_entered;         // views with a fallback
+  std::set<std::uint64_t> views_won;             // ... that committed an f-block
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> fb_enter;
   std::vector<std::uint64_t> fb_durations;
 
   for (const auto& ev : merged) {
     rep.counts[static_cast<std::size_t>(ev.kind)] += 1;
-    const Coord c{ev.view, ev.round, ev.height};
     switch (ev.kind) {
       case EventKind::kProposalSent: {
-        auto [it, inserted] = first_proposal.emplace(c, ev.t_us);
+        if (ev.key == 0) break;
+        auto [it, inserted] = first_proposal.emplace(ev.key, ev.t_us);
         if (!inserted && ev.t_us < it->second) it->second = ev.t_us;
         break;
       }
       case EventKind::kBlockCommitted: {
-        first_commit.emplace(c, ev.t_us);  // merged order => first wins
+        if (ev.key != 0) first_commit.emplace(ev.key, Commit{ev.t_us, ev.height});
         if (ev.height > 0) views_won.insert(ev.view);
         break;
       }
@@ -309,15 +326,10 @@ TraceReport analyze_trace(const std::vector<TraceEvent>& merged) {
   }
 
   std::vector<std::uint64_t> steady, fallback;
-  for (const auto& [coord, t_commit] : first_commit) {
-    auto it = first_proposal.find(coord);
-    if (it == first_proposal.end() || t_commit < it->second) continue;
-    const std::uint64_t lat = t_commit - it->second;
-    if (std::get<2>(coord) > 0) {
-      fallback.push_back(lat);
-    } else {
-      steady.push_back(lat);
-    }
+  for (const auto& [key, commit] : first_commit) {
+    auto it = first_proposal.find(key);
+    if (it == first_proposal.end() || commit.t_us < it->second) continue;
+    (commit.height > 0 ? fallback : steady).push_back(commit.t_us - it->second);
   }
   fill_latency(&rep.steady, std::move(steady));
   fill_latency(&rep.fallback, std::move(fallback));

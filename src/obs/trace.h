@@ -1,14 +1,20 @@
-// Structured consensus traces: a bounded per-replica event ring plus
-// NDJSON import/export and a cross-replica timeline analyzer.
+// The event stream: one record type, one bounded ring, one NDJSON codec,
+// one time-ordering merge, and the timeline analyzer (DESIGN.md §10).
 //
 // Event kinds follow the protocol's observable milestones (the paper's
 // Figure 2 steady-state steps and Figure 4 fallback steps): proposals,
 // votes, the four certificate types (QC / TC / f-TC / coin-QC), fallback
 // entry/exit, f-block certification, chain adoption, leader election and
-// block commit. Each event carries the sim timestamp and, in real-time
-// runs, a wall-clock timestamp; the wall clock is deliberately *omitted*
-// from NDJSON when zero so that two identical seeded sim runs emit
-// byte-identical traces (the determinism pin in tests/test_obs.cpp).
+// block commit. Block milestones carry the block-id prefix as `key`, so
+// the critical-path analyzer (obs/span.h) joins them across replicas.
+// Four transport and client kinds (send-queue flush, socket read, client
+// confirm, clock offset) complete the commit lifecycle; they exist only
+// on TCP nodes and under simulated clients.
+//
+// Each event carries the executor timestamp and, in real-time runs, a
+// wall-clock timestamp; the wall clock, `key` and `peer` are *omitted*
+// from NDJSON when unset so that two identical seeded sim runs emit
+// byte-identical streams (the determinism pins in the tests).
 #pragma once
 
 #include <cstdint>
@@ -23,43 +29,49 @@ namespace repro::obs {
 
 enum class EventKind : std::uint8_t {
   kViewEntered = 0,
-  kProposalSent,
-  kProposalReceived,
-  kVoteSent,
-  kQcFormed,
+  kProposalSent,      ///< key = block id, aux = transport key of the wire bytes
+  kProposalReceived,  ///< key = block id, aux = sender
+  kVoteSent,          ///< key = block id
+  kQcFormed,          ///< key = block id
   kTcFormed,
   kFtcFormed,
   kCoinQcFormed,
   kFallbackEntered,
   kFallbackExited,
-  kFBlockCertified,
+  kFBlockCertified,  ///< key = block id
   kChainAdopted,
   kLeaderElected,
-  kBlockCommitted,
-  kBatchAnnounced,  ///< out-of-band batch pre-broadcast sent (aux = bytes)
+  kBlockCommitted,  ///< key = block id (aux holds the same prefix)
+  kBatchAnnounced,  ///< out-of-band batch pre-broadcast sent (aux = bytes, key = batch id)
   kBatchResolved,   ///< a batch-reference block's payload resolved locally
+  kSendFlush,       ///< key = transport key, peer = destination, aux = queue wait us
+  kSocketRead,      ///< key = transport key, peer = source, aux = frame bytes
+  kClientConfirm,   ///< key = committing block id, aux = client confirm latency us
+  kClockOffset,     ///< peer = measured replica, aux = bit-cast int64 offset us
 };
+inline constexpr std::size_t kEventKindCount = 20;
 
 /// Stable wire name for an event kind (used in NDJSON `ev` field).
 const char* event_name(EventKind k);
 /// Inverse of event_name(); returns false if the name is unknown.
 bool event_from_name(const std::string& name, EventKind* out);
 
+/// "No peer" marker for TraceEvent::peer.
+inline constexpr ReplicaId kNoPeer = 0xFFFFFFFFu;
+
 struct TraceEvent {
   EventKind kind = EventKind::kViewEntered;
   ReplicaId replica = 0;
+  ReplicaId peer = kNoPeer;   ///< transport events: the other endpoint
   SimTime t_us = 0;           ///< simulator (or executor) virtual time
   std::uint64_t wall_us = 0;  ///< CLOCK_REALTIME us; 0 in sim runs
   View view = 0;
   Round round = 0;
   std::uint64_t height = 0;   ///< fallback chain rank; 0 for steady-state
-  std::uint64_t aux = 0;      ///< kind-specific payload (reason, leader, block hash)
+  std::uint64_t aux = 0;      ///< kind-specific payload (reason, leader, sender, bytes)
+  std::uint64_t key = 0;      ///< correlation key (block id prefix, transport key); 0 = none
 
-  bool operator==(const TraceEvent& o) const {
-    return kind == o.kind && replica == o.replica && t_us == o.t_us &&
-           wall_us == o.wall_us && view == o.view && round == o.round &&
-           height == o.height && aux == o.aux;
-  }
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// Fallback-entry reasons carried in TraceEvent::aux for kFallbackEntered.
@@ -68,14 +80,15 @@ enum : std::uint64_t {
   kFallbackReasonAlways = 2,  ///< always-fallback configuration (ACE/VABA mode)
 };
 
-/// Bounded event log. One ring per replica: the hot path appends under a
-/// cheap uncontended mutex (sim runs are single-threaded; TCP runs append
-/// from the node thread only), readers snapshot via events(). When full,
-/// the oldest events are overwritten and `dropped` counts the loss.
+/// Bounded event log. The hot path appends under a mutex; sim runs are
+/// single-threaded and give each replica its own ring, a TCP process
+/// shares one ring between its node threads and readers snapshot via
+/// events(). When full, the oldest events are overwritten and `dropped`
+/// counts the loss.
 class TraceRing {
  public:
   /// `capacity` of 0 disables recording entirely (every push is a no-op),
-  /// letting call sites keep unconditional trace calls. `wall_clock`
+  /// letting call sites keep unconditional record calls. `wall_clock`
   /// stamps wall_us from CLOCK_REALTIME — real-time runs only.
   explicit TraceRing(std::size_t capacity, bool wall_clock = false);
 
@@ -103,14 +116,14 @@ class TraceRing {
 
 /// Serialize events as NDJSON, one object per line, stable key order:
 /// {"ev":...,"replica":...,"t_us":...,["wall_us":...,]"view":...,
-///  "round":...,"height":...,"aux":...}
-/// wall_us is omitted when 0 (sim runs), keeping traces deterministic.
+///  "round":...,"height":...,"aux":...[,"key":...][,"peer":...]}
+/// wall_us and key are omitted when 0, peer when kNoPeer, keeping sim
+/// streams deterministic.
 std::string to_ndjson(const std::vector<TraceEvent>& events);
 
 /// Parse NDJSON produced by to_ndjson (tolerates unknown keys and blank
 /// lines; unknown `ev` names or malformed lines are skipped and counted).
-/// Span lines ("stage" field) and ring-health meta lines ("trace_meta")
-/// from mixed streams are skipped silently, not counted as bad.
+/// Ring-health meta lines ("trace_meta") are skipped silently.
 std::vector<TraceEvent> parse_ndjson(const std::string& text,
                                      std::size_t* bad_lines = nullptr);
 
@@ -142,14 +155,17 @@ struct LatencyStats {
   std::uint64_t p99_us = 0;
 };
 
+/// Count, mean, p50 and p99 of `samples` into `out`.
+void fill_latency(LatencyStats* out, std::vector<std::uint64_t> samples);
+
 /// What tracecat reports: commit latency split by path, and the fallback
 /// win rate measured against the paper's Lemma 7 bound of 2/3.
 struct TraceReport {
   std::uint64_t events_total = 0;
-  std::uint64_t counts[16] = {};  ///< indexed by EventKind
+  std::uint64_t counts[kEventKindCount] = {};  ///< indexed by EventKind
 
-  /// Per-commit latency: earliest kProposalSent for the (view,round,height)
-  /// coordinate to the first kBlockCommitted on any replica.
+  /// Per-commit latency: earliest kProposalSent of a block key to the
+  /// first kBlockCommitted of that key on any replica.
   LatencyStats steady;    ///< height == 0 commits
   LatencyStats fallback;  ///< height > 0 commits (certified f-blocks)
 

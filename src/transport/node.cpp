@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "common/assert.h"
+#include "obs/span.h"
 
 namespace repro::transport {
 namespace {
@@ -47,7 +48,7 @@ void write_le64(std::uint8_t* p, std::uint64_t v) {
 }
 
 /// CLOCK_REALTIME microseconds, for cross-process clock-offset estimation
-/// (the span ring stamps the same clock, so offsets apply directly).
+/// (wall-clock rings stamp the same clock, so offsets apply directly).
 std::uint64_t wall_clock_us() {
   timespec ts{};
   clock_gettime(CLOCK_REALTIME, &ts);
@@ -57,14 +58,14 @@ std::uint64_t wall_clock_us() {
 
 /// Transport-level control frames ride tag 0 — smr::MsgType starts at 1,
 /// so a protocol message can never begin with a zero byte and the wire
-/// format needs no change. Only emitted when spans are enabled; a
-/// spans-off cluster sends byte-identical traffic to a spans-free build.
+/// format needs no change. Only emitted while tracing; a cluster without
+/// recording sends byte-identical traffic to a build without it.
 constexpr std::uint8_t kCtrlTag = 0;
 constexpr std::uint8_t kCtrlPing = 1;  ///< {0, 1, t1:le64} — sender wall us
 constexpr std::uint8_t kCtrlPong = 2;  ///< {0, 2, t1:le64, t2:le64} — echo + responder wall us
 constexpr std::size_t kPingFrameBytes = 10;
 constexpr std::size_t kPongFrameBytes = 18;
-/// Ping cadence per peer while spans are on. One round per second is
+/// Ping cadence per peer while tracing. One round per second is
 /// plenty: the analyzer keeps the min-RTT sample per directed pair across
 /// the whole run, and clock drift over seconds is far below the
 /// millisecond-scale stages the offsets are used to align. Pinging
@@ -73,8 +74,8 @@ constexpr std::size_t kPongFrameBytes = 18;
 constexpr SimTime kPingIntervalUs = 1'000'000;
 
 /// Does this wire payload carry a (steady or fallback) proposal? Only
-/// those frames get transport spans — the critical path runs proposer ->
-/// voters, and keying every vote/share frame would triple span volume for
+/// those frames get transport events — the critical path runs proposer ->
+/// voters, and keying every vote/share frame would triple event volume for
 /// stages the analyzer never stitches.
 bool is_proposal_tag(const Bytes& payload) {
   if (payload.empty()) return false;
@@ -125,16 +126,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len, SimTime budget
   return true;
 }
 
-/// Monotonic microsecond tick for send-queue wait accounting. TCP-only
-/// plumbing — never feeds protocol logic, so wall-clock nondeterminism is
-/// fine here.
-std::uint64_t steady_tick_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Extra zero-timeout poll passes per loop iteration: after the blocking
 /// poll wakes, the loop re-polls and keeps reading while more input is
 /// already pending, so a burst of frames (an always-fallback view fans
@@ -147,7 +138,7 @@ constexpr int kMaxReadSweeps = 4;
 
 // ---- SendQueue --------------------------------------------------------------
 
-bool SendQueue::push(SharedBytes payload, net::NetStats* stats, std::uint64_t span_key) {
+bool SendQueue::push(SharedBytes payload, net::NetStats* stats, std::uint64_t wire_key) {
   REPRO_ASSERT(payload != nullptr && payload->size() <= kMaxFrame);
   const std::size_t frame_bytes = 4 + payload->size();
   if (queued_bytes_ + frame_bytes > max_bytes_) {
@@ -160,9 +151,9 @@ bool SendQueue::push(SharedBytes payload, net::NetStats* stats, std::uint64_t sp
   Frame f;
   write_le32(f.header.data(), static_cast<std::uint32_t>(payload->size()));
   f.payload = std::move(payload);
-  if (span_key != 0 && spans_ != nullptr) {
-    f.span_key = span_key;
-    f.enqueued_tick_us = steady_tick_us();
+  if (wire_key != 0 && trace_ != nullptr) {
+    f.wire_key = wire_key;
+    f.enqueued_us = clock_->now();
   }
   frames_.push_back(std::move(f));
   queued_bytes_ += frame_bytes;
@@ -222,17 +213,17 @@ SendQueue::FlushResult SendQueue::flush(int fd, net::NetStats* stats) {
       }
       remaining -= left;
       head_offset_ = 0;
-      if (f.span_key != 0 && spans_ != nullptr) {
+      if (f.wire_key != 0 && trace_ != nullptr) {
         // The frame fully left the process: queue-wait is over, the wire
-        // hop starts. aux carries the send-queue wait; the wall-clock ring
-        // stamps t_us itself.
-        obs::SpanEvent ev;
-        ev.stage = obs::SpanStage::kSendFlush;
-        ev.replica = span_self_;
-        ev.peer = span_peer_;
-        ev.key = f.span_key;
-        ev.aux = steady_tick_us() - f.enqueued_tick_us;
-        spans_->push(ev);
+        // hop starts. aux carries the send-queue wait.
+        obs::TraceEvent ev;
+        ev.kind = obs::EventKind::kSendFlush;
+        ev.replica = self_;
+        ev.peer = peer_;
+        ev.t_us = clock_->now();
+        ev.key = f.wire_key;
+        ev.aux = ev.t_us - f.enqueued_us;
+        trace_->push(ev);
       }
       frames_.pop_front();
       if (stats != nullptr) stats->writev_frames += 1;
@@ -333,13 +324,13 @@ class TcpNode::TcpNetwork final : public net::INetwork {
     if (cit == node_.conns_.end()) return;
     const std::size_t size = payload->size();
     const std::uint8_t tag = size > 0 ? (*payload)[0] : 0xFF;
-    // Proposal frames carry a content key so the send-queue flush span can
-    // be joined with the receiver's socket-read span downstream.
-    const std::uint64_t span_key =
-        node_.spans_on() && is_proposal_tag(*payload)
+    // Proposal frames carry a content key so the send-queue flush event can
+    // be joined with the receiver's socket-read event downstream.
+    const std::uint64_t wire_key =
+        node_.tracing() && is_proposal_tag(*payload)
             ? obs::span_key_of(payload->data(), payload->size())
             : 0;
-    if (!cit->second.outbox.push(std::move(payload), &stats_, span_key)) {
+    if (!cit->second.outbox.push(std::move(payload), &stats_, wire_key)) {
       return;  // backpressure drop
     }
     stats_.messages += 1;
@@ -445,7 +436,7 @@ void TcpNode::try_connect(ReplicaId peer) {
   Conn conn;
   conn.peer = peer;
   conn.outbox = SendQueue(cfg_.send_queue_max_bytes);
-  if (spans_on()) conn.outbox.set_span_sink(cfg_.spans.get(), cfg_.id, peer);
+  if (tracing()) conn.outbox.set_trace_sink(cfg_.trace.get(), &executor_, cfg_.id, peer);
   conns_.emplace(fd, std::move(conn));
   fd_of_peer_[peer] = fd;
 }
@@ -454,7 +445,7 @@ void TcpNode::handle_control_frame(Conn& conn, const Bytes& payload) {
   if (conn.peer == kUnknownPeer || payload.size() < 2) return;
   if (payload[1] == kCtrlPing && payload.size() >= kPingFrameBytes) {
     // Echo t1, append our wall clock. Control frames bypass NetStats so
-    // the protocol traffic ledger matches a spans-off run.
+    // the protocol traffic ledger matches a run without recording.
     Bytes pong(kPongFrameBytes);
     pong[0] = kCtrlTag;
     pong[1] = kCtrlPong;
@@ -464,7 +455,7 @@ void TcpNode::handle_control_frame(Conn& conn, const Bytes& payload) {
     return;
   }
   if (payload[1] == kCtrlPong && payload.size() >= kPongFrameBytes) {
-    if (!spans_on()) return;  // we never pinged; stray pong
+    if (!tracing()) return;  // we never pinged; stray pong
     const std::uint64_t t1 = read_le64(payload.data() + 2);
     const std::uint64_t t2 = read_le64(payload.data() + 10);
     const std::uint64_t t3 = wall_clock_us();
@@ -479,13 +470,13 @@ void TcpNode::handle_control_frame(Conn& conn, const Bytes& payload) {
     // takes the last one per pair.
     const std::int64_t offset = static_cast<std::int64_t>(t2) -
                                 static_cast<std::int64_t>(t1 + rtt / 2);
-    obs::SpanEvent ev;
-    ev.stage = obs::SpanStage::kClockOffset;
+    obs::TraceEvent ev;
+    ev.kind = obs::EventKind::kClockOffset;
     ev.replica = cfg_.id;
     ev.peer = conn.peer;
-    ev.key = conn.peer;
+    ev.t_us = executor_.now();
     std::memcpy(&ev.aux, &offset, sizeof ev.aux);
-    cfg_.spans->push(ev);
+    cfg_.trace->push(ev);
   }
 }
 
@@ -539,14 +530,15 @@ void TcpNode::sweep_half_open() {
 }
 
 void TcpNode::on_frame(ReplicaId from, Bytes payload) {
-  if (spans_on() && is_proposal_tag(payload)) {
-    obs::SpanEvent ev;
-    ev.stage = obs::SpanStage::kSocketRead;
+  if (tracing() && is_proposal_tag(payload)) {
+    obs::TraceEvent ev;
+    ev.kind = obs::EventKind::kSocketRead;
+    ev.t_us = executor_.now();
     ev.replica = cfg_.id;
     ev.peer = from;
     ev.key = obs::span_key_of(payload.data(), payload.size());
     ev.aux = payload.size();
-    cfg_.spans->push(ev);
+    cfg_.trace->push(ev);
   }
   // The one intake path: a peer frame is never byte-shared with another
   // delivery, so skip the decode-cache probe (hash + LRU insert) and let
@@ -593,7 +585,7 @@ std::size_t TcpNode::handle_readable(int fd) {
     }
     conn.peer = peer;
     fd_of_peer_[peer] = fd;
-    if (spans_on()) conn.outbox.set_span_sink(cfg_.spans.get(), cfg_.id, peer);
+    if (tracing()) conn.outbox.set_trace_sink(cfg_.trace.get(), &executor_, cfg_.id, peer);
   }
 
   // Extract complete frames.
@@ -609,7 +601,7 @@ std::size_t TcpNode::handle_readable(int fd) {
     offset += 4 + len;
     if (len > 0 && payload[0] == kCtrlTag) {
       // Transport control plane (clock-sync ping/pong): consumed here,
-      // never delivered to the replica. Peers only emit these with spans
+      // never delivered to the replica. Peers only emit these while tracing
       // on, but tolerate them regardless — mixed-config clusters must not
       // feed a zero-tag frame into message decode.
       handle_control_frame(conn, payload);
@@ -636,7 +628,6 @@ void TcpNode::run_loop() {
   ctx.seed = cfg_.seed;
   ctx.wal = cfg_.wal;
   ctx.trace = cfg_.trace;
-  ctx.spans = cfg_.spans;
   replica_ = factory_(ctx);
   replica_->ledger().set_commit_callback([this](const smr::Block&, SimTime) {
     committed_.fetch_add(1);
@@ -763,11 +754,11 @@ void TcpNode::run_loop() {
     executor_.run_due();
 
     // Health snapshot for the admin thread; clock-sync pings ride the
-    // same cadence check (spans only — a spans-off run stays wire- and
-    // stats-identical to the seed).
+    // same cadence check (tracing only — a run without recording stays
+    // wire- and stats-identical to the seed).
     view_.store(replica_->current_view(), std::memory_order_relaxed);
     round_.store(replica_->current_round(), std::memory_order_relaxed);
-    if (spans_on()) send_pings();
+    if (tracing()) send_pings();
 
     // Everything produced this iteration (frame handlers, loopback
     // deliveries, due timers) is queued by now; one vectored write per

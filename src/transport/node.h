@@ -110,16 +110,19 @@ class SendQueue {
   /// Enqueue one frame. Returns false — counting the drop into `stats` —
   /// when the frame would push the queue past its byte bound. `stats` may
   /// be null (transport-internal control frames stay out of the protocol
-  /// traffic ledger). A nonzero `span_key` marks the frame for a
-  /// kSendFlush span (queue-wait accounting) when it fully retires.
-  bool push(SharedBytes payload, net::NetStats* stats, std::uint64_t span_key = 0);
+  /// traffic ledger). A nonzero `wire_key` marks the frame for a
+  /// kSendFlush event (queue-wait accounting) when it fully retires.
+  bool push(SharedBytes payload, net::NetStats* stats, std::uint64_t wire_key = 0);
 
-  /// Install the span sink for kSendFlush records: `self` is the sending
-  /// replica, `peer` the destination this queue feeds. Null disables.
-  void set_span_sink(obs::SpanRing* spans, ReplicaId self, ReplicaId peer) {
-    spans_ = spans;
-    span_self_ = self;
-    span_peer_ = peer;
+  /// Install the event sink for kSendFlush records, stamped by `clock`:
+  /// `self` is the sending replica, `peer` the destination this queue
+  /// feeds. A null ring disables.
+  void set_trace_sink(obs::TraceRing* trace, const sim::IExecutor* clock, ReplicaId self,
+                      ReplicaId peer) {
+    trace_ = trace;
+    clock_ = clock;
+    self_ = self;
+    peer_ = peer;
   }
 
   enum class FlushResult {
@@ -146,14 +149,15 @@ class SendQueue {
   struct Frame {
     std::array<std::uint8_t, 4> header;
     SharedBytes payload;
-    std::uint64_t span_key = 0;         ///< 0 = no kSendFlush span
-    std::uint64_t enqueued_tick_us = 0; ///< steady clock at push (spans only)
+    std::uint64_t wire_key = 0;     ///< 0 = no kSendFlush event
+    std::uint64_t enqueued_us = 0;  ///< executor time at push (keyed frames only)
   };
 
   std::size_t max_bytes_;
-  obs::SpanRing* spans_ = nullptr;  ///< not owned; null = spans off
-  ReplicaId span_self_ = 0;
-  ReplicaId span_peer_ = 0;
+  obs::TraceRing* trace_ = nullptr;  ///< not owned; null = recording off
+  const sim::IExecutor* clock_ = nullptr;
+  ReplicaId self_ = 0;
+  ReplicaId peer_ = 0;
   std::deque<Frame> frames_;
   /// Bytes of the front frame already written (spans header then payload).
   std::size_t head_offset_ = 0;
@@ -196,16 +200,14 @@ struct NodeConfig {
   /// relaxed atomics, so an admin thread may snapshot while the node
   /// runs). Not owned; must outlive the node.
   obs::Registry* registry = nullptr;
-  /// Optional structured trace sink shared with the replica. Wall-clock
-  /// stamping should be enabled by the creator (real-time runtime).
+  /// Optional event sink shared with the replica (obs/trace.h); an
+  /// in-process cluster may share one ring across its nodes. Wall-clock
+  /// stamping should be enabled by the creator (real-time runtime). Also
+  /// enables the transport milestones (socket read, send-queue flush) and
+  /// the tag-0 ping/pong clock-offset estimator; when unset or capacity 0,
+  /// neither exists — the wire traffic is byte-identical to a build
+  /// without recording.
   std::shared_ptr<obs::TraceRing> trace;
-  /// Optional commit-lifecycle span sink, usually one wall-clock ring
-  /// shared by every node of an in-process cluster (obs/span.h). Enables
-  /// the transport milestones (socket read, send-queue flush) and the
-  /// tag-0 ping/pong clock-offset estimator; when unset or capacity 0,
-  /// neither exists — the wire traffic is byte-identical to a spans-free
-  /// build.
-  std::shared_ptr<obs::SpanRing> spans;
 };
 
 /// Builds the protocol instance for a node. Lets the transport host any
@@ -284,13 +286,13 @@ class TcpNode {
   /// allocation per message.
   std::deque<SharedBytes> self_inbox_;
 
-  /// True when the span ring is installed and live (gates every transport
-  /// span site and the clock-sync pings).
-  bool spans_on() const { return cfg_.spans && cfg_.spans->enabled(); }
+  /// True when the event ring is installed and live (gates every transport
+  /// event site and the clock-sync pings).
+  bool tracing() const { return cfg_.trace && cfg_.trace->enabled(); }
   /// Intercepts tag-0 transport control frames (clock-sync ping/pong)
-  /// before protocol dispatch; only exists when spans are on.
+  /// before protocol dispatch; only exists while tracing.
   void handle_control_frame(Conn& conn, const Bytes& payload);
-  /// Multicast a clock-sync ping to every identified peer (spans on only).
+  /// Multicast a clock-sync ping to every identified peer (tracing only).
   void send_pings();
 
   std::thread thread_;

@@ -155,7 +155,8 @@ TEST(CertRelay, InertAtOrBelowTheRelayerFloor) {
 // adoption with a timer-driven fallback (fallback3adopt under partial
 // synchrony), and certificate relay, which engages only above
 // smr::kMinCoinRelayers (ace at n=16: relayed coin-QCs and thinned
-// votes). A hash change means a refactor changed what the protocol does.
+// votes). A hash change means a refactor changed what the protocol does
+// or what the event stream records.
 std::string pinned_trace_hash(ExperimentConfig cfg, std::size_t commits) {
   cfg.trace_capacity = 1 << 16;  // bftlab's --trace-out ring size
   Experiment exp(cfg);
@@ -166,7 +167,7 @@ std::string pinned_trace_hash(ExperimentConfig cfg, std::size_t commits) {
 
 TEST(DeterminismPin, DefaultAceTraceIsByteIdentical) {
   EXPECT_EQ(pinned_trace_hash(ace_config(7, 42), 20),
-            "f643c6688bb37457a690c4ea13b024a71e4826d13be5bd82f7f85436b14f22e8");
+            "1e7c3c5c014935a81100ebd510f649bdd6c72ae3ec50b787f004da28b92d2286");
 }
 
 TEST(DeterminismPin, DefaultFallbackAdoptTraceIsByteIdentical) {
@@ -176,12 +177,12 @@ TEST(DeterminismPin, DefaultFallbackAdoptTraceIsByteIdentical) {
   cfg.scenario = NetScenario::kPartialSynchrony;
   cfg.seed = 7;
   EXPECT_EQ(pinned_trace_hash(cfg, 30),
-            "7970de19efc07c5a346d784c7289bd4f6fb4a0d10966d843274b50b0e6d63ad1");
+            "dcb13fe4937265c71f066c2cc67de4a0adf71895210f7d15189cdd36aee10c47");
 }
 
 TEST(DeterminismPin, RelayActiveAceTraceIsByteIdentical) {
   EXPECT_EQ(pinned_trace_hash(ace_config(16, 1), 5),
-            "bfd02ee44d122573fdf4efb323a9d8b0b72509c56a02966b67ce01f09cbad9f2");
+            "42c9fbf9826a401506f5afadb24700f97e729b72112c9728c06ba12e86d767d4");
 }
 
 }  // namespace

@@ -241,7 +241,7 @@ TEST(Fallback, TamperedFBlocksAreNeverStoredOrVotedOn) {
   auto cfg = fb_config(Protocol::kFallback3, 16, 5);
   cfg.scenario = NetScenario::kAsynchronous;
   cfg.faults[kTamperer] = core::FaultKind::kTamperFBlocks;
-  cfg.span_capacity = 1 << 18;
+  cfg.trace_capacity = 1 << 14;
   Experiment exp(cfg);
 
   // Watch every f-proposal frame the tamperer's multicasts deliver.
@@ -278,13 +278,13 @@ TEST(Fallback, TamperedFBlocksAreNeverStoredOrVotedOn) {
       EXPECT_FALSE(base.store().contains(bid)) << "replica " << id;
     }
   }
-  ASSERT_EQ(exp.spans()->dropped(), 0u);
+  for (ReplicaId id = 0; id < exp.n(); ++id) ASSERT_EQ(exp.trace_ring(id)->dropped(), 0u);
   std::size_t honest_fb_votes = 0;
-  for (const auto& ev : exp.span_events()) {
+  for (const auto& ev : exp.trace_events()) {
     if (!exp.is_honest(ev.replica)) continue;
-    const bool fb_vote = ev.stage == obs::SpanStage::kVoteSend && ev.aux > 0;
+    const bool fb_vote = ev.kind == obs::EventKind::kVoteSent && ev.height > 0;
     if (fb_vote) ++honest_fb_votes;
-    if (fb_vote || ev.stage == obs::SpanStage::kDispatch) {
+    if (fb_vote || ev.kind == obs::EventKind::kProposalReceived) {
       EXPECT_EQ(keys.count(ev.key), 0u) << "replica " << ev.replica << " took a tampered f-block";
     }
   }

@@ -18,7 +18,6 @@
 #include "harness/experiment.h"
 #include "obs/admin.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace repro::obs {
@@ -156,9 +155,49 @@ TEST(TraceRing, ZeroCapacityDisablesRecording) {
   EXPECT_TRUE(ring.events().empty());
 }
 
+/// Node threads of an in-process cluster share one ring: concurrent
+/// writers may evict each other's events, but a reader never observes a
+/// torn one — every snapshotted event carries its writer's fields intact.
+TEST(TraceRing, ConcurrentWritersNeverTearEvents) {
+  TraceRing ring(1024);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPushes = 4000;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&ring, &go, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::uint64_t i = 0; i < kPushes; ++i) {
+        TraceEvent ev;
+        ev.kind = EventKind::kSendFlush;
+        ev.replica = static_cast<ReplicaId>(t);
+        ev.t_us = i;
+        ev.key = (static_cast<std::uint64_t>(t) << 32) | i;
+        ev.aux = ev.key * 2 + 7;
+        ring.push(ev);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  // Snapshot while the writers run, so the reader side races them too.
+  while (ring.recorded() < kThreads * kPushes) ring.events();
+  for (auto& w : writers) w.join();
+
+  EXPECT_EQ(ring.recorded(), kThreads * kPushes);
+  EXPECT_EQ(ring.dropped(), kThreads * kPushes - 1024);
+  const auto events = ring.events();
+  EXPECT_EQ(events.size(), 1024u);
+  for (const auto& ev : events) {
+    EXPECT_EQ(ev.aux, ev.key * 2 + 7) << "torn event leaked to a reader";
+    EXPECT_EQ(ev.replica, ev.key >> 32);
+    EXPECT_EQ(ev.t_us, ev.key & 0xFFFFFFFFull);
+  }
+}
+
 TEST(TraceNdjson, RoundTripsEveryKind) {
   std::vector<TraceEvent> events;
-  for (int k = 0; k <= static_cast<int>(EventKind::kBlockCommitted); ++k) {
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
     TraceEvent ev;
     ev.kind = static_cast<EventKind>(k);
     ev.replica = static_cast<ReplicaId>(k % 4);
@@ -168,6 +207,8 @@ TEST(TraceNdjson, RoundTripsEveryKind) {
     ev.round = static_cast<Round>(2 * k);
     ev.height = static_cast<std::uint64_t>(k % 3);
     ev.aux = 0xabcdef00ull + k;
+    ev.key = (k % 3 == 0) ? 0 : 0x1234567890ull * k;
+    ev.peer = (k % 2 == 0) ? kNoPeer : static_cast<ReplicaId>(k);
     events.push_back(ev);
   }
   const std::string text = to_ndjson(events);
@@ -258,6 +299,34 @@ TEST(Analyzer, ReportsCommitsAndFallbackWinRate) {
   EXPECT_NE(text.find("commit latency"), std::string::npos);
 }
 
+/// In a fallback every replica proposes its own f-chain at the same
+/// (view, round, height). Commit latency must start at the proposal of
+/// the block that committed, not at the earliest proposal sharing its
+/// coordinate.
+TEST(Analyzer, FallbackLatencyJoinsTheCommittedProposalByKey) {
+  auto ev = [](EventKind kind, ReplicaId replica, SimTime t, std::uint64_t key) {
+    TraceEvent e;
+    e.kind = kind;
+    e.replica = replica;
+    e.t_us = t;
+    e.view = 5;
+    e.round = 12;
+    e.height = 1;
+    e.key = key;
+    return e;
+  };
+  constexpr std::uint64_t kEarly = 0xa1, kWinner = 0xb2;
+  const TraceReport report = analyze_trace({
+      ev(EventKind::kProposalSent, 0, 100, kEarly),
+      ev(EventKind::kProposalSent, 1, 200, kWinner),
+      ev(EventKind::kBlockCommitted, 2, 1000, kWinner),
+      ev(EventKind::kBlockCommitted, 3, 1100, kWinner),
+  });
+  ASSERT_EQ(report.fallback.count, 1u);
+  EXPECT_EQ(report.fallback.p50_us, 800u);  // 1000 - 200, not 1000 - 100
+  EXPECT_EQ(report.steady.count, 0u);
+}
+
 /// The registry serves ReplicaStats/NetStats from the protocol's own
 /// storage: a snapshot must equal the struct fields exactly.
 TEST(Registry, ServesReplicaAndNetStatsWithoutCopies) {
@@ -327,18 +396,17 @@ TEST(AdminServerTest, ServesAllRoutesAndHealthTurns503OnStall) {
   tev.t_us = 7;
   trace->push(tev);
 
-  auto spans = std::make_shared<SpanRing>(64);
-  SpanEvent sev;
-  sev.stage = SpanStage::kCommit;
+  TraceEvent sev;
+  sev.kind = EventKind::kSocketRead;
   sev.t_us = 11;
   sev.key = 42;
-  spans->push(sev);
+  sev.peer = 1;
+  trace->push(sev);
 
   std::atomic<bool> stalled{false};
   AdminServer::Options opts;
   opts.registry = &reg;
   opts.trace = trace;
-  opts.spans = spans;
   opts.replica = 2;
   opts.health_fn = [&stalled]() -> std::pair<int, std::string> {
     if (stalled.load()) return {503, "stalled last_commit_age_us=999999\n"};
@@ -362,12 +430,11 @@ TEST(AdminServerTest, ServesAllRoutesAndHealthTurns503OnStall) {
   const std::string first_line = tr.substr(body + 4, tr.find('\n', body + 4) - body - 3);
   ASSERT_TRUE(parse_trace_meta_line(first_line, &meta)) << first_line;
   EXPECT_EQ(meta.replica, 2u);
-  EXPECT_EQ(meta.recorded, 1u);
-  EXPECT_NE(tr.find("\"ev\":"), std::string::npos);
-
-  const std::string sp = admin_get(srv.port(), "/spans");
-  EXPECT_TRUE(status_is(sp, "200"));
-  EXPECT_NE(sp.find("\"stage\":\"commit\""), std::string::npos);
+  EXPECT_EQ(meta.recorded, 2u);
+  EXPECT_NE(tr.find("\"ev\":\"vote_sent\""), std::string::npos);
+  // Transport events ride the same stream: one endpoint serves both.
+  EXPECT_NE(tr.find("\"ev\":\"socket_read\""), std::string::npos);
+  EXPECT_TRUE(status_is(admin_get(srv.port(), "/spans"), "404"));
 
   const std::string healthy = admin_get(srv.port(), "/healthz");
   EXPECT_TRUE(status_is(healthy, "200"));
@@ -405,23 +472,21 @@ TEST(AdminServerTest, RejectsOversizedAndMalformedRequestLines) {
   EXPECT_TRUE(status_is(admin_get(srv.port(), "/metrics"), "200"));
 }
 
-/// Concurrent scrapes racing a /dump racing live span writers: every
+/// Concurrent scrapes racing a /dump racing live event writers: every
 /// response must be well-formed and every dump must be triggered exactly
 /// once per request (the accept loop serializes, the sources must not
 /// assume quiescence).
 TEST(AdminServerTest, ConcurrentScrapesRaceDumpAndLiveWriters) {
   Registry reg;
-  auto spans = std::make_shared<SpanRing>(256);
   auto trace = std::make_shared<TraceRing>(256);
 
   std::atomic<std::uint64_t> dump_calls{0};
   AdminServer::Options opts;
   opts.registry = &reg;
   opts.trace = trace;
-  opts.spans = spans;
-  opts.dump_fn = [&dump_calls, spans]() -> std::string {
-    // A real dump snapshots the rings mid-flight; do the same here.
-    const std::size_t n = spans->events().size();
+  opts.dump_fn = [&dump_calls, trace]() -> std::string {
+    // A real dump snapshots the ring mid-flight; do the same here.
+    const std::size_t n = trace->events().size();
     dump_calls.fetch_add(1);
     return "/tmp/bundle-" + std::to_string(n);
   };
@@ -429,14 +494,14 @@ TEST(AdminServerTest, ConcurrentScrapesRaceDumpAndLiveWriters) {
   ASSERT_TRUE(srv.running());
 
   std::atomic<bool> stop{false};
-  std::thread writer([&spans, &stop] {
-    SpanEvent ev;
-    ev.stage = SpanStage::kVoteSend;
+  std::thread writer([&trace, &stop] {
+    TraceEvent ev;
+    ev.kind = EventKind::kVoteSent;
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_acquire)) {
       ev.t_us = ++i;
       ev.key = i;
-      spans->push(ev);
+      trace->push(ev);
     }
   });
 
@@ -446,7 +511,7 @@ TEST(AdminServerTest, ConcurrentScrapesRaceDumpAndLiveWriters) {
   for (int t = 0; t < kThreads; ++t) {
     scrapers.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        const char* path = (t % 2 == 0) ? (i % 2 == 0 ? "/spans" : "/metrics")
+        const char* path = (t % 2 == 0) ? (i % 2 == 0 ? "/healthz" : "/metrics")
                                         : (i % 2 == 0 ? "/dump" : "/trace");
         const std::string resp = admin_get(srv.port(), path);
         if (!status_is(resp, "200")) bad.fetch_add(1);
@@ -459,7 +524,7 @@ TEST(AdminServerTest, ConcurrentScrapesRaceDumpAndLiveWriters) {
 
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(dump_calls.load(), kIters);  // two threads hit /dump every other turn
-  EXPECT_GT(spans->recorded(), 0u);
+  EXPECT_GT(trace->recorded(), 0u);
 }
 
 TEST(AdminServerTest, DumpFailureMapsTo503) {

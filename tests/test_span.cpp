@@ -1,16 +1,17 @@
-// Commit-lifecycle span layer (DESIGN.md §15): the lock-free SpanRing,
-// the NDJSON codec, clock-offset reconciliation, the critical-path
-// analyzer's chain stitching and telescoping coverage guarantee, the
-// Chrome-trace export, the flight recorder, and the determinism pin
-// (span recording must not perturb the seeded trace stream).
+// The commit lifecycle on the one event stream (DESIGN.md §10): the
+// NDJSON codec's optional fields, clock-offset reconciliation, the
+// critical-path analyzer's chain stitching and telescoping coverage
+// guarantee, the Chrome-trace export, the flight recorder, and the
+// stream-level contracts (each milestone recorded once; recording does
+// not perturb a seeded run).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
-#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,84 +29,17 @@ std::uint64_t as_aux(std::int64_t offset) {
   return aux;
 }
 
-SpanEvent make(SpanStage stage, ReplicaId replica, std::uint64_t t,
-               std::uint64_t key, std::uint64_t aux = 0,
-               ReplicaId peer = kSpanNoPeer) {
-  SpanEvent ev;
-  ev.stage = stage;
+TraceEvent make(EventKind kind, ReplicaId replica, std::uint64_t t,
+                std::uint64_t key, std::uint64_t aux = 0,
+                ReplicaId peer = kNoPeer) {
+  TraceEvent ev;
+  ev.kind = kind;
   ev.replica = replica;
   ev.peer = peer;
   ev.t_us = t;
   ev.key = key;
   ev.aux = aux;
   return ev;
-}
-
-TEST(SpanRing, WraparoundKeepsNewestEvents) {
-  SpanRing ring(8, /*wall_clock=*/false);
-  ASSERT_TRUE(ring.enabled());
-  EXPECT_FALSE(ring.wall_clock());
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    ring.push(make(SpanStage::kCommit, 0, i, /*key=*/i));
-  }
-  EXPECT_EQ(ring.recorded(), 20u);
-  EXPECT_EQ(ring.dropped(), 12u);
-  const auto events = ring.events();
-  ASSERT_EQ(events.size(), 8u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].key, 12 + i) << "ring must retain the newest 8, oldest first";
-  }
-}
-
-TEST(SpanRing, ZeroCapacityDisablesRecording) {
-  SpanRing ring(0);
-  EXPECT_FALSE(ring.enabled());
-  EXPECT_EQ(ring.capacity(), 0u);
-  ring.push(SpanEvent{});
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_TRUE(ring.events().empty());
-}
-
-TEST(SpanRing, CapacityRoundsUpToPowerOfTwo) {
-  SpanRing ring(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-  EXPECT_GT(ring.approx_bytes(), 128 * sizeof(std::uint64_t) * 5);
-}
-
-/// Concurrent writers overwrite each other freely, but a reader must
-/// never observe a torn slot: every snapshotted event carries the
-/// writer's (key, aux) pair intact.
-TEST(SpanRing, ConcurrentWritersNeverTearSlots) {
-  SpanRing ring(1024, /*wall_clock=*/false);
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPushes = 4000;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&ring, &go, t] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (std::uint64_t i = 0; i < kPushes; ++i) {
-        const std::uint64_t key = (static_cast<std::uint64_t>(t) << 32) | i;
-        ring.push(make(SpanStage::kCommit, static_cast<ReplicaId>(t), i, key,
-                       /*aux=*/key * 2 + 7));
-      }
-    });
-  }
-  go.store(true, std::memory_order_release);
-  for (auto& w : writers) w.join();
-
-  EXPECT_EQ(ring.recorded(), kThreads * kPushes);
-  EXPECT_EQ(ring.dropped(), kThreads * kPushes - 1024);
-  const auto events = ring.events();
-  EXPECT_LE(events.size(), 1024u);
-  EXPECT_GT(events.size(), 0u);
-  for (const auto& ev : events) {
-    EXPECT_EQ(ev.aux, ev.key * 2 + 7) << "torn slot leaked to a reader";
-    EXPECT_EQ(ev.replica, ev.key >> 32);
-    EXPECT_EQ(ev.t_us, ev.key & 0xFFFFFFFFull);
-  }
 }
 
 TEST(SpanKey, DeterministicAndSensitiveToContentAndLength) {
@@ -124,35 +58,29 @@ TEST(SpanKey, DeterministicAndSensitiveToContentAndLength) {
 }
 
 TEST(SpanNdjson, RoundTripsAndOmitsDefaultFields) {
-  std::vector<SpanEvent> events;
-  SpanEvent full;
-  full.stage = SpanStage::kSendFlush;
-  full.replica = 3;
-  full.peer = 7;
-  full.t_us = 123456;
-  full.key = 0xdeadbeefcafe;
+  std::vector<TraceEvent> events;
+  TraceEvent full = make(EventKind::kSendFlush, 3, 123456, 0xdeadbeefcafe, 41, /*peer=*/7);
   full.view = 2;
   full.round = 9;
-  full.aux = 41;
   events.push_back(full);
-  // All-default optional fields: view/round/aux zero, no peer.
-  events.push_back(make(SpanStage::kCommit, 1, 99, /*key=*/5));
+  // A milestone without a correlation key or peer (a view change).
+  events.push_back(make(EventKind::kViewEntered, 1, 99, /*key=*/0));
 
-  const std::string text = spans_to_ndjson(events);
+  const std::string text = to_ndjson(events);
   std::istringstream lines(text);
   std::string line1, line2;
   ASSERT_TRUE(std::getline(lines, line1));
   ASSERT_TRUE(std::getline(lines, line2));
+  EXPECT_NE(line1.find("\"ev\":\"send_flush\""), std::string::npos);
+  EXPECT_NE(line1.find("\"key\":244837814094590"), std::string::npos);
   EXPECT_NE(line1.find("\"peer\":7"), std::string::npos);
-  // Optional fields are omitted when default so seeded runs emit stable
-  // bytes — not serialized as zeros.
-  EXPECT_EQ(line2.find("\"view\""), std::string::npos);
-  EXPECT_EQ(line2.find("\"round\""), std::string::npos);
-  EXPECT_EQ(line2.find("\"aux\""), std::string::npos);
+  // key and peer are omitted when unset, so events that carry neither
+  // keep the exact bytes the stream had before those fields existed.
+  EXPECT_EQ(line2.find("\"key\""), std::string::npos);
   EXPECT_EQ(line2.find("\"peer\""), std::string::npos);
 
   std::size_t bad = 0;
-  const auto parsed = parse_spans_ndjson(text, &bad);
+  const auto parsed = parse_ndjson(text, &bad);
   EXPECT_EQ(bad, 0u);
   ASSERT_EQ(parsed.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -160,61 +88,41 @@ TEST(SpanNdjson, RoundTripsAndOmitsDefaultFields) {
   }
 }
 
-/// Mixed streams are the norm (forensics bundles concatenate rings):
-/// trace events, meta lines, and blanks are not span lines and must be
-/// skipped silently; only lines claiming to be spans can count as bad.
+/// Admin and forensics files put ring-health meta lines into the stream:
+/// they are skipped silently, while unknown kinds and lines missing their
+/// required fields count as malformed.
 TEST(SpanNdjson, SkipsForeignLinesAndCountsBadSpans) {
-  std::string text = spans_to_ndjson({make(SpanStage::kQcFormed, 0, 10, 42)});
-  text += to_ndjson({TraceEvent{}});  // a trace line ("ev" field)
-  text += trace_meta_line(TraceMeta{2, 5, 100});
+  std::string text = trace_meta_line(TraceMeta{2, 5, 100});
+  text += to_ndjson({make(EventKind::kQcFormed, 0, 10, 42)});
   text += "\n";
-  text += "{\"stage\":\"no_such_stage\",\"replica\":0,\"t_us\":1,\"key\":2}\n";
-  text += "{\"stage\":\"commit\"}\n";  // claims to be a span, missing fields
+  text += "{\"ev\":\"no_such_kind\",\"replica\":0,\"t_us\":1,\"key\":2}\n";
+  text += "{\"ev\":\"block_committed\"}\n";  // missing replica and t_us
 
   std::size_t bad = 0;
-  const auto spans = parse_spans_ndjson(text, &bad);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].key, 42u);
+  const auto events = parse_ndjson(text, &bad);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].key, 42u);
   EXPECT_EQ(bad, 2u);
-
-  // The trace parser makes the symmetric promise: span and meta lines in
-  // its input are foreign, not malformed.
-  std::size_t trace_bad = 0;
-  const auto traces = parse_ndjson(text, &trace_bad);
-  EXPECT_EQ(traces.size(), 1u);
-  EXPECT_EQ(trace_bad, 0u);
 }
 
 TEST(SpanNdjson, StageNamesRoundTripEveryStage) {
-  for (std::size_t i = 0; i < kSpanStageCount; ++i) {
-    const auto stage = static_cast<SpanStage>(i);
-    SpanStage back = SpanStage::kBatchAnnounce;
-    ASSERT_TRUE(span_stage_from_name(span_stage_name(stage), &back));
-    EXPECT_EQ(back, stage);
+  for (std::size_t i = 0; i < kEventKindCount; ++i) {
+    const auto kind = static_cast<EventKind>(i);
+    EventKind back = EventKind::kViewEntered;
+    ASSERT_TRUE(event_from_name(event_name(kind), &back));
+    EXPECT_EQ(back, kind);
   }
-  SpanStage unused;
-  EXPECT_FALSE(span_stage_from_name("definitely_not_a_stage", &unused));
-}
-
-TEST(SpanSort, OrdersByTimeThenReplica) {
-  std::vector<SpanEvent> events = {
-      make(SpanStage::kCommit, 1, 50, 1),
-      make(SpanStage::kCommit, 0, 50, 2),
-      make(SpanStage::kVoteSend, 2, 10, 3),
-  };
-  sort_spans(events);
-  EXPECT_EQ(events[0].t_us, 10u);
-  EXPECT_EQ(events[1].replica, 0u);  // at t=50, replica 0 sorts first
-  EXPECT_EQ(events[2].replica, 1u);
+  EventKind unused;
+  EXPECT_FALSE(event_from_name("definitely_not_a_kind", &unused));
 }
 
 TEST(ClockOffsets, MapsEventsIntoTheReferenceClock) {
   // Replica 0 measured replica 1's clock as running 500us ahead. An event
   // stamped 1000 on replica 1's clock is 500 in replica 0's frame.
-  std::vector<SpanEvent> events = {
-      make(SpanStage::kClockOffset, 0, 0, /*key=peer*/ 1, as_aux(500)),
-      make(SpanStage::kCommit, 1, 1000, 7),
-      make(SpanStage::kCommit, 0, 600, 8),
+  std::vector<TraceEvent> events = {
+      make(EventKind::kClockOffset, 0, 0, 0, as_aux(500), /*peer=*/1),
+      make(EventKind::kBlockCommitted, 1, 1000, 7),
+      make(EventKind::kBlockCommitted, 0, 600, 8),
   };
   EXPECT_EQ(apply_clock_offsets(events), 1u);
   EXPECT_EQ(events[1].t_us, 500u);
@@ -225,11 +133,11 @@ TEST(ClockOffsets, BridgesTransitivelyThroughTheMeasurementGraph) {
   // 0 measured 1 at +100; 1 measured 2 at +250. Replica 2 is reachable
   // only through 1, so its events shift by 350 total. Negative results
   // clamp at zero instead of wrapping.
-  std::vector<SpanEvent> events = {
-      make(SpanStage::kClockOffset, 0, 0, 1, as_aux(100)),
-      make(SpanStage::kClockOffset, 1, 0, 2, as_aux(250)),
-      make(SpanStage::kCommit, 2, 1000, 7),
-      make(SpanStage::kCommit, 2, 10, 8),
+  std::vector<TraceEvent> events = {
+      make(EventKind::kClockOffset, 0, 0, 0, as_aux(100), /*peer=*/1),
+      make(EventKind::kClockOffset, 1, 0, 0, as_aux(250), /*peer=*/2),
+      make(EventKind::kBlockCommitted, 2, 1000, 7),
+      make(EventKind::kBlockCommitted, 2, 10, 8),
   };
   EXPECT_EQ(apply_clock_offsets(events), 2u);
   EXPECT_EQ(events[2].t_us, 650u);
@@ -242,26 +150,26 @@ TEST(ClockOffsets, BridgesTransitivelyThroughTheMeasurementGraph) {
 TEST(Analyzer, StitchesAFullChainAndPicksTheCriticalVoter) {
   constexpr std::uint64_t kBlock = 0xb10c;
   constexpr std::uint64_t kPayload = 0x9a71;
-  std::vector<SpanEvent> events;
-  SpanEvent enc = make(SpanStage::kProposalEncode, 0, 100, kBlock, kPayload);
-  enc.view = 1;
-  enc.round = 3;
-  events.push_back(enc);
-  events.push_back(make(SpanStage::kSendFlush, 0, 110, kPayload, 0, /*peer=*/1));
-  events.push_back(make(SpanStage::kSendFlush, 0, 112, kPayload, 0, /*peer=*/2));
-  events.push_back(make(SpanStage::kSendFlush, 0, 114, kPayload, 0, /*peer=*/3));
-  events.push_back(make(SpanStage::kSocketRead, 1, 120, kPayload, 0, /*peer=*/0));
-  events.push_back(make(SpanStage::kSocketRead, 2, 122, kPayload, 0, /*peer=*/0));
-  events.push_back(make(SpanStage::kDispatch, 2, 140, kBlock));
-  events.push_back(make(SpanStage::kVoteSend, 1, 150, kBlock));
-  events.push_back(make(SpanStage::kVoteSend, 2, 160, kBlock));
-  events.push_back(make(SpanStage::kVoteSend, 3, 170, kBlock));  // after the QC
-  events.push_back(make(SpanStage::kQcFormed, 0, 165, kBlock));
-  SpanEvent commit = make(SpanStage::kCommit, 0, 300, kBlock);
+  std::vector<TraceEvent> events;
+  TraceEvent sent = make(EventKind::kProposalSent, 0, 100, kBlock, kPayload);
+  sent.view = 1;
+  sent.round = 3;
+  events.push_back(sent);
+  events.push_back(make(EventKind::kSendFlush, 0, 110, kPayload, 0, /*peer=*/1));
+  events.push_back(make(EventKind::kSendFlush, 0, 112, kPayload, 0, /*peer=*/2));
+  events.push_back(make(EventKind::kSendFlush, 0, 114, kPayload, 0, /*peer=*/3));
+  events.push_back(make(EventKind::kSocketRead, 1, 120, kPayload, 0, /*peer=*/0));
+  events.push_back(make(EventKind::kSocketRead, 2, 122, kPayload, 0, /*peer=*/0));
+  events.push_back(make(EventKind::kProposalReceived, 2, 140, kBlock, /*aux=sender*/ 0));
+  events.push_back(make(EventKind::kVoteSent, 1, 150, kBlock));
+  events.push_back(make(EventKind::kVoteSent, 2, 160, kBlock));
+  events.push_back(make(EventKind::kVoteSent, 3, 170, kBlock));  // after the QC
+  events.push_back(make(EventKind::kQcFormed, 0, 165, kBlock));
+  TraceEvent commit = make(EventKind::kBlockCommitted, 0, 300, kBlock, kBlock);
   commit.view = 1;
   commit.round = 3;
   events.push_back(commit);
-  events.push_back(make(SpanStage::kClientConfirm, 1, 350, kBlock, /*aux=*/50));
+  events.push_back(make(EventKind::kClientConfirm, 1, 350, kBlock, /*aux=*/50));
 
   const SpanReport rep = analyze_spans(events);
   EXPECT_EQ(rep.commits_seen, 1u);
@@ -307,15 +215,15 @@ TEST(Analyzer, StitchesAFullChainAndPicksTheCriticalVoter) {
 
 /// Transport milestones missing entirely (the sim path, or a gappy ring):
 /// stages telescope from the previous *present* milestone, so the stage
-/// sum still covers the whole encode -> commit interval.
+/// sum still covers the whole send -> commit interval.
 TEST(Analyzer, TelescopingCoversGapsFromMissingMilestones) {
   constexpr std::uint64_t kBlock = 0xabc;
-  std::vector<SpanEvent> events;
-  events.push_back(make(SpanStage::kProposalEncode, 0, 1000, kBlock, /*aux=*/777));
-  events.push_back(make(SpanStage::kVoteSend, 1, 1400, kBlock));
-  events.push_back(make(SpanStage::kQcFormed, 0, 1500, kBlock));
-  SpanEvent commit = make(SpanStage::kCommit, 0, 2000, kBlock);
-  commit.aux = 4;  // fallback height
+  std::vector<TraceEvent> events;
+  events.push_back(make(EventKind::kProposalSent, 0, 1000, kBlock, /*aux=*/777));
+  events.push_back(make(EventKind::kVoteSent, 1, 1400, kBlock));
+  events.push_back(make(EventKind::kFBlockCertified, 0, 1500, kBlock));
+  TraceEvent commit = make(EventKind::kBlockCommitted, 0, 2000, kBlock);
+  commit.height = 4;  // a certified f-block
   events.push_back(commit);
 
   const SpanReport rep = analyze_spans(events);
@@ -325,7 +233,7 @@ TEST(Analyzer, TelescopingCoversGapsFromMissingMilestones) {
   EXPECT_FALSE(c.stage_set[0]);  // no flush
   EXPECT_FALSE(c.stage_set[1]);  // no read
   EXPECT_FALSE(c.stage_set[2]);  // no dispatch
-  // vote_handler telescopes all the way back to the encode milestone.
+  // vote_handler telescopes all the way back to the proposal milestone.
   EXPECT_TRUE(c.stage_set[3]);
   EXPECT_EQ(c.stage_us[3], 400u);
   EXPECT_EQ(c.stage_us[4], 100u);
@@ -338,7 +246,7 @@ TEST(Analyzer, TelescopingCoversGapsFromMissingMilestones) {
 
 TEST(Analyzer, CommitWithoutEncodeCountsButDoesNotChain) {
   const SpanReport rep =
-      analyze_spans({make(SpanStage::kCommit, 0, 500, 0x1)});
+      analyze_spans({make(EventKind::kBlockCommitted, 0, 500, 0x1)});
   EXPECT_EQ(rep.commits_seen, 1u);
   EXPECT_TRUE(rep.chains.empty());
   EXPECT_NE(rep.summary().find("no critical-path chains"), std::string::npos);
@@ -346,11 +254,11 @@ TEST(Analyzer, CommitWithoutEncodeCountsButDoesNotChain) {
 
 TEST(ChromeTrace, EmitsOneDurationEventPerStagePlusCommitInstant) {
   constexpr std::uint64_t kBlock = 0xf00d;
-  std::vector<SpanEvent> events;
-  events.push_back(make(SpanStage::kProposalEncode, 0, 100, kBlock, /*aux=*/1));
-  events.push_back(make(SpanStage::kVoteSend, 1, 200, kBlock));
-  events.push_back(make(SpanStage::kQcFormed, 0, 250, kBlock));
-  events.push_back(make(SpanStage::kCommit, 0, 400, kBlock));
+  std::vector<TraceEvent> events;
+  events.push_back(make(EventKind::kProposalSent, 0, 100, kBlock, /*aux=*/1));
+  events.push_back(make(EventKind::kVoteSent, 1, 200, kBlock));
+  events.push_back(make(EventKind::kQcFormed, 0, 250, kBlock));
+  events.push_back(make(EventKind::kBlockCommitted, 0, 400, kBlock));
   const std::string json = chrome_trace_json(analyze_spans(events));
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
@@ -369,32 +277,64 @@ TEST(ChromeTrace, EmitsOneDurationEventPerStagePlusCommitInstant) {
   EXPECT_NE(json.find("\"name\":\"commit_rule\""), std::string::npos);
 }
 
-/// The §10 contract, extended to spans: recording spans must not perturb
-/// the seeded trace stream the determinism pins hash. Same seed with
-/// spans off vs on -> byte-identical trace NDJSON.
+harness::ExperimentConfig async_config(std::uint32_t n, std::uint64_t seed) {
+  harness::ExperimentConfig cfg;
+  cfg.n = n;
+  cfg.protocol = harness::Protocol::kFallback3;
+  cfg.scenario = harness::NetScenario::kAsynchronous;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// Recording is observation only: the same seed with the event rings off
+/// and on must commit the same blocks at the same virtual times.
 TEST(Determinism, SpanRecordingDoesNotPerturbSeededTraces) {
-  auto run = [](std::size_t span_capacity) {
-    harness::ExperimentConfig cfg;
-    cfg.n = 4;
-    cfg.protocol = harness::Protocol::kFallback3;
-    cfg.scenario = harness::NetScenario::kAsynchronous;
-    cfg.seed = 99;
-    cfg.trace_capacity = 4096;
-    cfg.span_capacity = span_capacity;
+  auto run = [](std::size_t trace_capacity) {
+    harness::ExperimentConfig cfg = async_config(4, 99);
+    cfg.trace_capacity = trace_capacity;
     harness::Experiment exp(cfg);
     exp.start();
     exp.run_until_commits(4, 30'000'000'000ull);
-    return std::pair{exp.traces_ndjson(), exp.span_events().size()};
+    std::vector<std::tuple<smr::BlockId, SimTime>> ledgers;
+    for (ReplicaId id = 0; id < exp.n(); ++id) {
+      for (const auto& rec : exp.replica(id).ledger().records()) {
+        ledgers.emplace_back(rec.id, rec.commit_time);
+      }
+    }
+    return std::pair{ledgers, exp.trace_events().size()};
   };
-  const auto [traces_off, spans_off] = run(0);
-  const auto [traces_on, spans_on] = run(1 << 14);
-  ASSERT_FALSE(traces_off.empty());
-  EXPECT_EQ(traces_off, traces_on);
-  EXPECT_EQ(spans_off, 0u);
-  EXPECT_GT(spans_on, 0u);
+  const auto [ledgers_off, events_off] = run(0);
+  const auto [ledgers_on, events_on] = run(1 << 14);
+  ASSERT_FALSE(ledgers_off.empty());
+  EXPECT_EQ(ledgers_off, ledgers_on);
+  EXPECT_EQ(events_off, 0u);
+  EXPECT_GT(events_on, 0u);
 }
 
-/// End-to-end over the sim harness: a seeded run's span stream must
+/// The stream records each milestone once: an n=16 asynchronous run
+/// holds exactly the protocol events the trace recorded before the
+/// critical-path stages joined it (63 297), not those plus a second copy
+/// of proposals, votes, QCs and commits (122 891), and no event repeats.
+TEST(OneStream, EachMilestoneIsRecordedOnce) {
+  harness::ExperimentConfig cfg = async_config(16, 1);
+  cfg.trace_capacity = 1 << 14;
+  harness::Experiment exp(cfg);
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(100, 100'000'000'000ull));
+  for (ReplicaId id = 0; id < exp.n(); ++id) {
+    ASSERT_EQ(exp.trace_ring(id)->dropped(), 0u) << "replica " << id;
+  }
+  const auto events = exp.trace_events();
+  EXPECT_EQ(events.size(), 63'297u);
+  std::set<std::tuple<EventKind, ReplicaId, SimTime, std::uint64_t>> seen;
+  for (const auto& ev : events) {
+    EXPECT_TRUE(seen.emplace(ev.kind, ev.replica, ev.t_us, ev.key).second)
+        << event_name(ev.kind) << " at replica " << ev.replica << " t=" << ev.t_us
+        << " recorded twice";
+  }
+}
+
+/// End-to-end over the sim harness: a seeded run's event stream must
 /// stitch one chain per commit with full telescoped coverage, and the
 /// NDJSON writer/parser must round-trip it.
 TEST(ExperimentSpans, SeededRunStitchesChainsWithFullCoverage) {
@@ -403,18 +343,18 @@ TEST(ExperimentSpans, SeededRunStitchesChainsWithFullCoverage) {
   cfg.protocol = harness::Protocol::kAlwaysFallback;
   cfg.scenario = harness::NetScenario::kSynchronous;
   cfg.seed = 3;
-  cfg.span_capacity = 1 << 15;
+  cfg.trace_capacity = 1 << 14;
   harness::Experiment exp(cfg);
   exp.start();
   exp.run_until_commits(6, 30'000'000'000ull);
 
-  const auto events = exp.span_events();
+  const auto events = exp.trace_events();
   ASSERT_FALSE(events.empty());
   const SpanReport rep = analyze_spans(events);
   EXPECT_GE(rep.commits_seen, 6u);
   ASSERT_FALSE(rep.chains.empty());
   EXPECT_EQ(rep.chains.size(), rep.commits_seen)
-      << "every sim commit must pair with its encode record";
+      << "every sim commit must pair with its proposal record";
   // Sim time is monotone and shared, so telescoping covers everything.
   EXPECT_GE(rep.coverage_min, 0.999);
   // Always-fallback commits exclusively through certified f-blocks.
@@ -422,11 +362,9 @@ TEST(ExperimentSpans, SeededRunStitchesChainsWithFullCoverage) {
   EXPECT_EQ(rep.total_steady.count, 0u);
 
   std::size_t bad = 0;
-  const auto reparsed = parse_spans_ndjson(exp.spans_ndjson(), &bad);
+  const auto reparsed = parse_ndjson(exp.traces_ndjson(), &bad);
   EXPECT_EQ(bad, 0u);
-  ASSERT_EQ(reparsed.size(), events.size());
-  EXPECT_TRUE(reparsed.front() == events.front());
-  EXPECT_TRUE(reparsed.back() == events.back());
+  EXPECT_EQ(reparsed, events);
 }
 
 TEST(FlightRecorderTest, WritesBundlesWithMonotonicSequenceNumbers) {
@@ -436,7 +374,6 @@ TEST(FlightRecorderTest, WritesBundlesWithMonotonicSequenceNumbers) {
 
   FlightRecorder::Sources sources;
   sources.traces = [] { return std::string("{\"ev\":\"propose\"}\n"); };
-  sources.spans = [] { return std::string("{\"stage\":\"commit\"}\n"); };
   // No metrics source: the recorder must skip that file, not fail.
   sources.manifest_extra = [] { return std::string(",\"n\":4"); };
   FlightRecorder rec(dir.string(), sources);
@@ -446,7 +383,6 @@ TEST(FlightRecorderTest, WritesBundlesWithMonotonicSequenceNumbers) {
   ASSERT_FALSE(first.empty());
   EXPECT_NE(first.find("stall-0"), std::string::npos);
   EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(first) / "trace.ndjson"));
-  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(first) / "spans.ndjson"));
   EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(first) / "metrics.ndjson"));
 
   std::ifstream manifest(std::filesystem::path(first) / "manifest.json");

@@ -110,9 +110,9 @@ void usage_fuzz() {
       "  --no-shrink    keep failing schedules unminimized\n"
       "  --out DIR      write repro-<seed>.json per failure into DIR\n"
       "  --forensics-out DIR\n"
-      "                 re-run every shrunk repro with span recording on\n"
-      "                 and write its flight-recorder bundle (trace, span\n"
-      "                 and metrics snapshots) into DIR\n"
+      "                 re-run every shrunk repro and write its\n"
+      "                 flight-recorder bundle (event and metrics\n"
+      "                 snapshots) into DIR\n"
       "  --json FILE    write the sweep summary as JSON to FILE\n"
       "  --replay FILE  re-execute one schedule artifact; exits nonzero\n"
       "                 unless the trace sha256 matches its pin\n"

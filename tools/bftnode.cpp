@@ -16,14 +16,12 @@
 //   wal = node0.wal            # optional: durable vote state
 //   report_ms = 1000           # status line interval (0 = quiet)
 //   admin_port = 9100          # optional: serve GET /metrics (Prometheus
-//                              # text), /trace and /spans (NDJSON),
+//                              # text), /trace (the event stream, NDJSON),
 //                              # /healthz (liveness) and /dump (forensics
 //                              # bundle) on 127.0.0.1:<port>; 0 = off
-//   trace_capacity = 65536     # trace ring size (events) when admin_port
-//                              # is set; 0 disables tracing
-//   span_capacity = 65536      # commit-lifecycle span ring size (events)
-//                              # when admin_port is set; 0 disables spans
-//                              # (and the clock-sync ping frames)
+//   trace_capacity = 65536     # event ring size (events) when admin_port
+//                              # is set; 0 disables recording (and the
+//                              # clock-sync ping frames)
 //   forensics_dir = ./bundles  # optional: flight-recorder output dir;
 //                              # enables GET /dump and watchdog dumps
 //   stall_timeout_ms = 0       # commit-stall watchdog: /healthz turns 503
@@ -108,15 +106,13 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  // Observability: the registry and trace ring outlive the node; the node
+  // Observability: the registry and event ring outlive the node; the node
   // thread attaches its counters into them at startup and the admin
   // server snapshots them on demand.
   obs::Registry registry;
   const auto admin_port = static_cast<std::uint16_t>(cfg_file->get_int("admin_port", 0));
   const auto trace_capacity =
       static_cast<std::size_t>(cfg_file->get_int("trace_capacity", 65536));
-  const auto span_capacity =
-      static_cast<std::size_t>(cfg_file->get_int("span_capacity", 65536));
   const std::string forensics_dir = cfg_file->get_str("forensics_dir", "");
   const auto stall_timeout_us =
       static_cast<std::uint64_t>(cfg_file->get_int("stall_timeout_ms", 0)) * 1000;
@@ -124,14 +120,9 @@ int main(int argc, char** argv) {
   if (admin_port != 0 && trace_capacity > 0) {
     trace = std::make_shared<obs::TraceRing>(trace_capacity, /*wall_clock=*/true);
   }
-  std::shared_ptr<obs::SpanRing> spans;
-  if (admin_port != 0 && span_capacity > 0) {
-    spans = std::make_shared<obs::SpanRing>(span_capacity, /*wall_clock=*/true);
-  }
   if (admin_port != 0) {
     cfg.registry = &registry;
     cfg.trace = trace;
-    cfg.spans = spans;
   }
 
   TcpNode node(cfg, factory);
@@ -152,9 +143,6 @@ int main(int argc, char** argv) {
         return obs::trace_meta_line(meta) + obs::to_ndjson(trace->events());
       };
     }
-    if (spans) {
-      src.spans = [spans] { return obs::spans_to_ndjson(spans->events()); };
-    }
     src.metrics = [&registry] { return registry.snapshot().ndjson(); };
     src.manifest_extra = [&node, id = cfg.id] {
       return ",\"replica\":" + std::to_string(id) +
@@ -171,7 +159,6 @@ int main(int argc, char** argv) {
     obs::AdminServer::Options aopts;
     aopts.registry = &registry;
     aopts.trace = trace;
-    aopts.spans = spans;
     aopts.replica = cfg.id;
     aopts.health_fn = [&node, &stalled, stall_timeout_us] {
       const std::uint64_t last = node.last_commit_wall_us();
@@ -197,7 +184,7 @@ int main(int argc, char** argv) {
     admin = std::make_unique<obs::AdminServer>(admin_port, std::move(aopts));
     if (admin->running()) {
       std::printf(
-          "bftnode: admin endpoint on 127.0.0.1:%u (/metrics /trace /spans /healthz /dump)\n",
+          "bftnode: admin endpoint on 127.0.0.1:%u (/metrics /trace /healthz /dump)\n",
           unsigned(admin->port()));
     }
   }

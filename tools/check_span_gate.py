@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""CI gate for commit-lifecycle span tracing (DESIGN.md §15).
+"""CI gate for the event stream's commit-lifecycle analysis (DESIGN.md §10.1).
 
 Reads a bench NDJSON file and asserts, on the tcp_span_overhead row
-(n=16 always-fallback — the worst-case span volume):
+(n=16 always-fallback — the worst-case event volume):
 
-  * recording overhead: spans-on throughput >= slack * spans-off
+  * recording overhead: recording-on throughput >= slack * recording-off
     (default 0.95, i.e. < 5% commit-throughput cost);
   * attribution: at least one critical-path chain was stitched, and the
     telescoped per-stage sum covers >= 90% of every chain's end-to-end
     encode->commit latency (coverage_min >= 0.9).
 
 The regression this guards: any instrumentation creep on the inline
-delivery path (per-frame hashing beyond the 96-byte FNV prefix, a lock
-on the span ring, eager NDJSON formatting) shows up here as throughput
+delivery path (per-frame hashing beyond the 96-byte FNV prefix, a ring
+shared across node threads, eager NDJSON formatting) shows up here as throughput
 loss before it shows up anywhere else; a key-derivation mismatch between
 the transport and protocol layers shows up as zero chains.
 

@@ -1,34 +1,33 @@
-// tracecat — merge and analyze NDJSON consensus traces and span streams.
+// tracecat — merge and analyze NDJSON event streams.
 //
 //   $ tracecat trace0.ndjson [trace1.ndjson ...]
 //   $ bftlab --trace-out trace.ndjson ... && tracecat trace.ndjson
-//   $ tracecat --critical-path spans.ndjson
-//   $ tracecat --critical-path --chrome-trace out.json spans.ndjson
+//   $ tracecat --critical-path trace.ndjson
+//   $ tracecat --critical-path --chrome-trace out.json trace.ndjson
 //
-// Input files are per-replica (or pre-merged) NDJSON streams as written
-// by bftlab/benches (--trace-out, --spans-out) or served by bftnode's
-// admin /trace and /spans endpoints. Trace and span lines may be mixed in
-// one file; each analysis picks out its own lines. tracecat merges trace
-// events into one global timeline ordered by (t_us, replica) and reports:
+// Input files are per-replica (or pre-merged) NDJSON event streams as
+// written by bftlab/benches (--trace-out) or served by bftnode's admin
+// /trace endpoint. tracecat merges them into one global timeline ordered
+// by (t_us, replica) and reports:
 //
 //   * per-kind event counts,
-//   * per-commit latency (first proposal of a (view, round, height)
-//     coordinate to its first commit anywhere), split into steady-state
-//     rounds (height = 0) and fallback rounds (height > 0),
+//   * per-commit latency (first proposal of a block key to its first
+//     commit anywhere), split into steady-state rounds (height = 0) and
+//     fallback rounds (height > 0),
 //   * completed fallback durations (enter -> coin exit), and
 //   * the observed fallback leader-win rate next to the paper's Lemma 7
 //     bound (an honest leader is elected, hence the fallback commits,
 //     with probability >= 2/3).
 //
-// `--critical-path` instead analyzes commit-lifecycle spans: per-commit
-// critical-path chains (proposer encode -> critical voter -> QC ->
-// commit) with a per-stage p50/p99 table split steady vs fallback.
-// `--chrome-trace <path>` additionally writes the chains as a
-// Perfetto/chrome://tracing-loadable JSON file.
+// `--critical-path` instead stitches per-commit critical-path chains
+// (proposal sent -> critical voter -> QC -> commit) with a per-stage
+// p50/p99 table split steady vs fallback. `--chrome-trace <path>`
+// additionally writes the chains as a Perfetto/chrome://tracing-loadable
+// JSON file.
 //
 // Files served by the admin endpoint carry a leading trace_meta line with
 // the replica's ring-drop counters; tracecat prints them in the timeline
-// header and warns when latency statistics were computed over a gappy
+// header and warns when statistics were computed over a gappy
 // (ring-overwritten) window.
 //
 // Exit status: 0 on success, 1 if no valid events were found, 2 on usage
@@ -113,7 +112,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::vector<obs::TraceEvent>> streams;
-  std::vector<obs::SpanEvent> spans;
   std::vector<obs::TraceMeta> metas;
   std::size_t bad_total = 0;
   for (const char* path : inputs) {
@@ -125,10 +123,6 @@ int main(int argc, char** argv) {
     std::size_t bad = 0;
     streams.push_back(obs::parse_ndjson(text, &bad));
     bad_total += bad;
-    std::size_t bad_spans = 0;
-    auto file_spans = obs::parse_spans_ndjson(text, &bad_spans);
-    bad_total += bad_spans;
-    spans.insert(spans.end(), file_spans.begin(), file_spans.end());
     for (const auto& meta : collect_meta(text)) metas.push_back(meta);
   }
   if (bad_total > 0) {
@@ -138,32 +132,7 @@ int main(int argc, char** argv) {
   std::uint64_t dropped_total = 0;
   for (const auto& meta : metas) dropped_total += meta.dropped;
 
-  if (critical_path || chrome_out != nullptr) {
-    if (spans.empty()) {
-      std::fprintf(stderr, "tracecat: no span events in %zu input file(s)\n",
-                   inputs.size());
-      return 1;
-    }
-    obs::SpanReport report = obs::analyze_spans(std::move(spans));
-    report.dropped += dropped_total;
-    if (dropped_total > 0) {
-      std::fprintf(stderr,
-                   "tracecat: warning: %llu ring-dropped event(s) — stage "
-                   "statistics computed over a gappy window\n",
-                   static_cast<unsigned long long>(dropped_total));
-    }
-    std::fputs(report.summary().c_str(), stdout);
-    if (chrome_out != nullptr) {
-      if (!write_file(chrome_out, obs::chrome_trace_json(report))) {
-        std::fprintf(stderr, "tracecat: cannot write '%s'\n", chrome_out);
-        return 2;
-      }
-      std::printf("chrome trace: %s (%zu chains)\n", chrome_out, report.chains.size());
-    }
-    return 0;
-  }
-
-  const auto merged = obs::merge_traces(streams);
+  auto merged = obs::merge_traces(streams);
   if (merged.empty()) {
     std::fprintf(stderr, "tracecat: no valid events in %zu input file(s)\n",
                  inputs.size());
@@ -191,6 +160,20 @@ int main(int argc, char** argv) {
                  "tracecat: warning: %llu event(s) dropped by ring overwrite — "
                  "latency statistics below are computed over a gappy window\n",
                  static_cast<unsigned long long>(dropped_total));
+  }
+
+  if (critical_path || chrome_out != nullptr) {
+    obs::SpanReport report = obs::analyze_spans(std::move(merged));
+    report.dropped += dropped_total;
+    std::fputs(report.summary().c_str(), stdout);
+    if (chrome_out != nullptr) {
+      if (!write_file(chrome_out, obs::chrome_trace_json(report))) {
+        std::fprintf(stderr, "tracecat: cannot write '%s'\n", chrome_out);
+        return 2;
+      }
+      std::printf("chrome trace: %s (%zu chains)\n", chrome_out, report.chains.size());
+    }
+    return 0;
   }
 
   const obs::TraceReport report = obs::analyze_trace(merged);
