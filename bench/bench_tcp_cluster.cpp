@@ -47,13 +47,6 @@ struct RunResult {
   /// Every node's recorded events, merged; ring overwrites summed.
   std::vector<obs::TraceEvent> events;
   std::uint64_t events_dropped = 0;
-  // Pipelined-dissemination counters (DESIGN.md §12), summed over nodes.
-  std::uint64_t batches_sealed = 0;
-  std::uint64_t batches_announced = 0;
-  std::uint64_t batches_pulled = 0;
-  std::uint64_t batch_pull_timeouts = 0;
-  std::uint64_t batch_ref_hits = 0;
-  std::uint64_t batch_ref_misses = 0;
 
   double frames_per_writev() const {
     return obs::ratio(net.writev_frames, net.writev_batches);
@@ -66,9 +59,6 @@ struct RunOpts {
   /// storm of f-blocks/votes/coin shares — the worst-case write load for
   /// the per-peer send queues.
   bool always_fallback = false;
-  /// Digest-referenced payload dissemination (ProtocolConfig::batch_refs);
-  /// false pins the inline wire format for A/B rows.
-  bool batch_refs = true;
   /// Per-node event ring capacity (wall-clock mode); 0 runs with
   /// recording off, the baseline side of the overhead gate.
   std::size_t trace_capacity = 0;
@@ -94,7 +84,6 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     cfg.seed = 42 + i;
     cfg.pcfg.base_timeout_us = 150'000;
     cfg.pcfg.batch_bytes = batch_bytes;
-    cfg.pcfg.batch_refs = opts.batch_refs;
     if (opts.trace_capacity > 0) {
       // One ring per node, as in the simulator: its node thread is the
       // only writer, so recording never contends across nodes.
@@ -146,13 +135,6 @@ RunResult run_cluster(std::uint32_t n, int millis, std::size_t batch_bytes,
     r.net.writev_bytes += st.writev_bytes;
     r.net.sendq_dropped_frames += st.sendq_dropped_frames;
     r.net.sendq_dropped_bytes += st.sendq_dropped_bytes;
-    const core::ReplicaStats& rs = node->replica().stats();
-    r.batches_sealed += rs.batches_sealed;
-    r.batches_announced += rs.batches_announced;
-    r.batches_pulled += rs.batches_pulled;
-    r.batch_pull_timeouts += rs.batch_pull_timeouts;
-    r.batch_ref_hits += rs.batch_ref_hits;
-    r.batch_ref_misses += rs.batch_ref_misses;
   }
   return r;
 }
@@ -209,45 +191,6 @@ int main(int argc, char** argv) {
     const RunResult r = run_cluster(4, 1000, batch);
     std::printf("    %-12zu %16.0f %18.2f\n", batch, r.blocks_per_sec,
                 r.blocks_per_sec * batch / 1e6);
-  }
-
-  std::printf("\n--- pipelined dissemination: inline vs digest-referenced -------\n");
-  std::printf("    batch_refs=1 streams payload batches out of band while the\n");
-  std::printf("    previous round's QC forms; proposals then carry a 32-byte\n");
-  std::printf("    digest instead of the payload (DESIGN.md §12). ref_misses are\n");
-  std::printf("    proposals that arrived before their batch (recovered by pull).\n");
-  std::printf("    %-4s %-12s %-5s %12s %14s %10s %8s %8s\n", "n", "batch bytes", "refs",
-              "blocks/s", "payload MB/s", "announced", "misses", "pulls");
-  for (std::uint32_t n : {4u, 7u}) {
-    for (std::size_t batch : {1024u, 16384u}) {
-      for (bool refs : {false, true}) {
-        RunOpts opts;
-        opts.batch_refs = refs;
-        const RunResult r = run_cluster(n, 1000, batch, opts);
-        std::printf("    %-4u %-12zu %-5d %12.0f %14.2f %10llu %8llu %8llu\n", n, batch,
-                    refs ? 1 : 0, r.blocks_per_sec, r.blocks_per_sec * batch / 1e6,
-                    static_cast<unsigned long long>(r.batches_announced),
-                    static_cast<unsigned long long>(r.batch_ref_misses),
-                    static_cast<unsigned long long>(r.batches_pulled));
-        if (json_path != nullptr) {
-          bench::JsonLine line("tcp_pipeline");
-          line.field("n", std::uint64_t{n})
-              .field("batch_bytes", std::uint64_t{batch})
-              .field("batch_refs", std::uint64_t{refs ? 1 : 0})
-              .field("blocks_per_sec", r.blocks_per_sec)
-              .field("payload_mb_per_sec", r.blocks_per_sec * batch / 1e6)
-              .field("consistent", std::uint64_t{r.consistent ? 1 : 0})
-              .field("batches_sealed", r.batches_sealed)
-              .field("batches_announced", r.batches_announced)
-              .field("batches_pulled", r.batches_pulled)
-              .field("batch_pull_timeouts", r.batch_pull_timeouts)
-              .field("batch_ref_hits", r.batch_ref_hits)
-              .field("batch_ref_misses", r.batch_ref_misses)
-              .field("wall_time_s", r.wall_seconds)
-              .append_to(json_path);
-        }
-      }
-    }
   }
 
   std::printf("\n--- multicast load: always-fallback baseline (n=7, 1s each) ----\n");

@@ -31,24 +31,6 @@ struct ProtocolConfig {
   /// benches use 0 so counted bytes are pure protocol overhead).
   std::size_t batch_bytes = 0;
 
-  /// Adaptive batch sizing ceiling. 0 disables adaptation: every batch is
-  /// exactly batch_bytes. When > batch_bytes, the mempool grows the batch
-  /// toward this cap while its backlog outpaces sealing, and shrinks back
-  /// toward batch_bytes as in-flight rounds pile up (DESIGN.md §12.3).
-  std::size_t batch_bytes_max = 0;
-
-  /// Pipelined proposal path (DESIGN.md §12): blocks may carry a 32-byte
-  /// batch reference instead of the payload, with the batch disseminated
-  /// out of band. Certificates and vote rules are untouched; a replica
-  /// just defers its vote until the reference resolves. Off = every block
-  /// inlines its payload (differential determinism pin covers both).
-  bool batch_refs = true;
-
-  /// Upcoming leader multicasts its sealed batch while still waiting for
-  /// the previous round's QC (the optimistic pre-broadcast). Off forces
-  /// every reference through the pull path — used by liveness tests.
-  bool batch_announce = true;
-
   /// Paper §3.1 "Rules for Leader Rotation": the same leader serves this
   /// many consecutive rounds (4 in the paper — long enough to build a
   /// 3-chain and hand over).
@@ -62,14 +44,13 @@ struct ProtocolConfig {
   /// byte-identical ledgers — see docs/PROTOCOL.md §9).
   bool lazy_share_verify = true;
 
-  /// TEST-ONLY planted bug: re-opens the deferred-vote hole the pipelined
-  /// proposal path had before its review fixes — blocks stored through
-  /// the catch-up channel (BlockResponseMsg) become vote candidates as if
-  /// they had arrived as authenticated proposals. With a kGhostChain
-  /// adversary this lets forged ancestry get certified and committed,
-  /// diverging honest ledgers. Exists so the chaos fuzzer's planted-bug
-  /// test can prove it detects and shrinks a real safety violation.
-  /// Never enable outside that test.
+  /// TEST-ONLY planted bug: trust the parent certificates embedded in
+  /// blocks that arrive through the catch-up channel (BlockResponseMsg)
+  /// and record them unverified, as if they had been checked. With a
+  /// kGhostChain adversary the victims record forged QCs next to the
+  /// real QC of the same (view, round), which Lemma 1 forbids. Exists so
+  /// the chaos fuzzer's planted-bug test can prove it detects and shrinks
+  /// a real safety violation. Never enable outside that test.
   bool unsafe_trust_catchup_blocks = false;
 };
 

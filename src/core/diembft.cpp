@@ -7,7 +7,6 @@ namespace repro::core {
 void DiemBftReplica::start() {
   if (fault().crashed()) return;
   recover_from_wal();
-  resume_batch_recovery();  // re-pull batches in flight at crash time
   // Initial state per Fig 1: r_vote = 0, rank_lock = (0,0), r_cur = 1,
   // qc_high = genesis QC; enter round 1.
   arm_timer();
@@ -95,10 +94,8 @@ void DiemBftReplica::maybe_propose() {
     return;
   }
 
-  // Pipelined payload (DESIGN.md §12): pre-announced batch or a fresh one.
-  PayloadChoice pc = take_payload();
-  smr::Block block = smr::Block::make(qc_high(), r_cur_, /*view=*/0, /*height=*/0, id(),
-                                      std::move(pc.payload), pc.kind);
+  smr::Block block =
+      smr::Block::make(qc_high(), r_cur_, /*view=*/0, /*height=*/0, id(), next_payload());
   store_block(block, id());
   note_block_born(block.id);
   smr::ProposalMsg msg;
@@ -148,10 +145,6 @@ void DiemBftReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   const smr::Certificate parent = block.parent;
   const Round r = block.round;
   maybe_forge_ghost_chain(block);  // kGhostChain only; no-op when honest
-  // This block passed proposal authentication (signed envelope from the
-  // round's leader): it — and only it — may earn this round's vote, even
-  // when the vote is deferred until its batch resolves.
-  note_vote_candidate(block);
   const smr::BlockId block_id = block.id;
   store_block(std::move(block), from);
   record(obs::EventKind::kProposalReceived, 0, r, 0, from, crypto::digest_prefix_u64(block_id));
@@ -170,15 +163,7 @@ void DiemBftReplica::try_vote(const smr::Block& block) {
   const Round r = block.round;
   if (block.height != 0 || block.view != 0) return;
   if (r != r_cur_ || r <= r_vote_ || timed_out_cur_round_) return;
-  // Proposal authentication: blocks that entered the store via catch-up
-  // (BlockResponseMsg) never passed handle_proposal's leader check, and
-  // the deferred retry below must not vote on them.
-  if (block.proposer != leader_of(r)) return;
-  if (!config().unsafe_trust_catchup_blocks && !vote_candidate(block)) return;
   if (block.parent.rank(false) < rank_lock()) return;
-  // Batch-reference blocks: defer the vote until the payload resolves
-  // (store_block started the pull); on_batch_resolved retries this rule.
-  if (!block.payload_resolved()) return;
   if (!externally_valid(block.txns())) return;
   if (fault().withholds_votes()) return;
 
@@ -193,14 +178,6 @@ void DiemBftReplica::try_vote(const smr::Block& block) {
   vote.share = maybe_corrupt(crypto_sys().quorum_sigs.sign_share(
       id(), smr::cert_signing_message(smr::CertKind::kQuorum, block.id, r, 0, 0, 0)));
   send(leader_of(r + 1), std::move(vote));
-
-  // Pipelining: round r's QC is forming at L_{r+1}; announce our next
-  // batch now if that is us.
-  maybe_announce_batch(r + 1);
-}
-
-void DiemBftReplica::on_batch_resolved(const smr::Block& block, ReplicaId) {
-  try_vote(block);
 }
 
 void DiemBftReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {

@@ -29,7 +29,6 @@ class DiemBftReplica final : public ReplicaBase {
  protected:
   std::uint32_t commit_len() const override { return 3; }
   void handle_message(ReplicaId from, smr::Message&& msg) override;
-  void on_batch_resolved(const smr::Block& block, ReplicaId from) override;
 
   void on_fault_changed(const FaultSpec& old) override {
     if (halted()) return;
@@ -64,8 +63,7 @@ class DiemBftReplica final : public ReplicaBase {
   void spam_timeouts();
 
   void handle_proposal(ReplicaId from, smr::ProposalMsg&& msg);
-  /// The vote rule on a stored block; also the retry point for votes
-  /// deferred on an unresolved batch reference.
+  /// The vote rule on the block of a verified proposal.
   void try_vote(const smr::Block& block);
   void handle_vote(ReplicaId from, const smr::VoteMsg& msg);
   void handle_timeout(ReplicaId from, const smr::DiemTimeoutMsg& msg);

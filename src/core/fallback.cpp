@@ -15,7 +15,6 @@ FallbackReplica::FallbackReplica(const ReplicaContext& ctx, FallbackParams fb)
 void FallbackReplica::start() {
   if (fault().crashed()) return;
   if (fault().spams_timeouts()) spam_timeouts();
-  resume_batch_recovery();  // re-pull batches in flight at crash time
   if (fb_.always_fallback) {
     // ACE/VABA-style baseline: no synchronous path at all — every view is
     // a fallback, entered directly without timeouts. A recovered replica
@@ -193,12 +192,8 @@ void FallbackReplica::maybe_propose_steady() {
     return;
   }
 
-  // Pipelined payload (DESIGN.md §12): consume the batch pre-announced
-  // while the previous round's QC was forming, or seal one now. Large
-  // batches ride as a 32-byte reference; the bytes travel out of band.
-  PayloadChoice pc = take_payload();
-  smr::Block block = smr::Block::make(qc_high(), r_cur_, v_cur_, /*height=*/0, id(),
-                                      std::move(pc.payload), pc.kind);
+  smr::Block block =
+      smr::Block::make(qc_high(), r_cur_, v_cur_, /*height=*/0, id(), next_payload());
   store_block(block, id());
   note_block_born(block.id);
   smr::ProposalMsg msg;
@@ -235,10 +230,6 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   const Round r = block.round;
   const View v = block.view;
   maybe_forge_ghost_chain(block);  // kGhostChain only; no-op when honest
-  // This block passed proposal authentication (signed envelope from the
-  // round's leader): it — and only it — may earn this round's vote, even
-  // when the vote is deferred until its batch resolves.
-  note_vote_candidate(block);
   const smr::BlockId block_id = block.id;
   store_block(std::move(block), from);
   record(obs::EventKind::kProposalReceived, v, r, 0, from, crypto::digest_prefix_u64(block_id));
@@ -259,19 +250,8 @@ void FallbackReplica::try_vote_steady(const smr::Block& block) {
   if (block.height != 0) return;
   if (fallback_mode_ || timed_out_cur_round_) return;
   if (r != r_cur_ || v != v_cur_ || r <= r_vote_) return;
-  // Proposal authentication: blocks that entered the store via catch-up
-  // (BlockResponseMsg) never passed handle_proposal's leader check, and
-  // the deferred retry below must not vote on them.
-  if (block.proposer != leader_of(r)) return;
-  if (!config().unsafe_trust_catchup_blocks && !vote_candidate(block)) return;
   if (rank_of(block.parent) < rank_lock()) return;
   if (r != block.parent.round + 1) return;
-  // Batch-reference blocks: the vote waits for the payload — external
-  // validity is a predicate on the transactions, and a replica must never
-  // endorse bytes it has not seen. store_block already started the pull;
-  // on_batch_resolved retries this exact rule (by then r_cur may have
-  // moved on, in which case the checks above correctly yield no vote).
-  if (!block.payload_resolved()) return;
   if (!externally_valid(block.txns())) return;
   if (fault().withholds_votes()) return;
 
@@ -286,14 +266,6 @@ void FallbackReplica::try_vote_steady(const smr::Block& block) {
   vote.share = maybe_corrupt(crypto_sys().quorum_sigs.sign_share(
       id(), smr::cert_signing_message(smr::CertKind::kQuorum, block.id, r, v, 0, 0)));
   send(leader_of(r + 1), std::move(vote));
-
-  // Pipelining: round r's QC is now forming at L_{r+1}; if that is us,
-  // push the next batch onto the wire while we wait for it.
-  maybe_announce_batch(r + 1);
-}
-
-void FallbackReplica::on_batch_resolved(const smr::Block& block, ReplicaId) {
-  if (!fb_.always_fallback) try_vote_steady(block);
 }
 
 void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
@@ -503,10 +475,6 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
 
 void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& msg) {
   smr::Block& block = msg.block;
-  // F-blocks always inline their payload: the fallback runs precisely
-  // when the network is bad, so its liveness must not hinge on a second
-  // dissemination round-trip. A reference here is a protocol violation.
-  if (block.is_batch_ref()) return;
   if (block.height < 1 || block.height > fb_.chain_len) return;
   if (block.proposer != from) return;
   if (!verify(block.parent)) {

@@ -74,7 +74,6 @@ class FallbackReplica final : public ReplicaBase {
  protected:
   std::uint32_t commit_len() const override { return fb_.chain_len; }
   void handle_message(ReplicaId from, smr::Message&& msg) override;
-  void on_batch_resolved(const smr::Block& block, ReplicaId from) override;
   void on_fault_changed(const FaultSpec& old) override;
   void encode_extra_state(Encoder& enc) const override;
   bool restore_extra_state(Decoder& dec) override;
@@ -83,8 +82,7 @@ class FallbackReplica final : public ReplicaBase {
   // ---- steady state ----------------------------------------------------
   void maybe_propose_steady();
   void handle_proposal(ReplicaId from, smr::ProposalMsg&& msg);
-  /// The Fig 2 vote rule on a stored block; also the retry point for
-  /// votes deferred on an unresolved batch reference.
+  /// The Fig 2 vote rule on the block of a verified proposal.
   void try_vote_steady(const smr::Block& block);
   void handle_vote(ReplicaId from, const smr::VoteMsg& msg);
 

@@ -49,11 +49,11 @@ enum class FaultKind : std::uint8_t {
   kForgeFbQc,
   /// On every steady-state proposal it receives, multicasts a fabricated
   /// ancestor chain through the catch-up channel (BlockResponseMsg):
-  /// blocks whose embedded parent certificates carry garbage threshold
-  /// signatures, the tip a batch-referenced block whose batch it also
-  /// ships. Stresses the deferred-vote gate from the pipelined proposal
-  /// path: a block stored via catch-up must never become a vote
-  /// candidate, or the forged ancestry would be certified and committed.
+  /// id-consistent blocks whose embedded parent certificates carry
+  /// garbage threshold signatures. Stresses the catch-up path: a block
+  /// stored that way must never earn a vote, and its unverified parent
+  /// certificate must never be recorded, or honest replicas would hold a
+  /// forged QC next to the real one of the same round.
   kGhostChain,
   /// Multicasts each of its f-blocks with the payload mutated after
   /// Block::make, so the id no longer binds the fields (the genuine block

@@ -119,20 +119,6 @@ struct ReplicaStats {
   /// (smr::SharePool::kMaxTargets). Only a Byzantine flood of distinct
   /// targets gets there; honest runs read 0.
   obs::Counter share_targets_refused;
-  /// Pipelined proposal path (DESIGN.md §12): batches this replica sealed
-  /// as (upcoming) leader, optimistic pre-broadcasts sent, pulls issued
-  /// for missing batches, pulls that exhausted their retry budget, and
-  /// reference resolutions that hit / missed the local BatchStore.
-  obs::Counter batches_sealed;
-  obs::Counter batches_announced;
-  obs::Counter batches_pulled;
-  obs::Counter batch_pull_timeouts;
-  obs::Counter batch_ref_hits;
-  obs::Counter batch_ref_misses;
-  /// Pull responses suppressed by the per-(peer, batch) cooldown — a
-  /// nonzero count under honest load means peers are re-pulling faster
-  /// than ReplicaBase::kBatchPullTimeoutUs, i.e. the cooldown is too short.
-  obs::Counter batch_pushes_suppressed;
   /// Scale-out fallback optimizations (DESIGN.md §13): fallback votes
   /// suppressed because the chain already held a completed f-QC at that
   /// position; coin-QC re-multicasts skipped by non-designated relayers
@@ -170,13 +156,6 @@ void for_each_counter(const ReplicaStats& s, Fn&& fn) {
   fn("repro_combine_fallbacks_total", &s.combine_fallbacks);
   fn("repro_bad_shares_rejected_total", &s.bad_shares_rejected);
   fn("repro_share_targets_refused_total", &s.share_targets_refused);
-  fn("repro_batches_sealed_total", &s.batches_sealed);
-  fn("repro_batches_announced_total", &s.batches_announced);
-  fn("repro_batches_pulled_total", &s.batches_pulled);
-  fn("repro_batch_pull_timeouts_total", &s.batch_pull_timeouts);
-  fn("repro_batch_ref_hits_total", &s.batch_ref_hits);
-  fn("repro_batch_ref_misses_total", &s.batch_ref_misses);
-  fn("repro_batch_pushes_suppressed_total", &s.batch_pushes_suppressed);
   fn("repro_fb_votes_thinned_total", &s.fb_votes_thinned);
   fn("repro_coin_relays_suppressed_total", &s.coin_relays_suppressed);
   fn("repro_coin_shares_suppressed_total", &s.coin_shares_suppressed);

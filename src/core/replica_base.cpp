@@ -40,16 +40,6 @@ void ReplicaBase::persist_vote_state() {
   enc.u32(static_cast<std::uint32_t>(coins_.size()));
   for (const auto& [view, coin] : coins_) coin.qc.encode(enc);
   encode_extra_state(enc);
-  // Unresolved batch waiters: blocks stored but still awaiting their
-  // referenced batch. Restored into recovered_batch_waiters_ so a restart
-  // can re-issue the fetches/pulls instead of stalling until an unrelated
-  // pull fires (resume_batch_recovery).
-  enc.u32(static_cast<std::uint32_t>(waiting_batch_.size()));
-  for (const auto& [ref, ids] : waiting_batch_) {
-    enc.bytes(BytesView(ref.data(), ref.size()));
-    enc.u32(static_cast<std::uint32_t>(ids.size()));
-    for (const auto& bid : ids) enc.bytes(BytesView(bid.data(), bid.size()));
-  }
   wal_->append(enc.result());
 }
 
@@ -86,54 +76,11 @@ bool ReplicaBase::recover_from_wal() {
   // block bodies return through the block-retrieval path as peers talk to
   // us. Conservative: never behind round 1.
   r_cur_ = std::max<Round>(1, qc_high_.round + 1);
-  recovered_batch_waiters_.clear();
   if (!restore_extra_state(dec)) {
     LOG_ERROR("replica %u: corrupted WAL extra state; keeping base state", id_);
-  } else if (auto wcount = dec.u32()) {
-    bool ok = true;
-    for (std::uint32_t i = 0; ok && i < *wcount; ++i) {
-      auto ref_bytes = dec.bytes();
-      auto id_count = dec.u32();
-      if (!ref_bytes || !id_count || ref_bytes->size() != std::tuple_size_v<smr::BatchId>) {
-        ok = false;
-        break;
-      }
-      smr::BatchId ref{};
-      std::copy(ref_bytes->begin(), ref_bytes->end(), ref.begin());
-      std::vector<smr::BlockId> ids;
-      ids.reserve(*id_count);
-      for (std::uint32_t j = 0; j < *id_count; ++j) {
-        auto idb = dec.bytes();
-        if (!idb || idb->size() != std::tuple_size_v<smr::BlockId>) {
-          ok = false;
-          break;
-        }
-        smr::BlockId bid{};
-        std::copy(idb->begin(), idb->end(), bid.begin());
-        ids.push_back(bid);
-      }
-      if (ok) recovered_batch_waiters_.emplace_back(ref, std::move(ids));
-    }
-    if (!ok) {
-      LOG_ERROR("replica %u: corrupted WAL batch-waiter state; skipping", id_);
-      recovered_batch_waiters_.clear();
-    }
   }
   recovered_ = true;
   return true;
-}
-
-void ReplicaBase::resume_batch_recovery() {
-  if (recovered_batch_waiters_.empty()) return;
-  const auto waiters = std::move(recovered_batch_waiters_);
-  recovered_batch_waiters_.clear();
-  for (const auto& [ref, ids] : waiters) {
-    // Re-fetch the waiting blocks: the store is not persisted, and the
-    // arrival path (store_block -> try_resolve_block) rebuilds the waiter
-    // entry. Pull the batch in parallel so whichever lands last resolves.
-    for (const auto& bid : ids) ensure_block(bid, id_);
-    if (!batch_store_.contains(ref)) start_batch_pull(ref, id_);
-  }
 }
 
 void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
@@ -180,31 +127,6 @@ void ReplicaBase::on_message_uncached(ReplicaId from, const Bytes& payload) {
 }
 
 void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
-  // Batch dissemination is protocol-independent; handle it here. All
-  // three carry self-authenticating content (the receiver re-derives the
-  // id from the bytes), so there is nothing protocol-specific to check.
-  if (auto* batch = std::get_if<smr::BatchMsg>(&msg)) {
-    accept_batch(std::move(batch->data), from);
-    return;
-  }
-  if (auto* pull = std::get_if<smr::BatchPullMsg>(&msg)) {
-    // Amplification guard: a 36-byte pull elicits a potentially
-    // multi-megabyte push, so each (peer, batch) pair gets at most one
-    // push per cooldown window. Honest pullers rotate targets and only
-    // re-ask the same replica after n timeouts, far outside the window;
-    // a flood of duplicate pulls from one peer is absorbed for free.
-    if (const Bytes* data = batch_store_.get(pull->batch_id)) {
-      if (allow_batch_push(from, pull->batch_id)) {
-        send(from, smr::BatchPushMsg{*data});
-      }
-    }
-    return;
-  }
-  if (auto* push = std::get_if<smr::BatchPushMsg>(&msg)) {
-    accept_batch(std::move(push->data), from);
-    return;
-  }
-
   // Block retrieval is protocol-independent; handle it here.
   if (auto* req = std::get_if<smr::BlockRequestMsg>(&msg)) {
     const smr::Block* b = store_.get(req->block_id);
@@ -225,6 +147,9 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
     if (resp->blocks.size() > smr::kMaxBlocksPerResponse) return;
     // Oldest first, so deferred work retries at most once per block.
     for (auto it = resp->blocks.rbegin(); it != resp->blocks.rend(); ++it) {
+      // TEST-ONLY planted bug (ProtocolConfig::unsafe_trust_catchup_blocks):
+      // record the embedded parent certificate without verifying it.
+      if (cfg_.unsafe_trust_catchup_blocks) note_certificate(it->parent, from);
       store_block(std::move(*it), from);
     }
     return;
@@ -306,9 +231,9 @@ void ReplicaBase::note_certificate(const smr::Certificate& cert, ReplicaId hint)
   // stopped short is re-run elsewhere when its cause clears: an
   // unendorsed f-QC link by install_coin's rescan of the view's f-QCs, a
   // missing body by retry_deferred when it arrives (ensure_block already
-  // deduplicates the fetch, so a repeat would not even re-send it), an
-  // unresolved batch by the batch waiters. A refused below-floor
-  // certificate needs no scan at all (see try_commit_from).
+  // deduplicates the fetch, so a repeat would not even re-send it). A
+  // refused below-floor certificate needs no scan at all (see
+  // try_commit_from).
   if (store_.add_certificate(cert)) try_commit_from(cert, hint);
 }
 
@@ -360,77 +285,11 @@ void ReplicaBase::store_block(smr::Block block, ReplicaId from) {
   const smr::BlockId id = block.id;
   if (!store_.insert(std::move(block))) return;
   outstanding_fetches_.erase(id);
-  try_resolve_block(id, from);
   retry_deferred(id, from);
 }
 
-// ---- pipelined proposal path (DESIGN.md §12) ------------------------------
-
-void ReplicaBase::maybe_announce_batch(Round round) {
-  if (!cfg_.batch_refs || pending_batch_) return;
-  if (leader_of(round) != id_) return;
-  if (halted_ || cfg_.fault.crashed()) return;
-  smr::Batch batch = smr::Batch::seal(next_payload());
-  ++stats_.batches_sealed;
-  if (use_batch_ref(batch.data.size())) {
-    batch_store_.put(batch.id, batch.data);
-    if (cfg_.batch_announce && !cfg_.fault.mute()) {
-      ++stats_.batches_announced;
-      record(obs::EventKind::kBatchAnnounced, v_cur_, round, 0, batch.data.size(),
-             crypto::digest_prefix_u64(batch.id));
-      multicast(smr::BatchMsg{batch.data});
-    }
-  }
-  pending_batch_ = std::move(batch);
-}
-
-ReplicaBase::PayloadChoice ReplicaBase::take_payload() {
-  if (pending_batch_) {
-    smr::Batch batch = std::move(*pending_batch_);
-    pending_batch_.reset();
-    if (!use_batch_ref(batch.data.size())) {
-      return {std::move(batch.data), smr::kInlinePayload};
-    }
-    return {Bytes(batch.id.begin(), batch.id.end()), smr::kBatchRefPayload};
-  }
-  Bytes data = next_payload();
-  if (!use_batch_ref(data.size())) return {std::move(data), smr::kInlinePayload};
-  // No pre-announced batch (first proposal after rotation, or announce is
-  // off): seal and — per-link FIFO means it still lands before the
-  // proposal — announce on the spot.
-  smr::Batch batch = smr::Batch::seal(std::move(data));
-  ++stats_.batches_sealed;
-  batch_store_.put(batch.id, batch.data);
-  if (cfg_.batch_announce && !cfg_.fault.mute()) {
-    ++stats_.batches_announced;
-    record(obs::EventKind::kBatchAnnounced, v_cur_, r_cur_, 0, batch.data.size(),
-           crypto::digest_prefix_u64(batch.id));
-    multicast(smr::BatchMsg{batch.data});
-  }
-  return {Bytes(batch.id.begin(), batch.id.end()), smr::kBatchRefPayload};
-}
-
-void ReplicaBase::try_resolve_block(const smr::BlockId& id, ReplicaId hint) {
-  smr::Block* b = store_.get_mutable(id);
-  if (b == nullptr || !b->is_batch_ref() || b->payload_resolved()) return;
-  const smr::BatchId ref = b->batch_ref();
-  if (const Bytes* data = batch_store_.get(ref)) {
-    b->resolved_payload = *data;
-    ++stats_.batch_ref_hits;
-    record(obs::EventKind::kBatchResolved, b->view, b->round);
-    return;
-  }
-  ++stats_.batch_ref_misses;
-  waiting_batch_[ref].push_back(id);
-  start_batch_pull(ref, hint);
-  // Keep the WAL's waiter section fresh: a crash between now and the next
-  // vote must still recover this in-flight reference (no-op without WAL).
-  persist_vote_state();
-}
-
 void ReplicaBase::maybe_forge_ghost_chain(const smr::Block& real) {
-  if (!cfg_.fault.forges_ghost_chain() || halted_) return;
-  if (!cfg_.batch_refs || real.is_fallback()) return;
+  if (!cfg_.fault.forges_ghost_chain() || halted_ || real.is_fallback()) return;
   const Round r = real.round;
   if (r < 3 || r <= last_ghost_round_) return;
   // Anchor the fabricated chain on the *genuine* round-(r-3) certificate
@@ -445,20 +304,17 @@ void ReplicaBase::maybe_forge_ghost_chain(const smr::Block& real) {
   if (p2 == nullptr) return;
   const smr::Certificate anchor = p2->parent;  // real cert for round r-3
   last_ghost_round_ = r;
-  // A deterministic ghost batch, round-stamped so each round's fabricated
-  // chain is distinct and large enough to ship as a reference.
-  Bytes batch_data(kBatchRefMinBytes + 64, 0x6b);
+  // The tip's payload is round-stamped, so each round's fabricated chain
+  // is distinct.
   Encoder stamp;
   stamp.u64(r);
   stamp.u64(id_);
-  const Bytes& stamped = stamp.result();
-  std::copy(stamped.begin(), stamped.end(), batch_data.begin());
-  const smr::Batch batch = smr::Batch::seal(std::move(batch_data));
 
   // Three id-consistent blocks whose embedded parent certificates carry
-  // garbage threshold signatures. Nothing on the catch-up store path
-  // verifies them; the deferred-vote gate is what keeps them from ever
-  // becoming vote candidates (unless unsafe_trust_catchup_blocks).
+  // garbage threshold signatures. The catch-up path only stores blocks:
+  // it never records their parents' certificates (unless
+  // unsafe_trust_catchup_blocks), and only a signed proposal from the
+  // round's leader ever reaches a vote rule.
   smr::Block b0 = smr::Block::make(anchor, r - 2, real.view, 0, leader_of(r - 2),
                                    Bytes{0xde, 0xad});
   const smr::Certificate q0{smr::CertKind::kQuorum, b0.id,     b0.round,
@@ -468,124 +324,13 @@ void ReplicaBase::maybe_forge_ghost_chain(const smr::Block& real) {
   const smr::Certificate q1{smr::CertKind::kQuorum, b1.id,     b1.round,
                             b1.view,                b1.height, b1.proposer,
                             crypto::ThresholdSig{0xbadc0debadc0deull}};
-  smr::Block ghost = smr::Block::make(q1, r, real.view, 0, leader_of(r),
-                                      Bytes(batch.id.begin(), batch.id.end()),
-                                      smr::kBatchRefPayload);
+  smr::Block ghost =
+      smr::Block::make(q1, r, real.view, 0, leader_of(r), std::move(stamp).result());
   smr::BlockResponseMsg resp;  // receivers store rbegin-first: push tip first
   resp.blocks.push_back(std::move(ghost));
   resp.blocks.push_back(std::move(b1));
   resp.blocks.push_back(std::move(b0));
   multicast(std::move(resp));
-  multicast(smr::BatchMsg{batch.data});
-}
-
-void ReplicaBase::accept_batch(Bytes data, ReplicaId from) {
-  const smr::BatchId ref = smr::Batch::compute_id(data);
-  if (!batch_store_.contains(ref)) batch_store_.put(ref, std::move(data));
-  if (auto it = batch_pulls_.find(ref); it != batch_pulls_.end()) {
-    sim_->cancel(it->second.timer);
-    batch_pulls_.erase(it);
-  }
-  // A batch larger than the whole store bound can never be cached; its
-  // referencing blocks stay unresolved (the round times out — liveness
-  // comes from fallback, not from unbounded memory).
-  const Bytes* stored = batch_store_.get(ref);
-  if (stored == nullptr) return;
-  if (auto it = waiting_batch_.find(ref); it != waiting_batch_.end()) {
-    auto ids = std::move(it->second);
-    waiting_batch_.erase(it);
-    for (const auto& bid : ids) {
-      smr::Block* b = store_.get_mutable(bid);
-      if (b == nullptr || b->payload_resolved()) continue;
-      b->resolved_payload = *stored;
-      record(obs::EventKind::kBatchResolved, b->view, b->round);
-      on_batch_resolved(*b, from);
-    }
-  }
-  if (auto it = waiting_commit_batch_.find(ref); it != waiting_commit_batch_.end()) {
-    auto certs = std::move(it->second);
-    waiting_commit_batch_.erase(it);
-    for (const auto& c : certs) try_commit_from(c, from);
-  }
-}
-
-void ReplicaBase::start_batch_pull(const smr::BatchId& ref, ReplicaId hint) {
-  if (batch_pulls_.count(ref) != 0) return;
-  batch_pulls_.emplace(ref, BatchPull{0, hint, sim::kInvalidEvent});
-  send_batch_pull(ref);
-}
-
-void ReplicaBase::send_batch_pull(const smr::BatchId& ref) {
-  auto it = batch_pulls_.find(ref);
-  if (it == batch_pulls_.end()) return;
-  BatchPull& st = it->second;
-  // Rotate through the replicas starting at the block's sender: the
-  // proposer certainly has the batch, but it may be the one replica that
-  // is unreachable — any replica that voted has it too.
-  ReplicaId target = (st.hint + st.attempts) % params_.n;
-  if (target == id_) target = (target + 1) % params_.n;
-  ++stats_.batches_pulled;
-  send(target, smr::BatchPullMsg{ref});
-  const smr::BatchId ref_copy = ref;
-  st.timer = sim_->schedule_after(kBatchPullTimeoutUs,
-                                  [this, ref_copy] { on_batch_pull_timer(ref_copy); });
-}
-
-void ReplicaBase::on_batch_pull_timer(const smr::BatchId& ref) {
-  if (halted_ || cfg_.fault.crashed()) return;
-  auto it = batch_pulls_.find(ref);
-  if (it == batch_pulls_.end()) return;
-  if (batch_store_.contains(ref)) {
-    batch_pulls_.erase(it);
-    return;
-  }
-  if (++it->second.attempts > kBatchPullRetries) {
-    // Give up for now; the waiting_batch_ entries stay, so a late batch
-    // still resolves, and a commit attempt restarts the pull.
-    ++stats_.batch_pull_timeouts;
-    batch_pulls_.erase(it);
-    return;
-  }
-  send_batch_pull(ref);
-}
-
-bool ReplicaBase::allow_batch_push(ReplicaId peer, const smr::BatchId& ref) {
-  const SimTime now = sim_->now();
-  auto& log = recent_pushes_[peer];
-  // Lazy expiry keeps the per-peer map to pushes inside the window.
-  for (auto it = log.begin(); it != log.end();) {
-    it = now - it->second >= kBatchPullTimeoutUs ? log.erase(it) : std::next(it);
-  }
-  const bool fresh = log.emplace(ref, now).second;
-  if (!fresh) ++stats_.batch_pushes_suppressed;
-  return fresh;
-}
-
-void ReplicaBase::prune_batch_waiters() {
-  if (ledger_.records().empty()) return;
-  const Round tip = ledger_.records().back().round;
-  for (auto it = waiting_batch_.begin(); it != waiting_batch_.end();) {
-    auto& ids = it->second;
-    // A block at or below the committed tip that is not itself committed
-    // sits on a dead fork: it can never be voted on (r_cur is past it)
-    // and never commit (the chain at its round is final). Committed
-    // blocks never linger here — commit gating requires resolution, and
-    // resolution removes the waiter.
-    ids.erase(std::remove_if(ids.begin(), ids.end(),
-                             [&](const smr::BlockId& bid) {
-                               const smr::Block* b = store_.get(bid);
-                               return b == nullptr || b->round <= tip;
-                             }),
-              ids.end());
-    it = ids.empty() ? waiting_batch_.erase(it) : std::next(it);
-  }
-  for (auto it = waiting_commit_batch_.begin(); it != waiting_commit_batch_.end();) {
-    auto& certs = it->second;
-    certs.erase(std::remove_if(certs.begin(), certs.end(),
-                               [&](const smr::Certificate& c) { return c.round <= tip; }),
-                certs.end());
-    it = certs.empty() ? waiting_commit_batch_.erase(it) : std::next(it);
-  }
 }
 
 void ReplicaBase::defer_commit(const smr::BlockId& missing, const smr::Certificate& cert) {
@@ -654,29 +399,6 @@ void ReplicaBase::try_commit_from(const smr::Certificate& cert, ReplicaId hint) 
     return;
   }
 
-  // Batch-reference gating: every block about to commit must have its
-  // payload resolved — the ledger record and the application's commit
-  // callback need the transaction bytes, and the output must be
-  // byte-identical to inline mode. A replica that voted already resolved;
-  // this only stalls catch-up paths, which pull the batch like any miss.
-  for (const smr::Block* b = oldest;
-       b != nullptr && !b->is_genesis() && !ledger_.is_committed(b->id);
-       b = store_.get(b->parent.block_id)) {
-    if (b->payload_resolved()) continue;
-    const smr::BatchId ref = b->batch_ref();
-    auto& waiting = waiting_commit_batch_[ref];
-    bool queued = false;
-    for (const auto& c : waiting) {
-      if (c.block_id == cert.block_id) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) waiting.push_back(cert);
-    start_batch_pull(ref, hint);
-    return;
-  }
-
   const std::size_t before = ledger_.size();
   const std::size_t n = ledger_.commit_chain(*oldest, store_, sim_->now());
   if (n > 0) {
@@ -689,7 +411,6 @@ void ReplicaBase::try_commit_from(const smr::Certificate& cert, ReplicaId hint) 
       record(obs::EventKind::kBlockCommitted, rec.view, rec.round, rec.height, key, key);
       if (on_commit_) on_commit_(rec);
     }
-    prune_batch_waiters();
     // Commits are final: once the committed tip moves into a higher view,
     // nothing uncommitted of a lower view can be voted on or committed.
     store_.prune(ledger_.records().back().view,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/replica.h"
-#include "smr/batch.h"
 #include "smr/block_store.h"
 #include "smr/ledger.h"
 #include "smr/mempool.h"
@@ -28,17 +27,6 @@ class ReplicaBase : public IReplica {
   /// than this far ahead of r_cur are dropped, and each round advance
   /// erases the targets this far behind it (DESIGN.md §21).
   static constexpr Round kRoundWindow = 64;
-  /// Only reference batches larger than this; smaller payloads (and the
-  /// empty batches of complexity benches) ship inline, since a 32-byte
-  /// digest plus an announcement round-trip costs more than it saves.
-  static constexpr std::size_t kBatchRefMinBytes = 256;
-  /// Retry cadence for pulling a missing batch (also the per-peer push
-  /// cooldown), and how many replicas to try, rotating from the proposer,
-  /// before counting a pull timeout and leaving recovery to the round
-  /// timer / fallback.
-  static constexpr SimTime kBatchPullTimeoutUs = 50'000;
-  static constexpr std::uint32_t kBatchPullRetries = 10;
-
   explicit ReplicaBase(const ReplicaContext& ctx);
 
   // IReplica ----------------------------------------------------------
@@ -83,29 +71,11 @@ class ReplicaBase : public IReplica {
   /// in simulations, private otherwise).
   const smr::DecodeCache& decode_cache() const { return *dcache_; }
 
-  /// The content-addressed batch cache (pipelined proposal path).
-  const smr::BatchStore& batch_store() const { return batch_store_; }
-
-  /// Batch references with stored ref blocks still awaiting their batch
-  /// (tests pin that recovery re-issues pulls for exactly these).
-  std::vector<smr::BatchId> unresolved_batch_refs() const {
-    std::vector<smr::BatchId> out;
-    out.reserve(waiting_batch_.size());
-    for (const auto& [ref, blocks] : waiting_batch_) out.push_back(ref);
-    return out;
-  }
-
   /// Per-sender blame counters for relayed certificates that failed
   /// verification (forged f-QC / coin-QC advertisements) — public so
   /// tests and operators can attribute the flood to the misbehaving
   /// replica. Indexed by sender id; may be shorter than n.
   const std::vector<std::uint64_t>& cert_blame() const { return cert_blame_; }
-
-  /// Model client ingress for adaptive batch sizing: `bytes` of
-  /// transactions queued at this replica's mempool (benches / harness
-  /// drive this; without calls the backlog stays 0 and adaptive sizing
-  /// keeps batches at the base size).
-  void offer_transactions(std::size_t bytes) { mempool_.offer(bytes); }
 
   /// Footprint of the Lagrange-coefficient memo (lazy, LRU-bounded).
   /// Protocol subclasses fold this into share_pool_bytes() so the gauge
@@ -125,16 +95,6 @@ class ReplicaBase : public IReplica {
   /// handle edge transitions (kick the timeout-spam loop, re-arm the
   /// round timer after an un-crash). Default: nothing.
   virtual void on_fault_changed(const FaultSpec& old) { (void)old; }
-
-  /// Hook invoked when a stored batch-reference block's payload resolves
-  /// *after* the block arrived (the referenced batch came in later via
-  /// announcement or pull). Subclasses retry the vote they deferred;
-  /// their steady-state vote rule re-checks round/view freshness, so a
-  /// late resolution simply yields no vote. Default: nothing.
-  virtual void on_batch_resolved(const smr::Block& block, ReplicaId from) {
-    (void)block;
-    (void)from;
-  }
 
   // Messaging ----------------------------------------------------------
   // Sign, serialize exactly once into a refcounted buffer, and hand the
@@ -273,7 +233,6 @@ class ReplicaBase : public IReplica {
   const QuorumParams& params() const { return params_; }
   const ProtocolConfig& config() const { return cfg_; }
   Rng& rng() { return rng_; }
-  smr::Mempool& mempool() { return mempool_; }
 
   ReplicaId leader_of(Round round) const {
     return round_leader(round, params_.n, cfg_.leader_rotation);
@@ -287,8 +246,8 @@ class ReplicaBase : public IReplica {
   }
 
   // Observability ---------------------------------------------------------
-  /// Record an event at the current executor time; `key` is the block (or
-  /// batch) id prefix of block milestones. Free (one branch) when no ring
+  /// Record an event at the current executor time; `key` is the block id
+  /// prefix of block milestones. Free (one branch) when no ring
   /// is installed.
   void record(obs::EventKind kind, View view, Round round, std::uint64_t height = 0,
               std::uint64_t aux = 0, std::uint64_t key = 0) {
@@ -305,8 +264,7 @@ class ReplicaBase : public IReplica {
   /// kInvalidTxns fault corrupts the batch (0xFF prefix) so external
   /// validity rejections can be exercised.
   Bytes next_payload() {
-    Bytes batch =
-        payload_source_ ? payload_source_() : mempool_.next_batch(adaptive_batch_target());
+    Bytes batch = payload_source_ ? payload_source_() : mempool_.next_batch();
     if (cfg_.fault.proposes_invalid_txns()) {
       batch.insert(batch.begin(), 0xFF);
     }
@@ -319,70 +277,13 @@ class ReplicaBase : public IReplica {
     return !cfg_.external_validator || cfg_.external_validator(payload);
   }
 
-  // Pipelined proposal path (DESIGN.md §12) -------------------------------
-  /// Whether a payload of `size` bytes ships as a 32-byte batch reference
-  /// (the digest only pays off once the payload outweighs it).
-  bool use_batch_ref(std::size_t size) const {
-    return cfg_.batch_refs && size > kBatchRefMinBytes;
-  }
-
-  /// Adaptive batch-size target (inert unless batch_bytes_max is set):
-  /// grows with mempool backlog, shrinks with rounds in flight beyond the
-  /// committed tip. next_payload() seals at this size, so every proposal
-  /// path — pre-announced batches, inline blocks, fallback blocks — is
-  /// governed by the same policy.
-  std::size_t adaptive_batch_target() {
-    if (cfg_.batch_bytes_max <= cfg_.batch_bytes) return cfg_.batch_bytes;
-    const Round tip = ledger_.records().empty() ? 0 : ledger_.records().back().round;
-    const std::uint64_t in_flight = r_cur_ > tip ? r_cur_ - tip : 0;
-    return mempool_.adaptive_target(cfg_.batch_bytes_max, in_flight);
-  }
-
-  // Deferred-vote authentication gate ------------------------------------
-  // Blocks reach the store through several paths — verified proposals,
-  // catch-up BlockResponseMsg, equivocation halves — but only the block
-  // carried by a signature-verified ProposalMsg from the round's leader
-  // may ever earn a vote. The vote rules re-check this when the deferred
-  // batch-resolution retry fires, so a Byzantine peer cannot inject an
-  // id-consistent ref block via catch-up, supply its batch, and harvest a
-  // vote for a block the leader never proposed.
-  /// Record the block of a proposal that passed authentication (called by
-  /// handle_proposal after its validity checks). Only the newest matters:
-  /// votes are only ever cast for the current round.
-  void note_vote_candidate(const smr::Block& block) {
-    vote_candidate_round_ = block.round;
-    vote_candidate_id_ = block.id;
-  }
-  /// True iff `block` is the block the latest verified proposal carried.
-  bool vote_candidate(const smr::Block& block) const {
-    return vote_candidate_round_ == block.round && vote_candidate_id_ == block.id;
-  }
-
-  /// Out-of-band pre-broadcast: if this replica leads `round` and has no
-  /// batch pending, seal the next mempool batch now and (when it is big
-  /// enough to reference) announce it to all replicas — while the QC the
-  /// actual proposal waits for is still forming. Subclasses call this the
-  /// moment they learn they lead an upcoming round.
-  void maybe_announce_batch(Round round);
-
-  /// The payload for the block this replica is about to propose: consumes
-  /// the pre-announced batch if one is pending, else seals (and, for
-  /// referenced batches, announces) a fresh one. Either way the j-th call
-  /// consumes the j-th mempool batch, so inline and reference modes order
-  /// identical transaction streams.
-  struct PayloadChoice {
-    Bytes payload;
-    std::uint8_t kind = smr::kInlinePayload;
-  };
-  PayloadChoice take_payload();
-
-  /// kGhostChain behaviour: on each authenticated proposal for round r,
-  /// multicast a fabricated three-block ancestor chain for r through the
-  /// catch-up channel (BlockResponseMsg) — forged embedded parent
-  /// certificates, the tip a batch-reference block whose batch is also
-  /// shipped. Harmless against the deferred-vote gate; a safety attack
-  /// when unsafe_trust_catchup_blocks re-opens the PR 7 hole. Called by
-  /// the protocols' handle_proposal (no-op unless the fault is active).
+  /// kGhostChain behaviour: on each authenticated steady-state proposal
+  /// for round r, multicast a fabricated three-block ancestor chain for r
+  /// through the catch-up channel (BlockResponseMsg), its embedded parent
+  /// certificates forged. Harmless while catch-up only stores blocks; a
+  /// safety attack when unsafe_trust_catchup_blocks records those
+  /// certificates. Called by the protocols' handle_proposal (no-op unless
+  /// the fault is active).
   void maybe_forge_ghost_chain(const smr::Block& real);
 
   // Durability ------------------------------------------------------------
@@ -390,13 +291,6 @@ class ReplicaBase : public IReplica {
   /// Called by the protocol immediately *before* any message that the
   /// state change guards (votes, proposals) goes out.
   void persist_vote_state();
-
-  /// Re-issue block fetches and batch pulls for the batch references the
-  /// restored WAL snapshot recorded as unresolved at crash time. Without
-  /// this a block whose batch was in flight at the crash leaves the
-  /// restarted replica unable to vote until an unrelated pull fires.
-  /// Called from the protocols' start() (the network must be up).
-  void resume_batch_recovery();
 
   /// Protocol-specific state appended to / restored from each snapshot.
   virtual void encode_extra_state(Encoder& enc) const { (void)enc; }
@@ -424,33 +318,11 @@ class ReplicaBase : public IReplica {
 
  private:
   /// Post-decode delivery tail shared by every receive path: centralized
-  /// block retrieval + batch dissemination, then the protocol's
-  /// handle_message.
+  /// block retrieval, then the protocol's handle_message.
   void deliver(ReplicaId from, smr::Message&& msg);
   void try_commit_from(const smr::Certificate& cert, ReplicaId hint);
   void defer_commit(const smr::BlockId& missing, const smr::Certificate& cert);
   void retry_deferred(const smr::BlockId& id, ReplicaId from);
-
-  // Batch resolution / recovery (pipelined proposal path) -----------------
-  /// Attach the referenced batch to a freshly stored ref block, or
-  /// register it as waiting and start pulling. Called from store_block.
-  void try_resolve_block(const smr::BlockId& id, ReplicaId hint);
-  /// File received batch bytes under their own hash, then resolve every
-  /// block and commit waiting on them. Announcements, pushes and our own
-  /// seals all funnel here.
-  void accept_batch(Bytes data, ReplicaId from);
-  /// Begin (or restart, after an exhausted retry budget) pulling `ref`.
-  void start_batch_pull(const smr::BatchId& ref, ReplicaId hint);
-  void send_batch_pull(const smr::BatchId& ref);
-  void on_batch_pull_timer(const smr::BatchId& ref);
-  /// Pull-response amplification guard: true if a push of `ref` to `peer`
-  /// is allowed now (and records it); false within the cooldown window.
-  bool allow_batch_push(ReplicaId peer, const smr::BatchId& ref);
-  /// Drop batch waiters that can no longer matter (blocks at or below the
-  /// committed tip are on dead forks and are never voted on again), so
-  /// Byzantine ref blocks with bogus digests cannot grow the maps across
-  /// rounds. Runs after every successful commit.
-  void prune_batch_waiters();
 
   sim::IExecutor* sim_;
   net::INetwork* net_;
@@ -480,34 +352,6 @@ class ReplicaBase : public IReplica {
   /// and remember the buffer, so its deliveries skip the parse.
   void seed_decode_cache(smr::Message&& msg, const SharedBytes& payload);
 
-  // Pipelined proposal path state ----------------------------------------
-  smr::BatchStore batch_store_;
-  /// Batch sealed by maybe_announce_batch, awaiting its proposal.
-  std::optional<smr::Batch> pending_batch_;
-  /// Stored ref blocks whose batch has not arrived, by batch id. Entries
-  /// persist until the batch arrives (even past the pull retry budget), so
-  /// a late batch still resolves every waiter.
-  std::unordered_map<smr::BatchId, std::vector<smr::BlockId>, smr::BlockIdHash> waiting_batch_;
-  /// Commit scans stalled on an unresolved payload, by batch id.
-  std::unordered_map<smr::BatchId, std::vector<smr::Certificate>, smr::BlockIdHash>
-      waiting_commit_batch_;
-  struct BatchPull {
-    std::uint32_t attempts = 0;
-    ReplicaId hint = 0;  ///< first pull target (the block's sender)
-    sim::EventId timer = sim::kInvalidEvent;
-  };
-  std::unordered_map<smr::BatchId, BatchPull, smr::BlockIdHash> batch_pulls_;
-  /// Recent pushes per peer (batch id -> send time), pruned lazily to the
-  /// cooldown window. Bounded: entries exist only for batches we actually
-  /// hold (the byte-bounded store) and expire after kBatchPullTimeoutUs.
-  std::unordered_map<ReplicaId, std::unordered_map<smr::BatchId, SimTime, smr::BlockIdHash>>
-      recent_pushes_;
-  /// Proposal-authentication gate (see note_vote_candidate).
-  Round vote_candidate_round_ = 0;
-  smr::BlockId vote_candidate_id_{};
-  /// Unresolved batch waiters restored from the WAL snapshot, consumed by
-  /// resume_batch_recovery: batch id -> blocks that referenced it.
-  std::vector<std::pair<smr::BatchId, std::vector<smr::BlockId>>> recovered_batch_waiters_;
   /// kGhostChain: one forged chain per round.
   Round last_ghost_round_ = 0;
 

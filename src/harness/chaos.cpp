@@ -87,7 +87,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosGenOptions& opt) 
   ChaosSchedule s;
   s.seed = seed;
   s.horizon_us = opt.horizon_us;
-  s.plant_deferred_vote_hole = opt.plant_deferred_vote_hole;
+  s.plant_catchup_cert_hole = opt.plant_catchup_cert_hole;
 
   static const std::uint32_t kSizes[] = {4, 4, 5, 7};
   s.n = kSizes[rng.uniform(4)];
@@ -98,27 +98,23 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosGenOptions& opt) 
   s.protocol = kProtocols[rng.uniform(6)];
   s.base_timeout_us = rng.chance(0.5) ? 400'000 : 200'000;
   s.batch_bytes = rng.chance(0.5) ? 512 : 0;
-  s.batch_announce = rng.chance(0.5);
   s.commit_target = 15 + rng.uniform(16);
 
-  if (opt.plant_deferred_vote_hole) {
-    // The ghost-chain attack needs the batch-reference pull path (the
-    // deferred vote is the hole) and a steady state to attack; keep the
-    // network synchronous so the forged chain reliably wins the
-    // batch-resolution race against the real proposal's pull round-trip.
+  if (opt.plant_catchup_cert_hole) {
+    // The ghost-chain attack forges steady-state ancestry, so it needs a
+    // steady state to attack: keep the network synchronous and the
+    // protocol one with a steady-state path.
     s.protocol = rng.chance(0.5) ? Protocol::kFallback3 : Protocol::kDiemBft;
-    s.batch_bytes = 512;
-    s.batch_announce = false;
   }
 
   // Network phases: a piecewise timeline of synchronous and heavy-tail
   // regimes. Heavy means are a small multiple of the round timer — the
   // adversarial asynchrony that forces fallbacks (Lemma 7 samples).
-  const std::size_t nphases = opt.plant_deferred_vote_hole ? 1 : 1 + rng.uniform(3);
+  const std::size_t nphases = opt.plant_catchup_cert_hole ? 1 : 1 + rng.uniform(3);
   for (std::size_t i = 0; i < nphases; ++i) {
     NetPhase p;
     p.start = s.horizon_us * i / nphases;
-    p.heavy = !opt.plant_deferred_vote_hole && rng.chance(0.3);
+    p.heavy = !opt.plant_catchup_cert_hole && rng.chance(0.3);
     p.mean_us = p.heavy ? s.base_timeout_us * (2 + rng.uniform(5))
                         : 20'000 + rng.uniform(60'000);
     s.phases.push_back(p);
@@ -127,7 +123,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosGenOptions& opt) 
   // Timed events, generated within the same ≤f budget the runtime
   // enforces (a refused event would be dead weight in the schedule).
   std::set<ReplicaId> faulted;
-  if (opt.plant_deferred_vote_hole) {
+  if (opt.plant_catchup_cert_hole) {
     ChaosEvent ev;
     ev.kind = ChaosEvent::Kind::kSetFault;
     ev.at = 0;
@@ -204,8 +200,7 @@ ChaosResult run_schedule(const ChaosSchedule& s, const std::string& forensics_di
   cfg.trace_capacity = 1 << 14;
   cfg.pcfg.base_timeout_us = s.base_timeout_us;
   cfg.pcfg.batch_bytes = s.batch_bytes;
-  cfg.pcfg.batch_announce = s.batch_announce;
-  cfg.pcfg.unsafe_trust_catchup_blocks = s.plant_deferred_vote_hole;
+  cfg.pcfg.unsafe_trust_catchup_blocks = s.plant_catchup_cert_hole;
 
   net::ChaosOverlayModel* overlay = nullptr;
   cfg.make_delay = [&s, &overlay]() -> std::unique_ptr<net::DelayModel> {
@@ -624,8 +619,7 @@ std::string schedule_to_json(const ChaosSchedule& s) {
   append_kv(o, "commit_target", std::to_string(s.commit_target), false);
   append_kv(o, "base_timeout_us", std::to_string(s.base_timeout_us), false);
   append_kv(o, "batch_bytes", std::to_string(s.batch_bytes), false);
-  append_kv(o, "batch_announce", s.batch_announce ? "true" : "false", false);
-  append_kv(o, "plant_deferred_vote_hole", s.plant_deferred_vote_hole ? "true" : "false",
+  append_kv(o, "plant_catchup_cert_hole", s.plant_catchup_cert_hole ? "true" : "false",
             false);
   o += "  \"phases\": [\n";
   for (std::size_t i = 0; i < s.phases.size(); ++i) {
@@ -673,9 +667,8 @@ std::optional<ChaosSchedule> schedule_from_json(const std::string& json) {
   s.commit_target = u64_field("commit_target", 25);
   s.base_timeout_us = u64_field("base_timeout_us", 400'000);
   s.batch_bytes = static_cast<std::uint32_t>(u64_field("batch_bytes", 0));
-  if (const Jv* v = root.get("batch_announce"); v != nullptr) s.batch_announce = v->boolean(true);
-  if (const Jv* v = root.get("plant_deferred_vote_hole"); v != nullptr) {
-    s.plant_deferred_vote_hole = v->boolean(false);
+  if (const Jv* v = root.get("plant_catchup_cert_hole"); v != nullptr) {
+    s.plant_catchup_cert_hole = v->boolean(false);
   }
   if (const Jv* v = root.get("phases"); v != nullptr) {
     if (v->t != Jv::T::kArr || v->arr.size() > 64) return std::nullopt;

@@ -65,11 +65,10 @@ struct ChaosSchedule {
   SimTime horizon_us = 60'000'000;
   std::size_t commit_target = 25;
   std::uint64_t base_timeout_us = 400'000;
-  std::uint32_t batch_bytes = 0;  ///< payload size; >256 engages batch refs
-  bool batch_announce = true;
-  /// TEST-ONLY: run with the planted deferred-vote hole open (see
+  std::uint32_t batch_bytes = 0;  ///< payload bytes per block
+  /// TEST-ONLY: run with the planted catch-up certificate hole open (see
   /// ProtocolConfig::unsafe_trust_catchup_blocks).
-  bool plant_deferred_vote_hole = false;
+  bool plant_catchup_cert_hole = false;
   std::vector<NetPhase> phases;
   std::vector<ChaosEvent> events;
   /// Trace sha256 of the failing run this artifact reproduces; filled
@@ -98,7 +97,7 @@ struct ChaosResult {
 };
 
 struct ChaosGenOptions {
-  bool plant_deferred_vote_hole = false;
+  bool plant_catchup_cert_hole = false;
   SimTime horizon_us = 60'000'000;
 };
 

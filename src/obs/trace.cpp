@@ -34,8 +34,6 @@ constexpr KindName kKindNames[] = {
     {EventKind::kChainAdopted, "chain_adopted"},
     {EventKind::kLeaderElected, "leader_elected"},
     {EventKind::kBlockCommitted, "block_committed"},
-    {EventKind::kBatchAnnounced, "batch_announced"},
-    {EventKind::kBatchResolved, "batch_resolved"},
     {EventKind::kSendFlush, "send_flush"},
     {EventKind::kSocketRead, "socket_read"},
     {EventKind::kClientConfirm, "client_confirm"},

@@ -42,14 +42,12 @@ enum class EventKind : std::uint8_t {
   kChainAdopted,
   kLeaderElected,
   kBlockCommitted,  ///< key = block id (aux holds the same prefix)
-  kBatchAnnounced,  ///< out-of-band batch pre-broadcast sent (aux = bytes, key = batch id)
-  kBatchResolved,   ///< a batch-reference block's payload resolved locally
   kSendFlush,       ///< key = transport key, peer = destination, aux = queue wait us
   kSocketRead,      ///< key = transport key, peer = source, aux = frame bytes
   kClientConfirm,   ///< key = committing block id, aux = client confirm latency us
   kClockOffset,     ///< peer = measured replica, aux = bit-cast int64 offset us
 };
-inline constexpr std::size_t kEventKindCount = 20;
+inline constexpr std::size_t kEventKindCount = 18;
 
 /// Stable wire name for an event kind (used in NDJSON `ev` field).
 const char* event_name(EventKind k);

@@ -9,12 +9,11 @@ struct Block::IdMemo {
   View view;
   FallbackHeight height;
   ReplicaId proposer;
-  std::uint8_t payload_kind;
   SharedBytes payload;
 
   bool matches(const Block& b) const {
     return payload == b.payload && round == b.round && view == b.view && height == b.height &&
-           proposer == b.proposer && payload_kind == b.payload_kind && parent == b.parent;
+           proposer == b.proposer && parent == b.parent;
   }
 };
 
@@ -25,43 +24,33 @@ const SharedBytes& Block::empty_payload() {
 
 void Block::memoize_id(const BlockId& hashed) {
   id_memo_ = std::make_shared<const IdMemo>(
-      IdMemo{hashed, parent, round, view, height, proposer, payload_kind, payload});
+      IdMemo{hashed, parent, round, view, height, proposer, payload});
 }
 
 BlockId Block::compute_id(const Certificate& parent, Round round, View view,
-                          FallbackHeight height, ReplicaId proposer, BytesView payload,
-                          std::uint8_t payload_kind) {
+                          FallbackHeight height, ReplicaId proposer, BytesView payload) {
   Encoder enc;
   parent.encode(enc);
   enc.u64(round);
   enc.u64(view);
   enc.u32(height);
   enc.u32(proposer);
-  enc.u8(payload_kind);
   enc.bytes(payload);
   return crypto::sha256_tagged("repro/block", enc.result());
 }
 
 Block Block::make(const Certificate& parent, Round round, View view, FallbackHeight height,
-                  ReplicaId proposer, Bytes payload, std::uint8_t payload_kind) {
+                  ReplicaId proposer, Bytes payload) {
   Block b;
   b.parent = parent;
   b.round = round;
   b.view = view;
   b.height = height;
   b.proposer = proposer;
-  b.payload_kind = payload_kind;
   b.payload = make_shared_bytes(std::move(payload));
-  b.id = compute_id(b.parent, b.round, b.view, b.height, b.proposer, *b.payload,
-                    b.payload_kind);
+  b.id = compute_id(b.parent, b.round, b.view, b.height, b.proposer, *b.payload);
   b.memoize_id(b.id);
   return b;
-}
-
-BatchId Block::batch_ref() const {
-  BatchId out{};
-  if (payload->size() == out.size()) std::copy(payload->begin(), payload->end(), out.begin());
-  return out;
 }
 
 const Block& Block::genesis() {
@@ -80,10 +69,8 @@ const Block& Block::genesis() {
 
 bool Block::id_consistent() const {
   if (is_genesis()) return *this == genesis();
-  if (payload_kind == kBatchRefPayload && payload->size() != 32) return false;
-  if (payload_kind > kBatchRefPayload) return false;
   if (id_memoized()) return id == id_memo_->id;
-  return id == compute_id(parent, round, view, height, proposer, *payload, payload_kind);
+  return id == compute_id(parent, round, view, height, proposer, *payload);
 }
 
 bool Block::id_memoized() const { return id_memo_ != nullptr && id_memo_->matches(*this); }
@@ -95,7 +82,6 @@ void Block::encode(Encoder& enc) const {
   enc.u64(view);
   enc.u32(height);
   enc.u32(proposer);
-  enc.u8(payload_kind);
   enc.bytes(*payload);
 }
 
@@ -107,9 +93,8 @@ std::optional<Block> Block::decode(Decoder& dec) {
   auto view = dec.u64();
   auto height = dec.u32();
   auto proposer = dec.u32();
-  auto payload_kind = dec.u8();
   auto payload = dec.bytes();
-  if (!parent || !round || !view || !height || !proposer || !payload_kind || !payload) {
+  if (!parent || !round || !view || !height || !proposer || !payload) {
     return std::nullopt;
   }
   Block b;
@@ -119,7 +104,6 @@ std::optional<Block> Block::decode(Decoder& dec) {
   b.view = *view;
   b.height = *height;
   b.proposer = *proposer;
-  b.payload_kind = *payload_kind;
   b.payload = make_shared_bytes(std::move(*payload));
   // Id consistency is a codec property: a wire block whose id does not
   // bind its fields never decodes, so the decode cache memoizes the check

@@ -125,14 +125,6 @@ class BlockStore {
   /// prune().
   const Block* get(const BlockId& id) const;
 
-  /// Mutable access for local bookkeeping on a stored block (attaching
-  /// resolved_payload to a batch-reference block). Wire fields and the id
-  /// must not change — they are the map key's preimage.
-  Block* get_mutable(const BlockId& id) {
-    auto it = blocks_.find(id);
-    return it == blocks_.end() ? nullptr : &it->second;
-  }
-
   /// Record a certificate. Keeps the first certificate seen per block;
   /// a block can hold both a plain cert and later an endorsed one — they
   /// are identical wire objects, so one is enough. Refuses a certificate

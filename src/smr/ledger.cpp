@@ -38,8 +38,6 @@ std::size_t Ledger::commit_chain(const Block& tip, const BlockStore& store, SimT
   std::reverse(chain.begin(), chain.end());
   for (const Block* b : chain) {
     committed_set_.insert(b->id);
-    // txns(): the resolved transaction bytes, so a batch-reference block
-    // records the same payload size as its inline twin.
     records_.push_back(CommitRecord{b->id, b->round, b->view, b->height, b->txns().size(), now});
     if (on_commit_) on_commit_(*b, now);
   }

@@ -4,19 +4,11 @@
 // complexity is the batch the leader puts in each block. The mempool
 // produces deterministic pseudo-random batches of a configured size, each
 // carrying a sequence number so tests can check that committed payloads
-// are exactly the proposed ones.
-//
-// For the pipelined proposal path the mempool also models ingress: callers
-// offer() incoming transaction bytes and the adaptive sizing policy
-// (DESIGN.md §12.3) grows the per-block batch toward a ceiling while the
-// backlog outpaces sealing, and shrinks it while many rounds are still in
-// flight. Batch *content* stays the deterministic owner/seq/filler stream
-// regardless of size, so the j-th sealed batch is a pure function of
-// (owner, seed, size sequence) — which is what the inline-vs-ref
-// differential determinism pin relies on.
+// are exactly the proposed ones. The j-th batch is a pure function of
+// (owner, seed, j). Replicas with an application payload source
+// (ReplicaContext::payload_source, e.g. client::TxnPools) never call it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -33,50 +25,17 @@ class Mempool {
   Mempool(ReplicaId owner, std::size_t batch_bytes, Rng rng)
       : owner_(owner), batch_bytes_(batch_bytes), rng_(std::move(rng)) {}
 
-  /// Next transaction batch at the configured base size.
-  Bytes next_batch() { return next_batch(batch_bytes_); }
-
-  /// Next transaction batch at an explicit target size (adaptive sizing).
-  /// The 12-byte owner/seq header always fits, so even target 0 produces
-  /// a distinct, attributable batch.
-  Bytes next_batch(std::size_t target_bytes) {
+  /// Next transaction batch: the 12-byte owner/seq header, then
+  /// `batch_bytes` of filler, so even size 0 gives a distinct,
+  /// attributable batch.
+  Bytes next_batch() {
     Encoder enc;
     enc.u32(owner_);
     enc.u64(seq_++);
-    while (enc.size() < target_bytes + 12) enc.u64(rng_.next());
+    while (enc.size() < batch_bytes_ + 12) enc.u64(rng_.next());
     Bytes out = std::move(enc).result();
-    out.resize(target_bytes + 12);
-    backlog_bytes_ -= std::min(backlog_bytes_, out.size());
+    out.resize(batch_bytes_ + 12);
     return out;
-  }
-
-  /// Model client ingress: `bytes` of transactions queued for sealing.
-  void offer(std::size_t bytes) { backlog_bytes_ += bytes; }
-
-  /// Bytes offered but not yet sealed into a batch.
-  std::size_t backlog_bytes() const { return backlog_bytes_; }
-
-  /// Adaptive target size (DESIGN.md §12.3): grow stepwise toward
-  /// `max_bytes` while more than one batch's worth of backlog is queued,
-  /// shrink back toward the base size while `in_flight_rounds` proposals
-  /// are still unresolved downstream. The back-off threshold sits above
-  /// the steady-state 3-chain commit depth (~3 rounds between the tip
-  /// and r_cur even when everything is healthy), so only genuine pileups
-  /// — timeouts, a slow replica — trigger the shrink. With max_bytes <=
-  /// base the policy is inert and the target is exactly the base size.
-  std::size_t adaptive_target(std::size_t max_bytes, std::uint64_t in_flight_rounds) {
-    if (max_bytes <= batch_bytes_) return batch_bytes_;
-    std::size_t target = target_ == 0 ? batch_bytes_ : target_;
-    const std::size_t step = std::max<std::size_t>(256, (max_bytes - batch_bytes_) / 8);
-    if (in_flight_rounds > 6) {
-      target = target > batch_bytes_ + step ? target - step : batch_bytes_;
-    } else if (backlog_bytes_ > target + target / 2) {
-      target = std::min(max_bytes, target + step);
-    } else if (backlog_bytes_ < target / 2) {
-      target = target > batch_bytes_ + step ? target - step : batch_bytes_;
-    }
-    target_ = target;
-    return target;
   }
 
   std::uint64_t batches_produced() const { return seq_; }
@@ -84,8 +43,6 @@ class Mempool {
  private:
   ReplicaId owner_;
   std::size_t batch_bytes_;
-  std::size_t backlog_bytes_ = 0;
-  std::size_t target_ = 0;  ///< last adaptive target (0 = not yet computed)
   Rng rng_;
   std::uint64_t seq_ = 0;
 };

@@ -129,14 +129,6 @@ void encode_body(Encoder& enc, const BlockResponseMsg& m) {
   for (const Block& b : m.blocks) b.encode(enc);
 }
 
-void encode_body(Encoder& enc, const BatchMsg& m) { enc.bytes(m.data); }
-
-void encode_body(Encoder& enc, const BatchPullMsg& m) {
-  enc.raw(BytesView(m.batch_id.data(), m.batch_id.size()));
-}
-
-void encode_body(Encoder& enc, const BatchPushMsg& m) { enc.bytes(m.data); }
-
 // ---- per-type body decoding ---------------------------------------------
 
 std::optional<ProposalMsg> decode_proposal(Decoder& dec) {
@@ -298,26 +290,6 @@ std::optional<BlockResponseMsg> decode_block_response(Decoder& dec) {
   return m;
 }
 
-std::optional<BatchMsg> decode_batch(Decoder& dec) {
-  auto data = dec.bytes();
-  if (!data) return std::nullopt;
-  return BatchMsg{std::move(*data)};
-}
-
-std::optional<BatchPullMsg> decode_batch_pull(Decoder& dec) {
-  auto raw = dec.raw(32);
-  if (!raw) return std::nullopt;
-  BatchPullMsg m;
-  std::copy(raw->begin(), raw->end(), m.batch_id.begin());
-  return m;
-}
-
-std::optional<BatchPushMsg> decode_batch_push(Decoder& dec) {
-  auto data = dec.bytes();
-  if (!data) return std::nullopt;
-  return BatchPushMsg{std::move(*data)};
-}
-
 // ---- per-type body wire sizes -------------------------------------------
 //
 // Mirrors the encode_body functions above field by field; a round-trip
@@ -333,7 +305,7 @@ std::size_t coins_size(const std::vector<CoinQC>& coins) {
 }
 
 std::size_t block_size(const Block& b) {
-  return 32 + kCertSize + 8 + 8 + 4 + 4 + 1 + 4 + b.payload->size();
+  return 32 + kCertSize + 8 + 8 + 4 + 4 + 4 + b.payload->size();
 }
 
 std::size_t body_size(const ProposalMsg& m) {
@@ -360,9 +332,6 @@ std::size_t body_size(const BlockResponseMsg& m) {
   for (const Block& b : m.blocks) s += block_size(b);
   return s;
 }
-std::size_t body_size(const BatchMsg& m) { return 4 + m.data.size(); }
-std::size_t body_size(const BatchPullMsg&) { return 32; }
-std::size_t body_size(const BatchPushMsg& m) { return 4 + m.data.size(); }
 
 // Signed messages append the signature after the body.
 template <typename T>
@@ -398,9 +367,6 @@ MsgType message_type(const Message& msg) {
         if constexpr (std::is_same_v<T, CoinQcMsg>) return MsgType::kCoinQc;
         if constexpr (std::is_same_v<T, BlockRequestMsg>) return MsgType::kBlockRequest;
         if constexpr (std::is_same_v<T, BlockResponseMsg>) return MsgType::kBlockResponse;
-        if constexpr (std::is_same_v<T, BatchMsg>) return MsgType::kBatch;
-        if constexpr (std::is_same_v<T, BatchPullMsg>) return MsgType::kBatchPull;
-        if constexpr (std::is_same_v<T, BatchPushMsg>) return MsgType::kBatchPush;
       },
       msg);
 }
@@ -502,21 +468,6 @@ std::optional<Message> decode_message(BytesView data) {
     }
     case MsgType::kBlockResponse: {
       auto m = decode_block_response(dec);
-      if (m) out = std::move(*m);
-      break;
-    }
-    case MsgType::kBatch: {
-      auto m = decode_batch(dec);
-      if (m) out = std::move(*m);
-      break;
-    }
-    case MsgType::kBatchPull: {
-      auto m = decode_batch_pull(dec);
-      if (m) out = *m;
-      break;
-    }
-    case MsgType::kBatchPush: {
-      auto m = decode_batch_push(dec);
       if (m) out = std::move(*m);
       break;
     }

@@ -39,9 +39,11 @@ enum class MsgType : std::uint8_t {
   kCoinQc = 10,      // leader election: combined coin-QC multicast
   kBlockRequest = 11,   // block retrieval: fetch a missing block by id
   kBlockResponse = 12,  // block retrieval: the requested block
-  kBatch = 13,          // pipelining: out-of-band batch announcement
-  kBatchPull = 14,      // pipelining: fetch a missing batch by id
-  kBatchPush = 15,      // pipelining: the requested batch bytes
+  // Reserved tags (DESIGN.md §12): no message has them, so decode_message
+  // rejects them. They stay only because perfbench/ names them.
+  kBatch = 13,
+  kBatchPull = 14,
+  kBatchPush = 15,
 };
 
 struct ProposalMsg {
@@ -133,29 +135,10 @@ struct BlockResponseMsg {
 /// Upper bound on blocks per response (and on `ancestors` honored).
 inline constexpr std::uint32_t kMaxBlocksPerResponse = 128;
 
-/// Out-of-band batch dissemination (DESIGN.md §12). All three carry raw
-/// batch bytes or a content address and need no signature: the receiver
-/// hashes the data itself, so the sender cannot lie about what id the
-/// bytes resolve to, and a pull is answered only with self-verifying
-/// bytes. BatchMsg is the optimistic pre-broadcast by the upcoming
-/// leader; BatchPull/BatchPush recover a miss so liveness never depends
-/// on the optimistic path.
-struct BatchMsg {
-  Bytes data;  ///< sealed batch bytes; id = Batch::compute_id(data)
-};
-
-struct BatchPullMsg {
-  BatchId batch_id{};
-};
-
-struct BatchPushMsg {
-  Bytes data;  ///< the requested batch; receiver re-derives the id
-};
-
 using Message =
     std::variant<ProposalMsg, VoteMsg, DiemTimeoutMsg, DiemTcMsg, FbTimeoutMsg, FbProposalMsg,
-                 FbVoteMsg, FbQcMsg, CoinShareMsg, CoinQcMsg, BlockRequestMsg, BlockResponseMsg,
-                 BatchMsg, BatchPullMsg, BatchPushMsg>;
+                 FbVoteMsg, FbQcMsg, CoinShareMsg, CoinQcMsg, BlockRequestMsg,
+                 BlockResponseMsg>;
 
 MsgType message_type(const Message& msg);
 

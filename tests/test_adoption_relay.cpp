@@ -167,7 +167,7 @@ std::string pinned_trace_hash(ExperimentConfig cfg, std::size_t commits) {
 
 TEST(DeterminismPin, DefaultAceTraceIsByteIdentical) {
   EXPECT_EQ(pinned_trace_hash(ace_config(7, 42), 20),
-            "1e7c3c5c014935a81100ebd510f649bdd6c72ae3ec50b787f004da28b92d2286");
+            "7dd895a2d240cb8246df262ed65bcc9c85f22db5c4075b5a5362492212a3eb1a");
 }
 
 TEST(DeterminismPin, DefaultFallbackAdoptTraceIsByteIdentical) {
@@ -177,12 +177,12 @@ TEST(DeterminismPin, DefaultFallbackAdoptTraceIsByteIdentical) {
   cfg.scenario = NetScenario::kPartialSynchrony;
   cfg.seed = 7;
   EXPECT_EQ(pinned_trace_hash(cfg, 30),
-            "dcb13fe4937265c71f066c2cc67de4a0adf71895210f7d15189cdd36aee10c47");
+            "d3232098ebb9e55ca586f8b6f37bdb955c9c294f905aecc41a5e2bb74daa3597");
 }
 
 TEST(DeterminismPin, RelayActiveAceTraceIsByteIdentical) {
   EXPECT_EQ(pinned_trace_hash(ace_config(16, 1), 5),
-            "42c9fbf9826a401506f5afadb24700f97e729b72112c9728c06ba12e86d767d4");
+            "43bcb0e67f22d9efe4745c3f61ebf4e326cb20d5bd649c9e8d7a847fa6e4229f");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Chaos fuzzer (DESIGN.md §14): schedule generation and replay
 // determinism, JSON artifact round-trips, the dynamic ≤f fault budget,
 // and the acceptance self-test — the fuzzer must find the planted
-// deferred-vote hole and shrink it to a minimal replayable schedule.
+// catch-up certificate hole and shrink it to a minimal replayable schedule.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -143,11 +143,13 @@ TEST(ChaosRunner, DynamicFaultBudgetIsEnforced) {
 FuzzStats hunt_planted(std::size_t seeds) {
   ChaosFuzzer::Options opt;
   opt.seeds = seeds;
-  opt.gen.plant_deferred_vote_hole = true;
+  opt.gen.plant_catchup_cert_hole = true;
   opt.shrink_budget = 100;
   return ChaosFuzzer(opt).run();
 }
 
+// The planted hole is ProtocolConfig::unsafe_trust_catchup_blocks: each
+// catch-up block's parent certificate is recorded unverified.
 TEST(ChaosFuzzer, FindsAndShrinksThePlantedDeferredVoteHole) {
   const FuzzStats st = hunt_planted(20);
   ASSERT_GT(st.failures, 0u) << "the fuzzer missed the planted bug";
@@ -163,13 +165,13 @@ TEST(ChaosFuzzer, FindsAndShrinksThePlantedDeferredVoteHole) {
 }
 
 TEST(ChaosFuzzer, DeferredVoteGateBlocksTheSameScheduleWhenClosed) {
-  // Take a schedule that provably commits a forged ghost chain with the
-  // hole open, close the hole, and re-run: the deferred-vote gate must
-  // reduce the attack to harmless stored garbage.
+  // Take a schedule in which the ghost chain's forged certificates break
+  // Lemma 1 with the hole open, close the hole, and re-run: catch-up then
+  // only stores the ghost blocks, which is harmless.
   const FuzzStats st = hunt_planted(20);
   ASSERT_GT(st.failures, 0u);
   ChaosSchedule gated = st.found.front().shrunk;
-  gated.plant_deferred_vote_hole = false;
+  gated.plant_catchup_cert_hole = false;
   gated.expect_trace_sha256.clear();
   const ChaosResult res = run_schedule(gated);
   EXPECT_TRUE(res.ok) << res.failure;

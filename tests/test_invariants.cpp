@@ -3,7 +3,11 @@
 // violations when fed corrupted state.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "core/replica_base.h"
 #include "harness/invariants.h"
+#include "smr/messages.h"
 
 namespace repro::harness {
 namespace {
@@ -75,6 +79,75 @@ std::string lemma_name(const ::testing::TestParamInfo<LemmaCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Lemmas, LemmaSweep, ::testing::ValuesIn(lemma_cases()),
                          lemma_name);
+
+// ---- catch-up blocks earn nothing ------------------------------------------
+
+TEST(CatchUp, GhostChainNeverEarnsAVoteOrACertificate) {
+  // Replica 3 answers each steady-state proposal with a forged ancestor
+  // chain pushed through the catch-up channel: id-consistent blocks on
+  // parent certificates with garbage signatures. Honest replicas store
+  // them, but only a signed proposal from the round's leader reaches a
+  // vote rule and catch-up records no certificate, so no honest replica
+  // votes for a ghost block or holds a certificate on one.
+  constexpr ReplicaId kGhost = 3;
+  constexpr std::size_t kBatch = 512;
+  ExperimentConfig cfg;
+  cfg.n = 4;
+  cfg.protocol = Protocol::kFallback3;
+  cfg.scenario = NetScenario::kSynchronous;
+  cfg.seed = 5;
+  cfg.pcfg.batch_bytes = kBatch;
+  cfg.trace_capacity = 1 << 14;
+  cfg.faults[kGhost] = core::FaultKind::kGhostChain;
+  Experiment exp(cfg);
+
+  // Honest payloads are mempool batches (12-byte header + kBatch bytes);
+  // every other block the ghost ships through catch-up is forged.
+  std::unordered_set<smr::BlockId, smr::BlockIdHash> ghosts;
+  for (ReplicaId id = 0; id < cfg.n; ++id) {
+    exp.network().register_handler(id, [&exp, &ghosts, id](ReplicaId from,
+                                                           const Bytes& payload) {
+      if (from == kGhost) {
+        auto msg = smr::decode_message(payload);
+        if (auto* resp = msg ? std::get_if<smr::BlockResponseMsg>(&*msg) : nullptr) {
+          for (const smr::Block& b : resp->blocks) {
+            if (b.payload->size() != kBatch + 12) ghosts.insert(b.id);
+          }
+        }
+      }
+      exp.replica(id).on_message(from, payload);
+    });
+  }
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(30, 120'000'000));
+  ASSERT_FALSE(ghosts.empty()) << "the ghost replica forged nothing";
+
+  std::unordered_set<std::uint64_t> ghost_keys;
+  for (const smr::BlockId& g : ghosts) ghost_keys.insert(crypto::digest_prefix_u64(g));
+  std::size_t stored = 0;
+  for (ReplicaId id = 0; id < kGhost; ++id) {
+    const auto& replica = dynamic_cast<const core::ReplicaBase&>(exp.replica(id));
+    for (const smr::BlockId& g : ghosts) {
+      stored += replica.store().contains(g) ? 1 : 0;
+      EXPECT_FALSE(replica.ledger().is_committed(g)) << "replica " << id;
+    }
+  }
+  EXPECT_GT(stored, 0u) << "no ghost block reached an honest store";
+  // Every certificate any store ever recorded, pruned ones included.
+  const smr::CertAudit& audit = exp.audit();
+  for (std::size_t i = 0; i < audit.size(); ++i) {
+    EXPECT_EQ(ghosts.count(audit.certificate(i).block_id), 0u)
+        << "a certificate on a ghost block, round " << audit.certificate(i).round;
+  }
+  for (const obs::TraceEvent& ev : exp.trace_events()) {
+    if (ev.kind == obs::EventKind::kVoteSent && ev.replica != kGhost) {
+      EXPECT_EQ(ghost_keys.count(ev.key), 0u)
+          << "replica " << ev.replica << " round " << ev.round;
+    }
+  }
+  EXPECT_TRUE(exp.check_safety().ok);
+  expect_invariants(exp);
+}
 
 // ---- the checkers must actually detect violations ---------------------------
 

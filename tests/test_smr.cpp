@@ -125,7 +125,6 @@ const std::pair<const char*, void (*)(Block&)> kFieldTampers[] = {
     {"view", [](Block& b) { b.view = 1; }},
     {"height", [](Block& b) { b.height = 1; }},
     {"proposer", [](Block& b) { b.proposer = 3; }},
-    {"payload_kind", [](Block& b) { b.payload_kind = kBatchRefPayload; }},
     {"payload", [](Block& b) { b.payload = make_shared_bytes(Bytes{1, 3}); }},
 };
 
@@ -142,14 +141,6 @@ TEST(Block, DecodeRejectsEachTamperedField) {
     tamper(tampered);
     EXPECT_FALSE(wire_block_decodes(tampered)) << field;
   }
-
-  // Id-consistent but malformed: a batch reference must be 32 bytes and
-  // the payload kind must be known.
-  EXPECT_FALSE(wire_block_decodes(
-      Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(31, 7), kBatchRefPayload)));
-  EXPECT_FALSE(wire_block_decodes(Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes{1}, 2)));
-  EXPECT_TRUE(wire_block_decodes(
-      Block::make(genesis_certificate(), 1, 0, 0, 2, Bytes(32, 7), kBatchRefPayload)));
 }
 
 TEST(Block, IdMemoVouchesOnlyForTheFieldsItHashed) {
@@ -413,6 +404,23 @@ TEST(Messages, TrailingGarbageRejected) {
   Bytes wire = encode_message(msg);
   wire.push_back(0xff);
   EXPECT_FALSE(decode_message(wire).has_value());
+}
+
+TEST(Messages, RetiredBatchTagsAreRejected) {
+  // Tags 13-15 carried the retired batch-reference messages (an
+  // announcement, a pull by id, a push). Well-formed frames in their old
+  // layout must not decode now.
+  const Bytes batch(64, 0x5a);
+  Encoder announce, pull, push;
+  announce.u8(13);
+  announce.bytes(batch);
+  pull.u8(14);
+  pull.raw(BytesView(batch.data(), 32));
+  push.u8(15);
+  push.bytes(batch);
+  for (const Encoder* frame : {&announce, &pull, &push}) {
+    EXPECT_FALSE(decode_message(frame->result()).has_value()) << int(frame->result()[0]);
+  }
 }
 
 TEST(Messages, TruncationAtEveryByteNeverCrashes) {

@@ -201,37 +201,6 @@ TEST(CrashRecovery, RestartWithoutWalIsARecoverableError) {
   EXPECT_TRUE(exp.check_safety().ok);
 }
 
-TEST(CrashRecovery, CrashDuringBatchRecoveryResumesPulls) {
-  // Batch-reference blocks park in waiting_batch_ until their payload
-  // arrives; that waiter set is part of the WAL snapshot, so a replica
-  // that crashes mid-recovery re-issues the pulls immediately on restart
-  // instead of stalling until some later proposal references the batch.
-  auto cfg = recovery_config(Protocol::kFallback3, 29);
-  cfg.pcfg.batch_bytes = 512;       // > kBatchRefMinBytes -> reference blocks
-  cfg.pcfg.batch_announce = false;  // force every payload through the pull path
-  Experiment exp(cfg);
-  exp.start();
-  const auto& victim = dynamic_cast<const core::ReplicaBase&>(exp.replica(2));
-  bool caught = false;
-  for (int i = 0; i < 200'000 && !caught; ++i) {
-    if (!exp.sim().step()) break;
-    caught = !victim.unresolved_batch_refs().empty();
-  }
-  ASSERT_TRUE(caught);  // crash it while a batch pull is in flight
-
-  exp.restart_replica(2);
-  const auto& fresh = dynamic_cast<const core::ReplicaBase&>(exp.replica(2));
-  EXPECT_TRUE(fresh.recovered());
-  // Recovery already re-requested the parked block and re-pulled its
-  // batch (the batch store is in-memory and died with the instance).
-  EXPECT_GE(fresh.stats().batches_pulled + fresh.stats().blocks_fetched, 1u);
-
-  ASSERT_TRUE(exp.run_until_commits(20, 400'000'000));
-  EXPECT_TRUE(exp.check_safety().ok);
-  const auto rep = harness::check_invariants(exp);
-  EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations.front());
-}
-
 TEST(CrashRecovery, HaltedInstanceIsSilent) {
   Experiment exp(recovery_config(Protocol::kFallback3, 27));
   exp.start();

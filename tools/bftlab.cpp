@@ -86,9 +86,6 @@ const char* msg_type_name(std::size_t tag) {
     case 10: return "coin-qc";
     case 11: return "block-request";
     case 12: return "block-response";
-    case 13: return "batch";
-    case 14: return "batch-pull";
-    case 15: return "batch-push";
     default: return "?";
   }
 }
@@ -104,8 +101,8 @@ void usage_fuzz() {
       "                 once exceeded (default unlimited)\n"
       "  --quick        CI smoke preset: 120 s wall budget, shrink\n"
       "                 budget 100 candidate runs\n"
-      "  --plant-deferred-vote-hole\n"
-      "                 open the planted catch-up vote hole in every\n"
+      "  --plant-catchup-cert-hole\n"
+      "                 open the planted catch-up certificate hole in every\n"
       "                 schedule (self-test: the fuzzer must find it)\n"
       "  --no-shrink    keep failing schedules unminimized\n"
       "  --out DIR      write repro-<seed>.json per failure into DIR\n"
@@ -172,8 +169,8 @@ int run_fuzz(int argc, char** argv) {
     } else if (arg == "--quick") {
       if (opt.wall_limit_ms == 0) opt.wall_limit_ms = 120'000;
       opt.shrink_budget = 100;
-    } else if (arg == "--plant-deferred-vote-hole") {
-      opt.gen.plant_deferred_vote_hole = true;
+    } else if (arg == "--plant-catchup-cert-hole") {
+      opt.gen.plant_catchup_cert_hole = true;
     } else if (arg == "--no-shrink") {
       opt.shrink = false;
     } else if (arg == "--out") {
