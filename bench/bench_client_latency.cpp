@@ -10,6 +10,7 @@
 // protocol confirms nothing during the bad window.
 #include <algorithm>
 #include <cstdio>
+#include <unordered_set>
 #include <vector>
 
 #include "client/client_swarm.h"
@@ -31,6 +32,9 @@ struct Outcome {
   double p50_good_ms = 0, p99_all_ms = 0;
   std::uint64_t unconfirmed_at_end = 0;
   std::uint64_t bad_proofs = 0;
+  /// Txn copies the replicas committed, and those a replica had already
+  /// committed once (DESIGN.md §20.4).
+  std::uint64_t copies = 0, duplicates = 0;
   /// Commit -> first client confirm (the critical path's chain tail): the
   /// ack fan-out + f+1 quorum cost on top of consensus latency.
   obs::LatencyStats commit_to_confirm;
@@ -52,8 +56,19 @@ Outcome run(Protocol p, std::uint64_t seed) {
 
   auto pools = std::make_shared<TxnPools>(cfg.n, ccfg.max_batch_txns);
   cfg.payload_factory = [pools](ReplicaId id) { return pools->next_batch(id); };
+  Outcome out;
+  Experiment* expp = nullptr;
+  std::vector<std::unordered_set<TxnId, TxnIdHash>> committed(cfg.n);
+  cfg.on_commit = [&](ReplicaId id, const smr::CommitRecord& rec) {
+    const auto& base = dynamic_cast<const core::ReplicaBase&>(expp->replica(id));
+    for (const TxnId& txn : TxnPools::decode_txn_ids(base.store().get(rec.id)->txns())) {
+      ++out.copies;
+      out.duplicates += !committed[id].insert(txn).second;
+    }
+  };
 
   Experiment exp(cfg);
+  expp = &exp;
   auto* attack =
       dynamic_cast<net::AdaptiveLeaderAttackModel*>(&exp.network().delay_model());
   auto& simref = exp.sim();
@@ -72,7 +87,6 @@ Outcome run(Protocol p, std::uint64_t seed) {
   exp.start();
   swarm.start();
 
-  Outcome out;
   exp.sim().run_until(kBadStart);
   out.confirmed_good1 = swarm.stats().confirmed;
   exp.sim().run_until(kBadEnd);
@@ -100,18 +114,20 @@ int main() {
   std::printf("CL: client-perceived service quality through a bad-network window\n");
   std::printf("  [0,10s) good | [10s,30s) leader-attack | [30s,40s) good; n=4\n");
   std::printf("==============================================================\n\n");
-  std::printf("  %-22s %12s %12s %12s %10s %10s %12s\n", "protocol", "conf(good1)",
-              "conf(bad)", "conf(good2)", "p50 ms", "p99 ms", "stuck@end");
+  std::printf("  %-22s %12s %12s %12s %10s %10s %12s %10s %10s\n", "protocol", "conf(good1)",
+              "conf(bad)", "conf(good2)", "p50 ms", "p99 ms", "stuck@end", "copies", "dup copies");
   bool ok = true;
   for (auto [p, label] : {std::pair{Protocol::kDiemBft, "DiemBFT"},
                           std::pair{Protocol::kFallback3, "Ours (Fig 2)"},
                           std::pair{Protocol::kFallback2, "Ours 2-chain"}}) {
     const Outcome o = run(p, 55);
-    std::printf("  %-22s %12llu %12llu %12llu %10.1f %10.1f %12llu\n", label,
+    std::printf("  %-22s %12llu %12llu %12llu %10.1f %10.1f %12llu %10llu %10llu\n", label,
                 static_cast<unsigned long long>(o.confirmed_good1),
                 static_cast<unsigned long long>(o.confirmed_bad),
                 static_cast<unsigned long long>(o.confirmed_good2), o.p50_good_ms,
-                o.p99_all_ms, static_cast<unsigned long long>(o.unconfirmed_at_end));
+                o.p99_all_ms, static_cast<unsigned long long>(o.unconfirmed_at_end),
+                static_cast<unsigned long long>(o.copies),
+                static_cast<unsigned long long>(o.duplicates));
     if (o.commit_to_confirm.count > 0) {
       std::printf("  %-22s commit->confirm: p50 %.1f ms, p99 %.1f ms "
                   "(%llu blocks; ack fan-out on top of consensus)\n",

@@ -36,15 +36,36 @@ void TxnPools::retire(ReplicaId replica, const std::vector<TxnId>& ids) {
 Bytes TxnPools::next_batch(ReplicaId proposer) {
   REPRO_ASSERT(proposer < queues_.size());
   auto& q = queues_[proposer];
-  const std::size_t count = std::min(max_batch_, q.size());
+  auto& queued = queued_ids_[proposer];
+  // The queued txns the proposer's own uncommitted chain already carries:
+  // proposing them again would commit them twice if that chain commits.
+  std::unordered_set<TxnId, TxnIdHash> skip;
+  if (pending_ids_ && !q.empty()) {
+    std::vector<TxnId> pending;
+    pending_ids_(proposer, pending);
+    for (const TxnId& id : pending) {
+      if (queued.contains(id)) skip.insert(id);
+    }
+  }
+  // queued_ids_ mirrors the queue, so this many txns are not skipped.
+  const std::size_t count = std::min(max_batch_, q.size() - skip.size());
   Encoder enc;
   enc.u32(static_cast<std::uint32_t>(count));
-  for (std::size_t i = 0; i < count; ++i) {
-    const Pending& p = q.front();
+  std::vector<Pending> kept;
+  for (std::size_t taken = 0; taken < count; q.pop_front()) {
+    Pending& p = q.front();
+    if (skip.contains(p.id)) {
+      kept.push_back(std::move(p));
+      continue;
+    }
     enc.bytes(p.payload);
-    queued_ids_[proposer].erase(p.id);
-    q.pop_front();
+    queued.erase(p.id);
+    ++taken;
   }
+  // Skipped txns go back to the front in their order: if their branch is
+  // abandoned they are next; if it commits, retire() drops them.
+  q.insert(q.begin(), std::make_move_iterator(kept.begin()),
+           std::make_move_iterator(kept.end()));
   return std::move(enc).result();
 }
 
@@ -76,6 +97,8 @@ ClientSwarm::ClientSwarm(harness::Experiment& exp, std::shared_ptr<TxnPools> poo
     exp_.replica(id).ledger().set_commit_callback(
         [this, id](const smr::Block& block, SimTime) { on_commit(id, block); });
   }
+  pools_->set_pending_ids(
+      [this](ReplicaId proposer, std::vector<TxnId>& out) { pending_ids(proposer, out); });
 }
 
 void ClientSwarm::start() {
@@ -143,28 +166,41 @@ void ClientSwarm::arm_retry(const TxnId& id) {
   });
 }
 
-std::deque<ClientSwarm::CommittedBatch>::iterator ClientSwarm::committed_batch(
-    const smr::Block& block) {
+std::deque<ClientSwarm::BlockBatch>::iterator ClientSwarm::block_batch(const smr::Block& block) {
   auto it = std::find_if(batch_memo_.begin(), batch_memo_.end(),
-                         [&](const CommittedBatch& b) { return b.block_id == block.id; });
+                         [&](const BlockBatch& b) { return b.block_id == block.id; });
   if (it != batch_memo_.end()) return it;
   if (batch_memo_.size() >= kBatchMemoCap) batch_memo_.pop_front();
-  std::vector<Bytes> bodies = TxnPools::decode_txn_payloads(block.txns());
-  std::vector<TxnId> ids;
-  ids.reserve(bodies.size());
-  for (const Bytes& body : bodies) ids.push_back(txn_id(body));
-  batch_memo_.push_back(CommittedBatch{block.id, std::move(ids), crypto::MerkleTree(bodies), 0});
+  batch_memo_.push_back(BlockBatch{block.id, TxnPools::decode_txn_ids(block.txns()), {}, 0});
   return std::prev(batch_memo_.end());
+}
+
+void ClientSwarm::pending_ids(ReplicaId proposer, std::vector<TxnId>& out) {
+  // qc_high() is the parent of every regular block and height-1 f-block.
+  // Heights 2-3 extend the proposer's own f-blocks, whose txns already
+  // left its pool, and below them what usually still is the qc_high()
+  // chain (DESIGN.md §20.4).
+  const auto* base = dynamic_cast<const core::ReplicaBase*>(&exp_.replica(proposer));
+  if (base == nullptr) return;
+  const smr::Ledger& ledger = base->ledger();
+  for (smr::BlockId at = base->qc_high().block_id; !ledger.is_committed(at);) {
+    const smr::Block* block = base->store().get(at);
+    if (block == nullptr || block->is_genesis()) return;
+    const std::vector<TxnId>& ids = block_batch(*block)->ids;
+    out.insert(out.end(), ids.begin(), ids.end());
+    at = block->parent.block_id;
+  }
 }
 
 void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
   // The replica commits to the batch with a Merkle tree and attaches an
   // inclusion proof to each acknowledgment.
-  const auto batch = committed_batch(block);
+  const auto batch = block_batch(block);
+  if (!batch->tree) batch->tree.emplace(TxnPools::decode_txn_payloads(block.txns()));
   const std::vector<TxnId>& ids = batch->ids;
   // The committing replica will not propose these again (DESIGN.md §20).
   pools_->retire(replica, ids);
-  const crypto::MerkleTree& tree = batch->tree;
+  const crypto::MerkleTree& tree = *batch->tree;
   const std::uint64_t block_key = crypto::digest_prefix_u64(block.id);
   for (std::uint32_t i = 0; i < ids.size(); ++i) {
     const TxnId id = ids[i];

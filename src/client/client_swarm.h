@@ -14,6 +14,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -93,10 +94,19 @@ class TxnPools {
   std::size_t size(ReplicaId r) const { return queues_[r].size(); }
   std::size_t capacity() const { return kCapacityBatches * max_batch_; }
 
-  /// Proposer-side: drain up to max_batch txns into a block payload.
-  /// Encoding: u32 count, then one length-prefixed body per txn (u32
-  /// length, bytes); no ids, since each id is txn_id(body) (DESIGN.md §20).
+  /// Proposer-side: drain up to max_batch txns into a block payload,
+  /// oldest first. Txns the proposer's own uncommitted chain already
+  /// carries (see set_pending_ids) are skipped and stay queued, in order
+  /// (DESIGN.md §20.4). Encoding: u32 count, then one length-prefixed body
+  /// per txn (u32 length, bytes); no ids, since each id is txn_id(body)
+  /// (DESIGN.md §20).
   Bytes next_batch(ReplicaId proposer);
+
+  /// Appends to `out` the ids of the txns in the blocks `proposer` has
+  /// seen certified but not yet committed.
+  using PendingIds = std::function<void(ReplicaId proposer, std::vector<TxnId>& out)>;
+  /// Installed by ClientSwarm; a pool without one skips nothing.
+  void set_pending_ids(PendingIds pending) { pending_ids_ = std::move(pending); }
 
   /// Decode the txn ids inside a committed block payload, deriving each
   /// from its body. A truncated payload yields the ids of its whole bodies.
@@ -116,12 +126,14 @@ class TxnPools {
   /// scanning it would be most of the run's CPU (DESIGN.md §18.3).
   std::vector<std::unordered_set<TxnId, TxnIdHash>> queued_ids_;
   std::size_t max_batch_;
+  PendingIds pending_ids_;
 };
 
 class ClientSwarm {
  public:
-  /// Wires the swarm: registers commit callbacks on every replica and
-  /// schedules each client's first submission at start().
+  /// Wires the swarm: registers commit callbacks on every replica,
+  /// installs the pools' pending-chain view, and schedules each client's
+  /// first submission at start().
   ClientSwarm(harness::Experiment& exp, std::shared_ptr<TxnPools> pools, ClientConfig cfg,
               std::uint64_t seed);
 
@@ -143,21 +155,25 @@ class ClientSwarm {
     std::uint64_t retry_epoch = 0;   ///< invalidates stale retry timers
   };
 
-  /// What every replica's acks for one committed block share: its txn
-  /// ids and the Merkle tree over its txn payloads. Both are a pure
-  /// function of the payload bytes the block id binds, so the n replicas
-  /// committing one block share a single build.
-  struct CommittedBatch {
+  /// What the replicas share about one block's batch: its txn ids (read
+  /// by every proposer whose pending chain holds the block, and by every
+  /// committer) and, from its first commit on, the Merkle tree over its
+  /// txn payloads. Both are a pure function of the payload bytes the block
+  /// id binds, so each is derived once per block.
+  struct BlockBatch {
     smr::BlockId block_id;
     std::vector<TxnId> ids;
-    crypto::MerkleTree tree;
+    std::optional<crypto::MerkleTree> tree;  ///< built at the first commit
     std::uint32_t commits = 0;  ///< replicas that committed the block so far
   };
   /// An entry is dropped once all n replicas have committed its block; the
-  /// cap bounds the memo when some never do (crashed, lagging). A block
-  /// committed after its entry is gone is simply rebuilt.
+  /// cap bounds the memo when some never do (crashed, lagging, abandoned
+  /// branches). A block needed after its entry is gone is simply rebuilt.
   static constexpr std::size_t kBatchMemoCap = 64;
-  std::deque<CommittedBatch>::iterator committed_batch(const smr::Block& block);
+  std::deque<BlockBatch>::iterator block_batch(const smr::Block& block);
+  /// TxnPools::PendingIds: walks from the block of the proposer's
+  /// qc_high() back to the first block its ledger has committed.
+  void pending_ids(ReplicaId proposer, std::vector<TxnId>& out);
 
   void client_tick(std::uint32_t client);
   void submit_txn(std::uint32_t client);
@@ -181,7 +197,7 @@ class ClientSwarm {
   std::unordered_map<TxnId, InFlight, TxnIdHash> in_flight_;
   std::uint64_t txn_seq_ = 0;
   /// Oldest first; at most kBatchMemoCap entries.
-  std::deque<CommittedBatch> batch_memo_;
+  std::deque<BlockBatch> batch_memo_;
 };
 
 }  // namespace repro::client

@@ -153,8 +153,12 @@ bool Experiment::restart_replica(ReplicaId id) {
   // so the checker, which reads only live instances, still finds the
   // bodies of the certificates the old one recorded.
   replicas_[id]->halt();
+  // Whoever reads the ledger (a client swarm acking commits) keeps reading
+  // it through the restart.
+  smr::Ledger::CommitCallback on_commit = replicas_[id]->ledger().commit_callback();
   parked_.push_back(std::move(replicas_[id]));
   replicas_[id] = build_replica(cfg_.protocol, ctxs_[id]);
+  replicas_[id]->ledger().set_commit_callback(std::move(on_commit));
   // The new instance owns fresh counter storage; re-attach it under the
   // same metric identity (the registry replaces the old pointers).
   core::register_replica_stats(registry_, replicas_[id]->stats(), id);

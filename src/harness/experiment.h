@@ -81,8 +81,10 @@ class Experiment {
   /// its in-memory state) is destroyed and a fresh one is built, which
   /// recovers its vote state from the WAL and catches up on the chain
   /// through block retrieval. In-flight messages addressed to it are
-  /// delivered to the new instance. Returns false — a recoverable error,
-  /// not an abort — when the id is out of range or the experiment runs
+  /// delivered to the new instance, and the old ledger's commit callback
+  /// carries over to the new ledger (which starts empty, so the callback
+  /// sees the blocks it commits again). Returns false — a recoverable
+  /// error, not an abort — when the id is out of range or the experiment runs
   /// without a WAL (a restart would then be an amnesia crash, which the
   /// protocol's durability story does not cover; generated churn
   /// schedules skip the event instead of killing the process).

@@ -30,6 +30,7 @@ class Ledger {
   using CommitCallback = std::function<void(const Block&, SimTime)>;
 
   void set_commit_callback(CommitCallback cb) { on_commit_ = std::move(cb); }
+  const CommitCallback& commit_callback() const { return on_commit_; }
 
   /// Commit `tip` and all its not-yet-committed ancestors. Requires the
   /// full ancestor chain down to the previous commit to be in `store`
