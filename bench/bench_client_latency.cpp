@@ -6,7 +6,8 @@
 // Network: synchronous for 10s, leader-attack asynchronous for 20s,
 // synchronous again for 10s. Confirm rule: f+1 acks.
 //
-// Exits 1 if any ack's Merkle proof is rejected, or if a fallback
+// Exits 1 if any ack's Merkle proof is rejected, if a replica commits a
+// txn it had already committed (a duplicate copy), or if a fallback
 // protocol confirms nothing during the bad window.
 #include <algorithm>
 #include <cstdio>
@@ -138,6 +139,11 @@ int main() {
     if (o.bad_proofs > 0) {
       std::printf("  FAIL: %s rejected %llu ack proofs\n", label,
                   static_cast<unsigned long long>(o.bad_proofs));
+      ok = false;
+    }
+    if (o.duplicates > 0) {
+      std::printf("  FAIL: %s committed %llu duplicate copies\n", label,
+                  static_cast<unsigned long long>(o.duplicates));
       ok = false;
     }
     if (p != Protocol::kDiemBft && o.confirmed_bad == 0) {

@@ -42,8 +42,9 @@ void run_service(const char* title, ExperimentConfig cfg) {
               static_cast<unsigned long long>(st.confirmed), swarm.in_flight(),
               static_cast<unsigned long long>(st.retries));
   std::printf("  confirm latency p50=%.1f ms  p99=%.1f ms\n", p50, p99);
-  std::printf("  goodput=%.1f txn/s  client rpc: %llu msgs, %llu bytes\n",
-              st.confirmed / 30.0, static_cast<unsigned long long>(st.rpc_messages),
+  std::printf("  goodput=%.1f txn/s  client rpc: %llu requests, %llu acks, %llu bytes\n",
+              st.confirmed / 30.0, static_cast<unsigned long long>(st.requests),
+              static_cast<unsigned long long>(st.acks),
               static_cast<unsigned long long>(st.rpc_bytes));
   std::printf("  ledger safety: %s\n\n", exp.check_safety().ok ? "OK" : "VIOLATED");
 }

@@ -10,23 +10,34 @@ namespace repro::client {
 
 TxnId txn_id(BytesView body) { return crypto::sha256_tagged("repro/txn", body); }
 
-void TxnPools::submit(ReplicaId to, BytesView body) {
-  REPRO_ASSERT(to < queues_.size());
+void TxnPools::submit(const std::vector<ReplicaId>& to, BytesView body) {
   const TxnId id = txn_id(body);
-  if (!queued_ids_[to].insert(id).second) return;
-  auto& q = queues_[to];
-  if (q.size() >= capacity()) {
-    queued_ids_[to].erase(q.front().id);
-    q.pop_front();
+  for (ReplicaId r : to) {
+    REPRO_ASSERT(r < queues_.size());
+    if (retired_[r].ids.contains(id) || !queued_ids_[r].insert(id).second) continue;
+    auto& q = queues_[r];
+    if (q.size() >= capacity()) {
+      queued_ids_[r].erase(q.front().id);
+      q.pop_front();
+    }
+    q.push_back(Pending{id, Bytes(body.begin(), body.end())});
   }
-  q.push_back(Pending{id, Bytes(body.begin(), body.end())});
 }
 
 void TxnPools::retire(ReplicaId replica, const std::vector<TxnId>& ids) {
   REPRO_ASSERT(replica < queues_.size());
+  Retired& retired = retired_[replica];
   auto& queued = queued_ids_[replica];
   std::size_t matched = 0;
-  for (const TxnId& id : ids) matched += queued.erase(id);
+  for (const TxnId& id : ids) {
+    matched += queued.erase(id);
+    if (!retired.ids.insert(id).second) continue;
+    retired.order.push_back(id);
+    if (retired.order.size() > kRetiredBatches * max_batch_) {
+      retired.ids.erase(retired.order.front());
+      retired.order.pop_front();
+    }
+  }
   if (matched == 0) return;
   // The id set mirrored the queue, so the entries it no longer holds are
   // exactly the retired ones.
@@ -35,37 +46,30 @@ void TxnPools::retire(ReplicaId replica, const std::vector<TxnId>& ids) {
 
 Bytes TxnPools::next_batch(ReplicaId proposer) {
   REPRO_ASSERT(proposer < queues_.size());
-  auto& q = queues_[proposer];
-  auto& queued = queued_ids_[proposer];
-  // The queued txns the proposer's own uncommitted chain already carries:
+  const auto& q = queues_[proposer];
+  const auto& queued = queued_ids_[proposer];
+  // The queued txns the chain the new block extends already carries:
   // proposing them again would commit them twice if that chain commits.
+  // A chain cut by a missing block could carry any txn: propose none.
   std::unordered_set<TxnId, TxnIdHash> skip;
+  bool cut = false;
   if (pending_ids_ && !q.empty()) {
     std::vector<TxnId> pending;
-    pending_ids_(proposer, pending);
+    cut = !pending_ids_(proposer, pending);
     for (const TxnId& id : pending) {
       if (queued.contains(id)) skip.insert(id);
     }
   }
   // queued_ids_ mirrors the queue, so this many txns are not skipped.
-  const std::size_t count = std::min(max_batch_, q.size() - skip.size());
+  const std::size_t count = cut ? 0 : std::min(max_batch_, q.size() - skip.size());
   Encoder enc;
   enc.u32(static_cast<std::uint32_t>(count));
-  std::vector<Pending> kept;
-  for (std::size_t taken = 0; taken < count; q.pop_front()) {
-    Pending& p = q.front();
-    if (skip.contains(p.id)) {
-      kept.push_back(std::move(p));
-      continue;
-    }
-    enc.bytes(p.payload);
-    queued.erase(p.id);
+  std::size_t taken = 0;
+  for (auto it = q.begin(); taken < count; ++it) {
+    if (skip.contains(it->id)) continue;
+    enc.bytes(it->payload);
     ++taken;
   }
-  // Skipped txns go back to the front in their order: if their branch is
-  // abandoned they are next; if it commits, retire() drops them.
-  q.insert(q.begin(), std::make_move_iterator(kept.begin()),
-           std::make_move_iterator(kept.end()));
   return std::move(enc).result();
 }
 
@@ -97,8 +101,9 @@ ClientSwarm::ClientSwarm(harness::Experiment& exp, std::shared_ptr<TxnPools> poo
     exp_.replica(id).ledger().set_commit_callback(
         [this, id](const smr::Block& block, SimTime) { on_commit(id, block); });
   }
-  pools_->set_pending_ids(
-      [this](ReplicaId proposer, std::vector<TxnId>& out) { pending_ids(proposer, out); });
+  pools_->set_pending_ids([this](ReplicaId proposer, std::vector<TxnId>& out) {
+    return pending_ids(proposer, out);
+  });
 }
 
 void ClientSwarm::start() {
@@ -130,39 +135,35 @@ void ClientSwarm::submit_txn(std::uint32_t client) {
   InFlight fl;
   fl.client = client;
   fl.submitted_at = exp_.sim().now();
-  fl.payload = payload;
-  fl.next_target = static_cast<ReplicaId>((client + txn_seq_) % exp_.n());
-  in_flight_.emplace(id, std::move(fl));
+  fl.payload = std::move(payload);
   ++stats_.submitted;
-
-  send_to_replica(id, in_flight_[id].next_target);
-  arm_retry(id);
+  send(in_flight_.emplace(id, std::move(fl)).first->second);
+  arm_retry(id, cfg_.retry_timeout);
 }
 
-void ClientSwarm::send_to_replica(const TxnId& id, ReplicaId target) {
-  auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) return;
-  ++stats_.rpc_messages;
-  stats_.rpc_bytes += it->second.payload.size();  // the body; its id is derived
-  exp_.sim().schedule_after(rpc_delay(), [this, target, payload = it->second.payload] {
-    pools_->submit(target, payload);
-  });
+void ClientSwarm::send(const InFlight& fl) {
+  std::vector<ReplicaId> targets;
+  for (ReplicaId r = 0; r < exp_.n(); ++r) {
+    if (!fl.acks.contains(r)) targets.push_back(r);
+  }
+  stats_.requests += targets.size();
+  stats_.rpc_bytes += targets.size() * fl.payload.size();  // the body; its id is derived
+  exp_.sim().schedule_after(rpc_delay(),
+                            [this, targets = std::move(targets), payload = fl.payload] {
+                              pools_->submit(targets, payload);
+                            });
 }
 
-void ClientSwarm::arm_retry(const TxnId& id) {
-  auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) return;
-  const std::uint64_t epoch = it->second.retry_epoch;
-  exp_.sim().schedule_after(cfg_.retry_timeout, [this, id, epoch] {
-    auto it2 = in_flight_.find(id);
-    if (it2 == in_flight_.end() || it2->second.retry_epoch != epoch) return;
-    // Unconfirmed: resend to the next replica (covers a crashed or slow
-    // target; eventually an honest proposer includes the txn).
+void ClientSwarm::arm_retry(const TxnId& id, SimTime delay) {
+  exp_.sim().schedule_after(delay, [this, id, delay] {
+    auto it = in_flight_.find(id);
+    if (it == in_flight_.end()) return;
+    // Unconfirmed: every pool holds the txn until its replica commits it
+    // (DESIGN.md §20.5), so this is a backstop for a pool that lost it
+    // (the cap) or an RPC to a replica that was down.
     ++stats_.retries;
-    ++it2->second.retry_epoch;
-    it2->second.next_target = static_cast<ReplicaId>((it2->second.next_target + 1) % exp_.n());
-    send_to_replica(id, it2->second.next_target);
-    arm_retry(id);
+    send(it->second);
+    arm_retry(id, 2 * delay);
   });
 }
 
@@ -175,21 +176,22 @@ std::deque<ClientSwarm::BlockBatch>::iterator ClientSwarm::block_batch(const smr
   return std::prev(batch_memo_.end());
 }
 
-void ClientSwarm::pending_ids(ReplicaId proposer, std::vector<TxnId>& out) {
-  // qc_high() is the parent of every regular block and height-1 f-block.
-  // Heights 2-3 extend the proposer's own f-blocks, whose txns already
-  // left its pool, and below them what usually still is the qc_high()
-  // chain (DESIGN.md §20.4).
+bool ClientSwarm::pending_ids(ReplicaId proposer, std::vector<TxnId>& out) {
+  // The block the proposal extends: qc_high() for a regular block or a
+  // height-1 f-block, the proposer's own f-block below heights 2-3
+  // (DESIGN.md §20.4).
   const auto* base = dynamic_cast<const core::ReplicaBase*>(&exp_.replica(proposer));
-  if (base == nullptr) return;
+  if (base == nullptr) return true;
   const smr::Ledger& ledger = base->ledger();
-  for (smr::BlockId at = base->qc_high().block_id; !ledger.is_committed(at);) {
+  for (smr::BlockId at = base->payload_parent(); !ledger.is_committed(at);) {
     const smr::Block* block = base->store().get(at);
-    if (block == nullptr || block->is_genesis()) return;
+    if (block == nullptr) return false;
+    if (block->is_genesis()) return true;
     const std::vector<TxnId>& ids = block_batch(*block)->ids;
     out.insert(out.end(), ids.begin(), ids.end());
     at = block->parent.block_id;
   }
+  return true;
 }
 
 void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
@@ -206,7 +208,7 @@ void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
     const TxnId id = ids[i];
     const crypto::Digest root = tree.root();
     const crypto::MerkleProof proof = tree.prove(i);
-    ++stats_.rpc_messages;
+    ++stats_.acks;
     // ack: txn id + root + proof (index + 33 bytes/step).
     stats_.rpc_bytes += 32 + 32 + 8 + proof.steps.size() * 33;
     exp_.sim().schedule_after(rpc_delay(), [this, replica, id, block_key, root, proof] {

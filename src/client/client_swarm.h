@@ -1,7 +1,7 @@
 // Client layer: the part of BFT SMR the paper omits "for brevity".
 //
-// A swarm of simulated clients submits transactions to the replicas,
-// retries on timeout, and confirms a transaction once f+1 distinct
+// A swarm of simulated clients submits each transaction to every replica,
+// retries with backoff, and confirms a transaction once f+1 distinct
 // replicas acknowledge it as committed — f+1 matching answers are the
 // classic BFT client rule (at least one is honest). The swarm measures
 // the client-perceived metrics a deployment cares about: end-to-end
@@ -46,8 +46,10 @@ struct ClientConfig {
   std::uint32_t num_clients = 8;
   std::size_t txn_bytes = 64;        ///< payload per transaction
   SimTime submit_interval = 50'000;  ///< per-client think time between txns
-  SimTime retry_timeout = 2'000'000; ///< resend to the next replica after this
-  std::size_t max_batch_txns = 64;   ///< txns a proposer drains per block
+  /// First resend to the replicas that have not acked; the wait doubles
+  /// after each resend.
+  SimTime retry_timeout = 2'000'000;
+  std::size_t max_batch_txns = 64;   ///< txns a proposer takes per block
   SimTime rpc_min_delay = 1'000;     ///< client<->replica link delay bounds
   SimTime rpc_max_delay = 20'000;
 };
@@ -55,9 +57,13 @@ struct ClientConfig {
 struct ClientStats {
   std::uint64_t submitted = 0;
   std::uint64_t confirmed = 0;
+  /// Resends; each one reaches every replica that has not acked.
   std::uint64_t retries = 0;
-  std::uint64_t rpc_messages = 0;
-  std::uint64_t rpc_bytes = 0;
+  /// Client-to-replica messages: one per replica a submit or retry reaches.
+  std::uint64_t requests = 0;
+  /// Replica-to-client acks: one per txn copy a replica commits.
+  std::uint64_t acks = 0;
+  std::uint64_t rpc_bytes = 0;  ///< both directions
   /// Acks whose Merkle inclusion proof failed verification (0 unless a
   /// test injects corrupted acks).
   std::uint64_t bad_proofs = 0;
@@ -71,40 +77,48 @@ struct ClientStats {
 class TxnPools {
  public:
   /// A pool holds at most this many blocks' worth of txns. A replica that
-  /// never proposes (crashed) would otherwise collect every retry routed
-  /// through it for ever; the txns it drops are retried at the next
-  /// replica by their clients.
+  /// never commits (crashed) would otherwise collect every submit for
+  /// ever; a txn it drops is still queued at the other replicas.
   static constexpr std::size_t kCapacityBatches = 128;
+  /// A pool remembers this many blocks' worth of the ids its replica
+  /// retired most recently, and refuses to queue them again.
+  static constexpr std::size_t kRetiredBatches = 4;
 
   explicit TxnPools(std::uint32_t n, std::size_t max_batch_txns)
-      : queues_(n), queued_ids_(n), max_batch_(max_batch_txns) {}
+      : queues_(n), queued_ids_(n), retired_(n), max_batch_(max_batch_txns) {}
 
-  /// Enqueue a transaction at one replica's pool, unless that pool already
-  /// holds it (a retry may land at a replica already holding the txn). The
-  /// pool keys it by txn_id(body). A full pool drops its oldest txn first.
-  /// A txn drained into a batch can be submitted again.
-  void submit(ReplicaId to, BytesView body);
+  /// Enqueue a transaction at each target replica's pool: one RPC that
+  /// reaches them all, so the body is hashed once into its txn_id. A pool
+  /// skips a txn it already holds or retired recently (a retry that raced
+  /// the replica's commit). A full pool drops its oldest txn first.
+  void submit(const std::vector<ReplicaId>& to, BytesView body);
 
   /// Commit-side: drop the txns of a block `replica` committed from its own
-  /// pool, so it never proposes them again. Other pools are untouched:
-  /// each replica drops its copies when it commits the block itself.
+  /// pool, so it never proposes them again, and remember them in its
+  /// retired window. Other pools are untouched: each replica drops its
+  /// copies when it commits the block itself.
   void retire(ReplicaId replica, const std::vector<TxnId>& ids);
 
   /// Txns waiting in one replica's pool, and the most a pool holds.
   std::size_t size(ReplicaId r) const { return queues_[r].size(); }
   std::size_t capacity() const { return kCapacityBatches * max_batch_; }
+  /// Whether replica `r`'s pool holds the txn.
+  bool holds(ReplicaId r, const TxnId& id) const { return queued_ids_[r].contains(id); }
 
-  /// Proposer-side: drain up to max_batch txns into a block payload,
-  /// oldest first. Txns the proposer's own uncommitted chain already
-  /// carries (see set_pending_ids) are skipped and stay queued, in order
-  /// (DESIGN.md §20.4). Encoding: u32 count, then one length-prefixed body
-  /// per txn (u32 length, bytes); no ids, since each id is txn_id(body)
-  /// (DESIGN.md §20).
+  /// Proposer-side: the oldest max_batch queued txns that the chain the new
+  /// block extends does not already carry (see set_pending_ids), as a block
+  /// payload. Nothing leaves the pool: a txn stays queued until its
+  /// replica commits it, so a losing chain's txns are proposed again in
+  /// the next view (DESIGN.md §20.5). Encoding: u32 count, then one
+  /// length-prefixed body per txn (u32 length, bytes); no ids, since each
+  /// id is txn_id(body) (DESIGN.md §20).
   Bytes next_batch(ReplicaId proposer);
 
-  /// Appends to `out` the ids of the txns in the blocks `proposer` has
-  /// seen certified but not yet committed.
-  using PendingIds = std::function<void(ReplicaId proposer, std::vector<TxnId>& out)>;
+  /// Appends to `out` the ids of the txns in the uncommitted blocks the
+  /// proposer's new block extends. Returns false if the chain is cut (a
+  /// block missing from the proposer's store): the proposer then cannot
+  /// know what the chain carries, and the batch is empty.
+  using PendingIds = std::function<bool(ReplicaId proposer, std::vector<TxnId>& out)>;
   /// Installed by ClientSwarm; a pool without one skips nothing.
   void set_pending_ids(PendingIds pending) { pending_ids_ = std::move(pending); }
 
@@ -125,6 +139,13 @@ class TxnPools {
   /// A crashed replica's queue is never drained and stays full, where
   /// scanning it would be most of the run's CPU (DESIGN.md §18.3).
   std::vector<std::unordered_set<TxnId, TxnIdHash>> queued_ids_;
+  /// The last kRetiredBatches * max_batch ids a replica retired, oldest
+  /// first, and the same ids as a set.
+  struct Retired {
+    std::deque<TxnId> order;
+    std::unordered_set<TxnId, TxnIdHash> ids;
+  };
+  std::vector<Retired> retired_;
   std::size_t max_batch_;
   PendingIds pending_ids_;
 };
@@ -150,9 +171,7 @@ class ClientSwarm {
     std::uint32_t client = 0;
     SimTime submitted_at = 0;
     Bytes payload;
-    std::set<ReplicaId> acks;        ///< replicas that reported commit
-    ReplicaId next_target = 0;       ///< retry destination
-    std::uint64_t retry_epoch = 0;   ///< invalidates stale retry timers
+    std::set<ReplicaId> acks;  ///< replicas that reported commit
   };
 
   /// What the replicas share about one block's batch: its txn ids (read
@@ -171,14 +190,18 @@ class ClientSwarm {
   /// branches). A block needed after its entry is gone is simply rebuilt.
   static constexpr std::size_t kBatchMemoCap = 64;
   std::deque<BlockBatch>::iterator block_batch(const smr::Block& block);
-  /// TxnPools::PendingIds: walks from the block of the proposer's
-  /// qc_high() back to the first block its ledger has committed.
-  void pending_ids(ReplicaId proposer, std::vector<TxnId>& out);
+  /// TxnPools::PendingIds: walks from the proposal's parent
+  /// (ReplicaBase::payload_parent) back to the first block the proposer's
+  /// ledger has committed.
+  bool pending_ids(ReplicaId proposer, std::vector<TxnId>& out);
 
   void client_tick(std::uint32_t client);
   void submit_txn(std::uint32_t client);
-  void send_to_replica(const TxnId& id, ReplicaId target);
-  void arm_retry(const TxnId& id);
+  /// One RPC carrying the txn's body to every replica that has not acked.
+  void send(const InFlight& fl);
+  /// Resend to the replicas that have not acked after `delay`, then again
+  /// after twice that, until the txn confirms.
+  void arm_retry(const TxnId& id, SimTime delay);
   void on_commit(ReplicaId replica, const smr::Block& block);
   /// An ack carries the batch's Merkle root and an inclusion proof; the
   /// client verifies the proof against its own copy of the transaction

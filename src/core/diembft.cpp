@@ -78,8 +78,8 @@ void DiemBftReplica::maybe_propose() {
 
   if (fault().equivocates()) {
     // Conflicting blocks for the same round, sent to disjoint halves.
-    smr::Block a = smr::Block::make(qc_high(), r_cur_, 0, 0, id(), next_payload());
-    smr::Block b = smr::Block::make(qc_high(), r_cur_, 0, 0, id(), next_payload());
+    smr::Block a = smr::Block::make(qc_high(), r_cur_, 0, 0, id(), next_payload(qc_high()));
+    smr::Block b = smr::Block::make(qc_high(), r_cur_, 0, 0, id(), next_payload(qc_high()));
     store_block(a, id());
     note_block_born(a.id);
     note_block_born(b.id);
@@ -94,8 +94,8 @@ void DiemBftReplica::maybe_propose() {
     return;
   }
 
-  smr::Block block =
-      smr::Block::make(qc_high(), r_cur_, /*view=*/0, /*height=*/0, id(), next_payload());
+  smr::Block block = smr::Block::make(qc_high(), r_cur_, /*view=*/0, /*height=*/0, id(),
+                                      next_payload(qc_high()));
   store_block(block, id());
   note_block_born(block.id);
   smr::ProposalMsg msg;

@@ -176,8 +176,10 @@ void FallbackReplica::maybe_propose_steady() {
   persist_vote_state();  // durable before the proposal leaves
 
   if (fault().equivocates()) {
-    smr::Block a = smr::Block::make(qc_high(), r_cur_, v_cur_, 0, id(), next_payload());
-    smr::Block b = smr::Block::make(qc_high(), r_cur_, v_cur_, 0, id(), next_payload());
+    smr::Block a =
+        smr::Block::make(qc_high(), r_cur_, v_cur_, 0, id(), next_payload(qc_high()));
+    smr::Block b =
+        smr::Block::make(qc_high(), r_cur_, v_cur_, 0, id(), next_payload(qc_high()));
     store_block(a, id());
     note_block_born(a.id);
     note_block_born(b.id);
@@ -192,8 +194,8 @@ void FallbackReplica::maybe_propose_steady() {
     return;
   }
 
-  smr::Block block =
-      smr::Block::make(qc_high(), r_cur_, v_cur_, /*height=*/0, id(), next_payload());
+  smr::Block block = smr::Block::make(qc_high(), r_cur_, v_cur_, /*height=*/0, id(),
+                                      next_payload(qc_high()));
   store_block(block, id());
   note_block_born(block.id);
   smr::ProposalMsg msg;
@@ -418,7 +420,7 @@ void FallbackReplica::forge_fbqc_attack(View view) {
   }
   smr::Certificate parent = forge(1, 2);
   smr::FbProposalMsg msg;
-  msg.block = smr::Block::make(parent, parent.round + 1, view, 2, id(), next_payload());
+  msg.block = smr::Block::make(parent, parent.round + 1, view, 2, id(), next_payload(parent));
   multicast(std::move(msg));
 }
 
@@ -432,9 +434,9 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
     // different halves. The per-proposer r̄_vote/h̄_vote voting rules stop
     // more than one from certifying per (view, round).
     smr::Block a =
-        smr::Block::make(parent, parent.round + 1, v_cur_, height, id(), next_payload());
+        smr::Block::make(parent, parent.round + 1, v_cur_, height, id(), next_payload(parent));
     smr::Block b =
-        smr::Block::make(parent, parent.round + 1, v_cur_, height, id(), next_payload());
+        smr::Block::make(parent, parent.round + 1, v_cur_, height, id(), next_payload(parent));
     own_fblock_[height] = a.id;
     store_block(a, id());
     note_block_born(a.id);
@@ -453,7 +455,7 @@ void FallbackReplica::propose_fblock(FallbackHeight height, const smr::Certifica
   }
 
   smr::Block block = smr::Block::make(parent, parent.round + 1, v_cur_, height, id(),
-                                      next_payload());
+                                      next_payload(parent));
   own_fblock_[height] = block.id;
   store_block(block, id());
   note_block_born(block.id);

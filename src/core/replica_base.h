@@ -54,6 +54,9 @@ class ReplicaBase : public IReplica {
   // Extra introspection used by tests / harness.
   const smr::BlockStore& store() const { return store_; }
   const smr::Certificate& qc_high() const { return qc_high_; }
+  /// The block the proposal now being built extends (set by next_payload
+  /// before it calls the payload source; DESIGN.md §20.4).
+  const smr::BlockId& payload_parent() const { return payload_parent_; }
   smr::Rank rank_lock() const { return rank_lock_; }
   Round r_vote() const { return r_vote_; }
   /// A learned coin-QC and the leader it elects. The leader is derived
@@ -259,11 +262,13 @@ class ReplicaBase : public IReplica {
   /// Fallback-duration histogram installed by the harness (may be null).
   obs::Histogram* fallback_duration_hist() { return fallback_duration_hist_; }
 
-  /// Transaction batch for the next proposed block: the application's
-  /// payload source if one is installed, else the synthetic mempool. The
-  /// kInvalidTxns fault corrupts the batch (0xFF prefix) so external
-  /// validity rejections can be exercised.
-  Bytes next_payload() {
+  /// Transaction batch for the next proposed block, which extends
+  /// `parent`: the application's payload source if one is installed, else
+  /// the synthetic mempool. The source reads the parent through
+  /// payload_parent(). The kInvalidTxns fault corrupts the batch (0xFF
+  /// prefix) so external validity rejections can be exercised.
+  Bytes next_payload(const smr::Certificate& parent) {
+    payload_parent_ = parent.block_id;
     Bytes batch = payload_source_ ? payload_source_() : mempool_.next_batch();
     if (cfg_.fault.proposes_invalid_txns()) {
       batch.insert(batch.begin(), 0xFF);
@@ -334,6 +339,7 @@ class ReplicaBase : public IReplica {
   smr::Mempool mempool_;
   std::function<void(const smr::BlockId&, SimTime)> on_block_born_;
   std::function<Bytes()> payload_source_;
+  smr::BlockId payload_parent_{};
   std::shared_ptr<obs::TraceRing> trace_;
   std::function<void(const smr::CommitRecord&)> on_commit_;
   obs::Histogram* fallback_duration_hist_ = nullptr;
