@@ -243,7 +243,7 @@ void BM_ProposalEncodeDecode(benchmark::State& state) {
       std::nullopt,
       {},
       {}};
-  smr::sign_message(*sys, 0, msg);
+  smr::encode_signed(*sys, 0, msg);  // sets msg.sig
   for (auto _ : state) {
     const Bytes wire = smr::encode_message(msg);
     benchmark::DoNotOptimize(smr::decode_message(wire));

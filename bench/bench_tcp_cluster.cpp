@@ -155,9 +155,8 @@ int main(int argc, char** argv) {
   std::printf("    %-6s %14s %12s %12s %14s %10s\n", "n", "blocks/s", "consistent",
               "fallbacks", "frames/writev", "drops");
   for (std::uint32_t n : {4u, 7u, 10u}) {
-    // The n=10 row feeds the throughput floor
-    // (tools/check_throughput_gate.py); a single 1-second sample carries
-    // ~5% per-run jitter on a shared runner, so report the median of three.
+    // A single 1-second sample carries ~5% per-run jitter on a shared
+    // runner, so each row reports the median of three.
     RunResult runs[3];
     for (RunResult& run : runs) run = run_cluster(n, 1000, 0);
     std::sort(std::begin(runs), std::end(runs), [](const RunResult& a, const RunResult& b) {

@@ -22,11 +22,6 @@ class Encoder {
  public:
   Encoder() = default;
 
-  /// Pre-size the buffer for `additional` more bytes. Encoders of large
-  /// messages (block-carrying proposals, block responses) compute their
-  /// exact wire size up front so the buffer never reallocates mid-encode.
-  void reserve(std::size_t additional) { buf_.reserve(buf_.size() + additional); }
-
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { append_le(v); }
   void u64(std::uint64_t v) { append_le(v); }

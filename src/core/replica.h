@@ -11,6 +11,7 @@
 #include "common/types.h"
 #include "core/config.h"
 #include "crypto/dealer.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -46,10 +47,12 @@ struct ReplicaContext {
   /// so a crash + restart can never make it equivocate. Not owned.
   storage::Wal* wal = nullptr;
 
-  /// Decode-once delivery cache. The harness shares one instance across
-  /// all replicas of a simulation (they receive the same broadcast bytes,
-  /// so one decode serves n deliveries); when unset the replica builds a
-  /// private cache of DecodeCache::kDefaultCapacity entries.
+  /// Decode-once delivery memo, keyed by multicast buffer. The harness
+  /// shares one instance across all replicas of a simulation (they
+  /// receive the same broadcast buffer, so the sender's decoded form
+  /// serves all n deliveries); when unset the replica builds a private
+  /// memo of DecodeCache::kDefaultCapacity entries, which serves its own
+  /// loopback deliveries.
   std::shared_ptr<smr::DecodeCache> decode_cache;
 
   /// Optional certificate audit for the structural-lemma checker. The
@@ -183,10 +186,11 @@ class IReplica {
   /// Deliver a raw network payload (the Network calls this).
   virtual void on_message(ReplicaId from, const Bytes& payload) = 0;
 
-  /// Deliver a payload whose decode-cache content key the caller already
-  /// computed. `key` MUST equal smr::DecodeCache::key_of(payload).
-  /// Default: ignore the hint. ReplicaBase keeps the default — its
-  /// on_message finds a seeded multicast buffer by address, not by key.
+  /// Deliver a payload together with a content digest the caller holds.
+  /// No transport computes one: the decode cache finds a seeded
+  /// multicast buffer by address, so ReplicaBase keeps this default,
+  /// which ignores `key`. The hook stays for the replica wrappers in
+  /// perfbench/, which forward it.
   virtual void on_message_keyed(ReplicaId from, const Bytes& payload,
                                 const crypto::Digest& key) {
     (void)key;
@@ -194,11 +198,10 @@ class IReplica {
   }
 
   /// Deliver a payload that can never be a decode-cache hit: TCP peer
-  /// frames arrive exactly once per connection, and a point-to-point
-  /// buffer is delivered once, so hashing them to probe the cache (and
-  /// inserting the decoded form nobody will look up again) is pure
-  /// overhead on the protocol thread. Implementations decode and verify
-  /// directly. Default: fall back to the cached path.
+  /// frames arrive exactly once per connection into a fresh buffer, so
+  /// probing the cache for them is pure overhead on the protocol thread.
+  /// Implementations decode and verify directly. Default: fall back to
+  /// the cached path.
   virtual void on_message_uncached(ReplicaId from, const Bytes& payload) {
     on_message(from, payload);
   }

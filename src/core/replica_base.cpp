@@ -88,25 +88,22 @@ void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
   // Decode-once: the one shared buffer of a multicast (every simulated
   // recipient, a TCP self-delivery) was seeded by its sender at encode
   // time, so a single probe by address returns the decoded form and
-  // whether `from`'s signature over these bytes already checked out. Any
-  // other buffer — a point-to-point send, delivered exactly once — is
-  // decoded and verified directly, with no hash or cache traffic.
+  // whether `from` is the signer that seeded it. Any other buffer — a
+  // point-to-point send, delivered exactly once — is decoded and verified
+  // directly.
   auto hit = dcache_->decode_buffer(payload, from);
   if (!hit) {
     on_message_uncached(from, payload);
     return;
   }
   ++stats_.decode_hits;
-  // The signature memo is keyed by (payload bytes, sender): verification
-  // is a pure function of the two, so a recorded success is as strong as
-  // re-running it, while the same bytes replayed by a different sender
-  // still pay (and fail) the full check against the wire bytes in hand.
-  if (!hit->sender_verified) {
-    if (!smr::verify_message_signature_wire(*crypto_, from, hit->msg, payload)) {
-      LOG_WARN("replica %u: bad signature on message from %u", id_, from);
-      return;
-    }
-    dcache_->note_sender_verified(hit->key, from);
+  // The seeder signed exactly these bytes. The same buffer delivered
+  // under any other sender pays (and, for a signed type, fails) the full
+  // check against the wire bytes in hand.
+  if (!hit->sender_verified &&
+      !smr::verify_message_signature_wire(*crypto_, from, hit->msg, payload)) {
+    LOG_WARN("replica %u: bad signature on message from %u", id_, from);
+    return;
   }
   deliver(from, std::move(hit->msg));
 }
@@ -159,14 +156,13 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
 }
 
 SharedBytes ReplicaBase::encode_signed(smr::Message& msg) {
-  smr::sign_message(*crypto_, id_, msg);
-  return make_shared_bytes(smr::encode_message(msg));
+  return make_shared_bytes(smr::encode_signed(*crypto_, id_, msg));
 }
 
 void ReplicaBase::seed_decode_cache(smr::Message&& msg, const SharedBytes& payload) {
   // The sender already holds the decoded form: seed the cache so every
   // delivery of this buffer, the loopback one included, skips the
-  // re-parse. Marking ourselves signature-verified is sound — we produced
+  // re-parse. Recording ourselves as the signer is sound — we produced
   // the signature over exactly these bytes. The seed must equal what
   // decoding the bytes would give, so it passes the decoder's block-id
   // check too: a faulty sender's inconsistent block is left for every
@@ -175,9 +171,7 @@ void ReplicaBase::seed_decode_cache(smr::Message&& msg, const SharedBytes& paylo
     ++stats_.cache_seeds_refused;
     return;
   }
-  const crypto::Digest key = smr::DecodeCache::key_of(*payload);
-  dcache_->insert(key, std::move(msg), id_);
-  dcache_->remember_buffer(payload, key);
+  dcache_->insert(payload, std::move(msg), id_);
 }
 
 void ReplicaBase::send(ReplicaId to, smr::Message msg) {

@@ -100,12 +100,12 @@ class ReplicaBase : public IReplica {
   virtual void on_fault_changed(const FaultSpec& old) { (void)old; }
 
   // Messaging ----------------------------------------------------------
-  // Sign, serialize exactly once into a refcounted buffer, and hand the
-  // buffer to the network. A multicast sender also pre-populates the
-  // decode cache with the decoded form (keyed by the payload hash), so
-  // its own loopback delivery — and, with the harness-shared cache, every
+  // Serialize exactly once into a refcounted buffer, signing those very
+  // bytes, and hand the buffer to the network. A multicast sender also
+  // seeds the decode cache with that buffer and its decoded form, so its
+  // own loopback delivery — and, with the harness-shared cache, every
   // simulated recipient — skips the redundant parse. A point-to-point
-  // buffer is delivered once, so it is never hashed or seeded.
+  // buffer is delivered once, so it is never seeded.
   // multicast returns the transport key of the wire bytes (obs::span_key_of)
   // while recording, else 0: kProposalSent carries it to bridge the block
   // key to the send_flush / socket_read events of the same frame.
@@ -352,10 +352,11 @@ class ReplicaBase : public IReplica {
   /// Per-sender counts of relayed certificates that failed verification.
   std::vector<std::uint64_t> cert_blame_;
 
-  /// Sign + encode once; shared by send/multicast.
+  /// Encode once and sign those bytes (smr::encode_signed); shared by
+  /// send/multicast.
   SharedBytes encode_signed(smr::Message& msg);
-  /// Multicast only: file the decoded form under `payload`'s content key
-  /// and remember the buffer, so its deliveries skip the parse.
+  /// Multicast only: memoize the decoded form under the `payload` buffer,
+  /// so its deliveries skip the parse.
   void seed_decode_cache(smr::Message&& msg, const SharedBytes& payload);
 
   /// kGhostChain: one forged chain per round.

@@ -16,9 +16,9 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)), audit_(cfg_
   const auto& crypto = crypto_;
   net_ = std::make_unique<net::Network>(sim_, cfg_.n, build_delay_model(),
                                         Rng(cfg_.seed ^ 0x6e6574));
-  // One decode cache for the whole system: every replica observes the same
-  // broadcast bytes, so each distinct payload is parsed once — not once per
-  // recipient (and not at all when the sender pre-populated at encode).
+  // One decode cache for the whole system: every replica receives the same
+  // multicast buffer, so the sender's seeded decoded form serves all n
+  // deliveries and nobody parses it.
   decode_cache_ = std::make_shared<smr::DecodeCache>();
 
   // Observability: latency histograms owned by the registry, every

@@ -153,8 +153,6 @@ class Experiment {
 
   sim::Simulation& sim() { return sim_; }
   net::Network& network() { return *net_; }
-  /// The system-wide decode-once cache (shared by all replicas).
-  const smr::DecodeCache& decode_cache() const { return *decode_cache_; }
   /// The system-wide certificate audit every replica's store reports to
   /// (DESIGN.md §19.3); check_invariants reads it. It outlives
   /// restart_replica.

@@ -54,6 +54,11 @@ bool Simulation::fire_next() {
 
 bool Simulation::step() { return fire_next(); }
 
+SimTime Simulation::next_time() {
+  drop_cancelled_heads();
+  return queue_.empty() ? kSimTimeNever : queue_.top().time;
+}
+
 std::size_t Simulation::run_until(SimTime deadline) {
   std::size_t count = 0;
   for (;;) {

@@ -56,6 +56,11 @@ class Simulation final : public IExecutor {
   /// Run until the queue drains or `max_events` executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
+  /// Virtual time of the next live event, or kSimTimeNever when none is
+  /// pending. Retires cancelled entries at the head of the heap on the
+  /// way, so a cancelled event's time is never reported.
+  SimTime next_time();
+
   bool idle() const { return pending() == 0; }
   std::size_t pending() const { return queue_.size() - cancelled_; }
   std::uint64_t events_executed() const { return executed_; }

@@ -290,49 +290,6 @@ std::optional<BlockResponseMsg> decode_block_response(Decoder& dec) {
   return m;
 }
 
-// ---- per-type body wire sizes -------------------------------------------
-//
-// Mirrors the encode_body functions above field by field; a round-trip
-// test pins encoded_size() == encode_message().size() for every type.
-
-constexpr std::size_t kCertSize = 1 + 32 + 8 + 8 + 4 + 4 + 8;  // Certificate
-constexpr std::size_t kThresholdCertSize = 8 + 8;  // TimeoutCert / FallbackTC / CoinQC
-constexpr std::size_t kPartialSize = 4 + 8;        // PartialSig
-constexpr std::size_t kSigSize = 32;               // outer Signature
-
-std::size_t coins_size(const std::vector<CoinQC>& coins) {
-  return 4 + kThresholdCertSize * coins.size();
-}
-
-std::size_t block_size(const Block& b) {
-  return 32 + kCertSize + 8 + 8 + 4 + 4 + 4 + b.payload->size();
-}
-
-std::size_t body_size(const ProposalMsg& m) {
-  return block_size(m.block) + 1 + (m.tc ? kThresholdCertSize : 0) + coins_size(m.coins);
-}
-std::size_t body_size(const VoteMsg&) { return 32 + 8 + 8 + kPartialSize; }
-std::size_t body_size(const DiemTimeoutMsg&) { return 8 + kPartialSize + kCertSize; }
-std::size_t body_size(const DiemTcMsg&) { return kThresholdCertSize; }
-std::size_t body_size(const FbTimeoutMsg& m) {
-  return 8 + kPartialSize + kCertSize + coins_size(m.coins);
-}
-std::size_t body_size(const FbProposalMsg& m) {
-  return block_size(m.block) + 1 + (m.ftc ? kThresholdCertSize : 0) + coins_size(m.coins);
-}
-std::size_t body_size(const FbVoteMsg&) { return 32 + 8 + 8 + 4 + 4 + kPartialSize; }
-std::size_t body_size(const FbQcMsg&) { return kCertSize; }
-std::size_t body_size(const CoinShareMsg&) { return 8 + kPartialSize; }
-std::size_t body_size(const CoinQcMsg& m) {
-  return kThresholdCertSize + 1 + (m.leader_best ? kCertSize : 0);
-}
-std::size_t body_size(const BlockRequestMsg&) { return 32 + 4; }
-std::size_t body_size(const BlockResponseMsg& m) {
-  std::size_t s = 4;
-  for (const Block& b : m.blocks) s += block_size(b);
-  return s;
-}
-
 // Signed messages append the signature after the body.
 template <typename T>
 constexpr bool kHasOuterSig =
@@ -340,14 +297,7 @@ constexpr bool kHasOuterSig =
     std::is_same_v<T, FbTimeoutMsg> || std::is_same_v<T, FbProposalMsg> ||
     std::is_same_v<T, FbQcMsg>;
 
-template <typename T>
-Bytes signing_bytes(const T& m) {
-  Encoder enc;
-  enc.reserve(1 + body_size(m));
-  enc.u8(static_cast<std::uint8_t>(message_type(Message{m})));
-  encode_body(enc, m);
-  return std::move(enc).result();
-}
+constexpr std::size_t kSigSize = 32;  // outer Signature
 
 }  // namespace
 
@@ -371,24 +321,30 @@ MsgType message_type(const Message& msg) {
       msg);
 }
 
-std::size_t encoded_size(const Message& msg) {
-  return std::visit(
-      [](const auto& m) -> std::size_t {
-        using T = std::decay_t<decltype(m)>;
-        return 1 + body_size(m) + (kHasOuterSig<T> ? kSigSize : 0);
-      },
-      msg);
-}
-
 Bytes encode_message(const Message& msg) {
   Encoder enc;
-  enc.reserve(encoded_size(msg));
   enc.u8(static_cast<std::uint8_t>(message_type(msg)));
   std::visit(
       [&enc](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         encode_body(enc, m);
         if constexpr (kHasOuterSig<T>) encode_sig(enc, m.sig);
+      },
+      msg);
+  return std::move(enc).result();
+}
+
+Bytes encode_signed(const crypto::CryptoSystem& crypto, ReplicaId signer, Message& msg) {
+  Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(message_type(msg)));
+  std::visit(
+      [&](auto& m) {
+        using T = std::decay_t<decltype(m)>;
+        encode_body(enc, m);
+        if constexpr (kHasOuterSig<T>) {
+          m.sig = crypto.signatures.sign(signer, enc.result());
+          encode_sig(enc, m.sig);
+        }
       },
       msg);
   return std::move(enc).result();
@@ -476,32 +432,6 @@ std::optional<Message> decode_message(BytesView data) {
   }
   if (!out || !dec.done()) return std::nullopt;  // reject trailing garbage
   return out;
-}
-
-void sign_message(const crypto::CryptoSystem& crypto, ReplicaId signer, Message& msg) {
-  std::visit(
-      [&](auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (kHasOuterSig<T>) {
-          m.sig = crypto.signatures.sign(signer, signing_bytes(m));
-        }
-      },
-      msg);
-}
-
-bool verify_message_signature(const crypto::CryptoSystem& crypto, ReplicaId sender,
-                              const Message& msg) {
-  return std::visit(
-      [&](const auto& m) -> bool {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (kHasOuterSig<T>) {
-          return crypto.signatures.verify(sender, signing_bytes(m), m.sig);
-        } else {
-          (void)m;
-          return true;
-        }
-      },
-      msg);
 }
 
 bool verify_message_signature_wire(const crypto::CryptoSystem& crypto, ReplicaId sender,

@@ -142,14 +142,15 @@ using Message =
 
 MsgType message_type(const Message& msg);
 
-/// Exact wire size of `encode_message(msg)` — every field is fixed-width
-/// or length-prefixed, so the size is computable without serializing.
-/// `encode_message` pre-reserves exactly this many bytes; exposed so tests
-/// can pin the two against each other.
-std::size_t encoded_size(const Message& msg);
-
-/// Serialize (without touching any signature field — sign first).
+/// Serialize as is, signature field included.
 Bytes encode_message(const Message& msg);
+
+/// Serialize once and sign in place: writes tag and body, signs exactly
+/// those bytes as `signer` (⟨m⟩_i-authenticated types only), stores the
+/// signature in `msg.sig` and appends it. The result equals
+/// encode_message(msg) afterwards. Types without an outer signature are
+/// just encoded.
+Bytes encode_signed(const crypto::CryptoSystem& crypto, ReplicaId signer, Message& msg);
 
 /// Parse; nullopt on malformed input (malformed wire data must never
 /// crash a replica), including any carried block that fails
@@ -161,20 +162,13 @@ std::optional<Message> decode_message(BytesView data);
 /// cache with its own decoded form hold it to the same rule.
 bool blocks_id_consistent(const Message& msg);
 
-/// Sign / verify the ⟨m⟩_i-authenticated messages in place. For message
-/// types without an outer signature these are no-ops returning true.
-void sign_message(const crypto::CryptoSystem& crypto, ReplicaId signer, Message& msg);
-bool verify_message_signature(const crypto::CryptoSystem& crypto, ReplicaId sender,
-                              const Message& msg);
-
 /// Envelope verification against the exact wire bytes `msg` was decoded
-/// from. The codec is canonical (fixed-width fields, decode_message
-/// rejects trailing garbage) and signed types append the 32-byte
-/// signature after the body, so for any payload with
+/// from (or encode_signed returned). The codec is canonical (fixed-width
+/// fields, decode_message rejects trailing garbage) and signed types
+/// append the 32-byte signature after the body, so for any payload with
 /// decode_message(payload) == msg the signing bytes are simply
-/// payload[0 .. size-32] — no re-encode, no allocation. Equivalent to
-/// verify_message_signature(crypto, sender, msg) under that precondition;
-/// callers holding only the decoded form keep using the re-encoding one.
+/// payload[0 .. size-32] — no re-encode, no allocation. Types without an
+/// outer signature always verify.
 bool verify_message_signature_wire(const crypto::CryptoSystem& crypto, ReplicaId sender,
                                    const Message& msg, BytesView payload);
 

@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -243,51 +244,8 @@ SimTime RealtimeExecutor::now() const {
 }
 
 sim::EventId RealtimeExecutor::schedule_at(SimTime t, std::function<void()> cb) {
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(Entry{t, seq, seq});
-  callbacks_.emplace(seq, std::move(cb));
-  return seq;
-}
-
-void RealtimeExecutor::cancel(sim::EventId id) {
-  if (callbacks_.count(id) != 0) cancelled_.insert(id);
-}
-
-SimTime RealtimeExecutor::next_deadline() {
-  // Retire cancelled heads instead of reporting their stale deadlines:
-  // the round timer is cancelled and re-armed every round, so the heap
-  // head is routinely a dead entry whose time would cut the poll timeout
-  // short for nothing.
-  while (!queue_.empty()) {
-    const Entry& e = queue_.top();
-    if (cancelled_.erase(e.id) != 0) {
-      callbacks_.erase(e.id);
-      queue_.pop();
-      continue;
-    }
-    return e.time;
-  }
-  return kSimTimeNever;
-}
-
-std::size_t RealtimeExecutor::run_due() {
-  std::size_t fired = 0;
-  const SimTime deadline = now();
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    const Entry e = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(e.id) != 0) {
-      callbacks_.erase(e.id);
-      continue;
-    }
-    auto it = callbacks_.find(e.id);
-    if (it == callbacks_.end()) continue;
-    auto cb = std::move(it->second);
-    callbacks_.erase(it);
-    cb();
-    ++fired;
-  }
-  return fired;
+  // A deadline already past fires on the next run_due, like any due one.
+  return queue_.schedule_at(std::max(t, queue_.now()), std::move(cb));
 }
 
 // ---- TcpNetwork -------------------------------------------------------------
@@ -308,7 +266,38 @@ class TcpNode::TcpNetwork final : public net::INetwork {
   void send(ReplicaId from, ReplicaId to, SharedBytes payload) override {
     REPRO_ASSERT(from == node_.cfg_.id);
     REPRO_ASSERT(payload != nullptr);
-    if (to == from) {
+    const std::uint64_t wire_key = to == from ? 0 : wire_key_of(*payload);
+    enqueue(to, std::move(payload), wire_key);
+  }
+
+  void multicast(ReplicaId from, SharedBytes payload) override {
+    REPRO_ASSERT(from == node_.cfg_.id);
+    REPRO_ASSERT(payload != nullptr);
+    stats_.multicasts += 1;
+    const std::size_t n = node_.cfg_.peers.size();
+    // One buffer for all n recipients (n-1 queues + the self-delivery),
+    // and one content key for every peer queue it lands in.
+    if (n > 1) stats_.payload_copies_avoided += n - 1;
+    const std::uint64_t wire_key = wire_key_of(*payload);
+    for (ReplicaId to = 0; to < n; ++to) {
+      enqueue(to, payload, to == from ? 0 : wire_key);
+    }
+  }
+
+  net::NetStats& stats() { return stats_; }
+
+ private:
+  /// Proposal frames carry a content key while recording, so the
+  /// send-queue flush event can be joined with the receiver's socket-read
+  /// event downstream; 0 otherwise (no kSendFlush event).
+  std::uint64_t wire_key_of(const Bytes& payload) const {
+    return node_.tracing() && is_proposal_tag(payload)
+               ? obs::span_key_of(payload.data(), payload.size())
+               : 0;
+  }
+
+  void enqueue(ReplicaId to, SharedBytes payload, std::uint64_t wire_key) {
+    if (to == node_.cfg_.id) {
       stats_.self_messages += 1;
       stats_.self_bytes += payload->size();
       // Self-delivery: deferred like the simulator's loopback event, but
@@ -324,12 +313,6 @@ class TcpNode::TcpNetwork final : public net::INetwork {
     if (cit == node_.conns_.end()) return;
     const std::size_t size = payload->size();
     const std::uint8_t tag = size > 0 ? (*payload)[0] : 0xFF;
-    // Proposal frames carry a content key so the send-queue flush event can
-    // be joined with the receiver's socket-read event downstream.
-    const std::uint64_t wire_key =
-        node_.tracing() && is_proposal_tag(*payload)
-            ? obs::span_key_of(payload->data(), payload->size())
-            : 0;
     if (!cit->second.outbox.push(std::move(payload), &stats_, wire_key)) {
       return;  // backpressure drop
     }
@@ -341,19 +324,6 @@ class TcpNode::TcpNetwork final : public net::INetwork {
     }
   }
 
-  void multicast(ReplicaId from, SharedBytes payload) override {
-    stats_.multicasts += 1;
-    const std::size_t n = node_.cfg_.peers.size();
-    // One buffer for all n recipients (n-1 queues + the self-delivery).
-    if (n > 1) stats_.payload_copies_avoided += n - 1;
-    for (ReplicaId to = 0; to < n; ++to) {
-      send(from, to, payload);
-    }
-  }
-
-  net::NetStats& stats() { return stats_; }
-
- private:
   TcpNode& node_;
   net::NetStats stats_;
 };

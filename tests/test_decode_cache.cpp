@@ -1,10 +1,11 @@
-// Decode-once delivery cache: hits must be indistinguishable from fresh
-// decodes, mutated bytes must miss and be judged independently, the LRU
-// bound must hold under floods of distinct payloads, the per-sender
-// signature memo must never leak a verification to a different sender,
-// and the buffer -> key memo must only ever answer for the live buffer it
-// was given. Decoded blocks hand out one shared payload buffer, however
-// many recipients take a copy.
+// Decode-once delivery memo: a hit must be indistinguishable from a fresh
+// decode, it must answer only for the live buffer that was seeded (a
+// copy of the bytes, a mutated copy or a new buffer at a freed buffer's
+// address all miss), only the seeding signer's delivery may skip the
+// envelope check, and the LRU bound must hold under floods of seeded
+// buffers. Byte-identical buffers each keep their own entry. Decoded
+// blocks hand out one shared payload buffer, however many recipients
+// take a copy.
 #include <gtest/gtest.h>
 
 #include "crypto/dealer.h"
@@ -22,14 +23,17 @@ Bytes wire_coin_share(View view, ReplicaId signer, std::uint64_t value) {
   return encode_message(Message{CoinShareMsg{view, crypto::PartialSig{signer, value}}});
 }
 
-/// Seed `wire` the way a multicast sender does: insert the decoded form
-/// under its content key as signed by `signer`, and remember the buffer.
+/// Seed `wire` the way a multicast sender does: the buffer, its decoded
+/// form and the signer.
 SharedBytes seed_wire(DecodeCache& cache, Bytes wire, ReplicaId signer = 1) {
   SharedBytes buf = make_shared_bytes(std::move(wire));
-  const auto key = DecodeCache::key_of(*buf);
-  cache.insert(key, *decode_message(*buf), signer);
-  cache.remember_buffer(buf, key);
+  cache.insert(buf, *decode_message(*buf), signer);
   return buf;
+}
+
+/// A coin share seeded by replica 1, one per view.
+SharedBytes seed(DecodeCache& cache, View view) {
+  return seed_wire(cache, wire_coin_share(view, 1, view));
 }
 
 TEST(DecodeCache, HitReturnsValueEqualToFreshDecode) {
@@ -42,11 +46,12 @@ TEST(DecodeCache, HitReturnsValueEqualToFreshDecode) {
   ASSERT_TRUE(second.has_value());
   // Message has no operator==; canonical encoding makes byte equality
   // the right notion of "same decoded value".
-  EXPECT_EQ(encode_message(second->msg), encode_message(first->msg));
+  const auto fresh = decode_message(*buf);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(encode_message(first->msg), encode_message(*fresh));
+  EXPECT_EQ(encode_message(second->msg), encode_message(*fresh));
   EXPECT_EQ(encode_message(second->msg), *buf);
-  EXPECT_EQ(first->key, DecodeCache::key_of(*buf));
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(DecodeCache, EveryMutatedByteMissesAndIsJudgedIndependently) {
@@ -57,17 +62,16 @@ TEST(DecodeCache, EveryMutatedByteMissesAndIsJudgedIndependently) {
   for (std::size_t i = 0; i < wire.size(); ++i) {
     Bytes mutated = wire;
     mutated[i] ^= 0x01;
-    const auto key = DecodeCache::key_of(mutated);
-    EXPECT_NE(key, DecodeCache::key_of(wire)) << "byte " << i << " flip must change the key";
-    // Claiming the mutated buffer holds those bytes maps nothing: no entry
-    // has its key, so a delivery of it is the recipient's to decode (or
-    // reject) on its own merits and can never alias the cached original.
+    // A buffer that was never seeded misses: its delivery is the
+    // recipient's to decode (or reject) on its own merits and can never
+    // alias the memoized original.
     const SharedBytes buf = make_shared_bytes(std::move(mutated));
-    cache.remember_buffer(buf, key);
     EXPECT_FALSE(cache.decode_buffer(*buf, 1).has_value()) << "byte " << i;
+    if (auto decoded = decode_message(*buf)) {
+      EXPECT_EQ(encode_message(*decoded), *buf) << "byte " << i;
+    }
   }
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.buffer_count(), 1u);
   EXPECT_TRUE(cache.decode_buffer(*original, 1).has_value());
 }
 
@@ -80,23 +84,22 @@ TEST(DecodeCache, BoundHoldsUnderFloodOfDistinctPayloads) {
     ASSERT_LE(cache.size(), kCap);
   }
   EXPECT_EQ(cache.size(), kCap);
-  EXPECT_EQ(cache.stats().evictions, 10 * kCap - kCap);
 
-  // LRU: the newest payload survives the flood, the oldest does not.
-  EXPECT_TRUE(cache.decode_buffer(*live.back(), 1).has_value());
-  EXPECT_FALSE(cache.decode_buffer(*live.front(), 1).has_value());
+  // LRU: the newest buffers survive the flood, the oldest do not.
+  for (std::size_t i = live.size() - kCap; i < live.size(); ++i) {
+    EXPECT_TRUE(cache.decode_buffer(*live[i], 0).has_value()) << i;
+  }
+  EXPECT_FALSE(cache.decode_buffer(*live.front(), 0).has_value());
+  EXPECT_FALSE(cache.decode_buffer(*live[live.size() - kCap - 1], 0).has_value());
 }
 
 TEST(DecodeCache, SenderPrepopulationServesSelfDelivery) {
   auto sys = test_crypto();
   DecodeCache cache(16);
-  // A signed type: the sender encodes once and seeds the cache.
+  // A signed type: the sender encodes once and seeds the memo.
   Message msg = FbQcMsg{genesis_certificate(), {}};
-  sign_message(*sys, 1, msg);
-  const SharedBytes wire = make_shared_bytes(encode_message(msg));
-  const auto key = DecodeCache::key_of(*wire);
-  cache.insert(key, msg, /*signer=*/1);
-  cache.remember_buffer(wire, key);
+  const SharedBytes wire = make_shared_bytes(encode_signed(*sys, 1, msg));
+  cache.insert(wire, msg, /*signer=*/1);
 
   auto delivered = cache.decode_buffer(*wire, 1);
   ASSERT_TRUE(delivered.has_value());
@@ -105,57 +108,65 @@ TEST(DecodeCache, SenderPrepopulationServesSelfDelivery) {
 }
 
 TEST(DecodeCache, SenderMemoDoesNotLeakAcrossSenders) {
+  auto sys = test_crypto();
   DecodeCache cache(16);
-  const SharedBytes buf = seed_wire(cache, wire_coin_share(1, 0, 5), /*signer=*/0);
-  const auto key = DecodeCache::key_of(*buf);
-  cache.note_sender_verified(key, 2);
+  Message msg = FbQcMsg{genesis_certificate(), {}};
+  const SharedBytes wire = make_shared_bytes(encode_signed(*sys, 1, msg));
+  cache.insert(wire, msg, /*signer=*/1);
 
-  // A Byzantine replica replaying replica 2's exact bytes presents a
-  // different (key, sender) pair — it must not inherit the verification.
-  EXPECT_TRUE(cache.decode_buffer(*buf, 2)->sender_verified);
-  EXPECT_FALSE(cache.decode_buffer(*buf, 3)->sender_verified);
-
-  // Memos survive repeats and tolerate evicted keys.
-  cache.note_sender_verified(key, 2);
-  EXPECT_TRUE(cache.decode_buffer(*buf, 2)->sender_verified);
-  const auto ghost = DecodeCache::key_of(Bytes{9, 9, 9});
-  cache.note_sender_verified(ghost, 2);  // no-op, no crash
+  // The seeder's delivery skips the check. The same buffer delivered
+  // under any other sender is still a hit, but it is not marked verified:
+  // the caller runs the full check against the wire bytes, and replica
+  // 1's signature fails for the forger, so the copy is dropped.
+  EXPECT_TRUE(cache.decode_buffer(*wire, 1)->sender_verified);
+  for (ReplicaId forger : {0u, 2u, 3u}) {
+    auto hit = cache.decode_buffer(*wire, forger);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_FALSE(hit->sender_verified) << forger;
+    EXPECT_FALSE(verify_message_signature_wire(*sys, forger, hit->msg, *wire)) << forger;
+  }
+  // A full check that passes is not remembered either: the entry keeps
+  // its one signer.
+  EXPECT_TRUE(verify_message_signature_wire(*sys, 1, msg, *wire));
+  EXPECT_FALSE(cache.decode_buffer(*wire, 2)->sender_verified);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-// ---- buffer -> entry memo -------------------------------------------------------
-
-/// A cache entry seeded the way a sender seeds it, plus its buffer.
-SharedBytes seed(DecodeCache& cache, View view) {
-  return seed_wire(cache, wire_coin_share(view, 1, view));
-}
-
-/// The content key a delivery of `payload` finds by address, if any.
-std::optional<crypto::Digest> key_by_address(DecodeCache& cache, const Bytes& payload) {
-  auto hit = cache.decode_buffer(payload, 1);
-  if (!hit) return std::nullopt;
-  return hit->key;
 }
 
 TEST(DecodeCache, BufferKeyAnswersOnlyForTheRememberedBuffer) {
   DecodeCache cache(16);
   const SharedBytes buf = seed(cache, 4);
-  const auto key = DecodeCache::key_of(*buf);
-  const auto by_address = cache.decode_buffer(*buf, 1);
-  ASSERT_TRUE(by_address.has_value());
-  EXPECT_EQ(by_address->key, key);
-  EXPECT_TRUE(by_address->sender_verified);   // the seeding signer
+  const auto hit = cache.decode_buffer(*buf, 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->sender_verified);  // the seeding signer
   EXPECT_FALSE(cache.decode_buffer(*buf, 2)->sender_verified);
 
   // The same bytes in another buffer get no hit by address.
   const Bytes copy = *buf;
   EXPECT_FALSE(cache.decode_buffer(copy, 1).has_value());
+  const SharedBytes unseeded = make_shared_bytes(Bytes(*buf));
+  EXPECT_FALSE(cache.decode_buffer(*unseeded, 1).has_value());
+  EXPECT_EQ(cache.size(), 1u);
+}
 
-  // No entry for the key, no mapping.
-  const SharedBytes orphan = make_shared_bytes(wire_coin_share(9, 1, 9));
-  cache.remember_buffer(orphan, DecodeCache::key_of(*orphan));
-  EXPECT_FALSE(cache.decode_buffer(*orphan, 1).has_value());
-  EXPECT_EQ(cache.buffer_count(), 1u);
+TEST(DecodeCache, ByteIdenticalMulticastsFromTwoSendersBothHit) {
+  // Unsigned messages relayed by several replicas (a coin-QC, the same
+  // coin share payload) are byte-identical across senders. Each sender's
+  // multicast buffer keeps its own entry while both are live.
+  DecodeCache cache(16);
+  const Bytes wire = encode_message(Message{CoinQcMsg{CoinQC{5, crypto::ThresholdSig{7}}, std::nullopt}});
+  const SharedBytes from1 = seed_wire(cache, wire, 1);
+  const SharedBytes from2 = seed_wire(cache, wire, 2);
+  for (ReplicaId to = 0; to < 4; ++to) {
+    auto a = cache.decode_buffer(*from1, 1);
+    auto b = cache.decode_buffer(*from2, 2);
+    ASSERT_TRUE(a.has_value()) << to;
+    ASSERT_TRUE(b.has_value()) << to;
+    EXPECT_TRUE(a->sender_verified);
+    EXPECT_TRUE(b->sender_verified);
+    EXPECT_EQ(encode_message(a->msg), wire);
+    EXPECT_EQ(encode_message(b->msg), wire);
+  }
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(DecodeCache, ReusedAddressOfAFreedBufferGetsNoStaleKey) {
@@ -166,16 +177,21 @@ TEST(DecodeCache, ReusedAddressOfAFreedBufferGetsNoStaleKey) {
   auto handle = [&slot] { return SharedBytes(&slot, [](const Bytes*) {}); };
   {
     SharedBytes first = handle();
-    const auto key = DecodeCache::key_of(*first);
-    cache.insert(key, *decode_message(*first), 1);
-    cache.remember_buffer(first, key);
-    EXPECT_EQ(key_by_address(cache, slot), key);
+    cache.insert(first, *decode_message(*first), 1);
+    EXPECT_TRUE(cache.decode_buffer(slot, 1).has_value());
   }
   // The first buffer is gone; different bytes now live at its address.
   slot = wire_coin_share(6, 1, 6);
   const SharedBytes second = handle();
   EXPECT_FALSE(cache.decode_buffer(*second, 1).has_value());
-  EXPECT_EQ(cache.buffer_count(), 0u);  // the dead mapping is dropped
+  EXPECT_EQ(cache.size(), 0u);  // the dead entry is dropped
+
+  // Seeding the new buffer at that address replaces any dead entry.
+  cache.insert(second, *decode_message(*second), 1);
+  auto hit = cache.decode_buffer(*second, 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(encode_message(hit->msg), slot);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(DecodeCache, EvictionDropsTheBufferMapping) {
@@ -183,30 +199,28 @@ TEST(DecodeCache, EvictionDropsTheBufferMapping) {
   DecodeCache cache(kCap);
   const SharedBytes buf = seed(cache, 0);
   ASSERT_TRUE(cache.decode_buffer(*buf, 1).has_value());
-  for (View v = 1; v <= kCap; ++v) {
-    const Bytes wire = wire_coin_share(v, 2, v);
-    cache.insert(DecodeCache::key_of(wire), *decode_message(wire), 2);
-  }
-  // The buffer is still alive, but its entry was evicted: no key, and the
-  // memo holds nothing for it.
+  std::vector<SharedBytes> newer;
+  for (View v = 1; v <= kCap; ++v) newer.push_back(seed(cache, v));
+  // The buffer is still alive, but its entry was evicted: a miss.
   EXPECT_FALSE(cache.decode_buffer(*buf, 1).has_value());
-  EXPECT_EQ(cache.buffer_count(), 0u);
+  EXPECT_EQ(cache.size(), kCap);
 }
 
 TEST(DecodeCache, BufferMemoStaysWithinTheEntryBound) {
+  // Entries hold weak_ptrs: buffers that die once delivered leave entries
+  // behind only up to the bound, and the memo never keeps their bytes.
   constexpr std::size_t kCap = 8;
   DecodeCache cache(kCap);
-  std::vector<SharedBytes> live;
-  for (View v = 0; v < 10 * kCap; ++v) live.push_back(seed(cache, v));
-  EXPECT_LE(cache.buffer_count(), kCap);
-  EXPECT_EQ(key_by_address(cache, *live.back()), DecodeCache::key_of(*live.back()));
-
-  // Re-seeding the same bytes from a new buffer moves the mapping.
-  const SharedBytes again = make_shared_bytes(Bytes(*live.back()));
-  cache.remember_buffer(again, DecodeCache::key_of(*again));
-  EXPECT_TRUE(cache.decode_buffer(*again, 1).has_value());
-  EXPECT_FALSE(cache.decode_buffer(*live.back(), 1).has_value());
-  EXPECT_LE(cache.buffer_count(), kCap);
+  std::weak_ptr<const Bytes> first;
+  for (View v = 0; v < 10 * kCap; ++v) {
+    const SharedBytes buf = seed(cache, v);
+    if (v == 0) first = buf;
+    ASSERT_LE(cache.size(), kCap);
+  }
+  EXPECT_TRUE(first.expired());
+  const SharedBytes live = seed(cache, 1000);
+  EXPECT_TRUE(cache.decode_buffer(*live, 1).has_value());
+  EXPECT_LE(cache.size(), kCap);
 }
 
 TEST(DecodeCache, HitsShareOnePayloadBuffer) {

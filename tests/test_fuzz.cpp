@@ -32,10 +32,7 @@ std::vector<Bytes> seed_messages(const crypto::CryptoSystem& sys) {
   msgs.push_back(BlockResponseMsg{{blk}});
 
   std::vector<Bytes> wires;
-  for (auto& m : msgs) {
-    sign_message(sys, 0, m);
-    wires.push_back(encode_message(m));
-  }
+  for (auto& m : msgs) wires.push_back(encode_signed(sys, 0, m));
   return wires;
 }
 

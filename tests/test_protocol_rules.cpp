@@ -55,8 +55,7 @@ struct BasicRig {
   /// briefly. Settling is time-bounded (10 ms) so the replica's 400 ms
   /// round timer does NOT fire as a side effect of every injection.
   void inject(ReplicaId from, Message msg) {
-    smr::sign_message(*crypto_sys, from, msg);
-    net->send(from, 0, smr::encode_message(msg));
+    net->send(from, 0, smr::encode_signed(*crypto_sys, from, msg));
     settle();
   }
 
@@ -554,8 +553,7 @@ TEST(UncachedIntake, DeliversSignedFrameAndDropsItUnderAnotherSender) {
   // past the envelope check would show up as a rejected share.
   Rig rig;
   smr::Message timeout = rig.timeout_from(1, 0);
-  smr::sign_message(*rig.crypto_sys, 1, timeout);
-  const Bytes payload = smr::encode_message(timeout);
+  const Bytes payload = smr::encode_signed(*rig.crypto_sys, 1, timeout);
   const ReplicaStats& st = rig.replica->stats();
   const auto shares_taken = [&] { return st.shares_verified + st.shares_deferred; };
 

@@ -132,8 +132,7 @@ TEST(BlockPruning, RequestForPrunedBlockGetsNoReply) {
 
   auto request = [&](const smr::BlockId& id) {
     smr::Message msg = smr::BlockRequestMsg{id, 16};
-    smr::sign_message(exp.crypto_sys(), 1, msg);
-    exp.replica(0).on_message(1, smr::encode_message(msg));
+    exp.replica(0).on_message(1, smr::encode_signed(exp.crypto_sys(), 1, msg));
   };
   const std::uint64_t before = responses(exp);
   request(pruned);

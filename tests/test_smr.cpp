@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 
 #include "smr/block.h"
 #include "smr/block_store.h"
@@ -362,18 +363,29 @@ TEST(Messages, AllTypesRoundTrip) {
   cases.push_back(BlockRequestMsg{blk.id, 64});
   cases.push_back(BlockResponseMsg{{blk, Block::genesis()}});
 
+  // Types that carry an outer ⟨m⟩_i signature; the rest authenticate
+  // through the threshold share they carry, or need no authentication.
+  const std::set<MsgType> signed_types = {MsgType::kProposal, MsgType::kDiemTimeout,
+                                          MsgType::kFbTimeout, MsgType::kFbProposal,
+                                          MsgType::kFbQc};
+  constexpr ReplicaId kSigner = 2;
   for (auto& msg : cases) {
-    sign_message(*sys, 0, msg);
-    const Bytes wire = encode_message(msg);
+    const Bytes wire = encode_signed(*sys, kSigner, msg);
     ASSERT_FALSE(wire.empty());
-    EXPECT_EQ(wire[0], static_cast<std::uint8_t>(message_type(msg)));
-    // The size hint encode_message reserves from must be exact — a drift
-    // here means mid-encode reallocations (or an over-reservation) snuck
-    // back in with a wire-format change.
-    EXPECT_EQ(encoded_size(msg), wire.size()) << "type " << int(wire[0]);
+    const MsgType type = message_type(msg);
+    EXPECT_EQ(wire[0], static_cast<std::uint8_t>(type));
+    // The bytes encode the message as returned, signature included.
+    EXPECT_EQ(encode_message(msg), wire) << "type " << int(wire[0]);
     auto decoded = decode_message(wire);
     ASSERT_TRUE(decoded.has_value()) << "type " << int(wire[0]);
     EXPECT_EQ(encode_message(*decoded), wire);
+    // The signature covers exactly the bytes sent: the signer verifies,
+    // every other id does not (unsigned types verify for anyone).
+    for (ReplicaId id = 0; id < sys->params.n; ++id) {
+      const bool expect = id == kSigner || signed_types.count(type) == 0;
+      EXPECT_EQ(verify_message_signature_wire(*sys, id, *decoded, wire), expect)
+          << "type " << int(wire[0]) << " id " << id;
+    }
   }
 }
 
@@ -381,15 +393,26 @@ TEST(Messages, SignatureVerificationBindsSender) {
   auto sys = test_crypto();
   Message msg = ProposalMsg{Block::make(genesis_certificate(), 1, 0, 0, 0, Bytes{}),
                             std::nullopt, {}, {}};
-  sign_message(*sys, 1, msg);
-  EXPECT_TRUE(verify_message_signature(*sys, 1, msg));
-  EXPECT_FALSE(verify_message_signature(*sys, 2, msg));
+  const Bytes wire = encode_signed(*sys, 1, msg);
+  EXPECT_TRUE(verify_message_signature_wire(*sys, 1, msg, wire));
+  EXPECT_FALSE(verify_message_signature_wire(*sys, 2, msg, wire));
+  // Any flipped signed byte breaks it, signature bytes included.
+  for (const std::size_t i : {std::size_t{1}, wire.size() / 2, wire.size() - 1}) {
+    Bytes tampered = wire;
+    tampered[i] ^= 0x01;
+    auto decoded = decode_message(tampered);
+    if (decoded) {
+      EXPECT_FALSE(verify_message_signature_wire(*sys, 1, *decoded, tampered)) << i;
+    }
+  }
 }
 
 TEST(Messages, UnsignedTypesAlwaysVerify) {
   auto sys = test_crypto();
   Message msg = VoteMsg{genesis_id(), 1, 0, crypto::PartialSig{0, 1}};
-  EXPECT_TRUE(verify_message_signature(*sys, 3, msg));
+  const Bytes wire = encode_message(msg);
+  EXPECT_EQ(encode_signed(*sys, 0, msg), wire);
+  EXPECT_TRUE(verify_message_signature_wire(*sys, 3, msg, wire));
 }
 
 TEST(Messages, MalformedInputRejected) {
@@ -429,8 +452,7 @@ TEST(Messages, TruncationAtEveryByteNeverCrashes) {
                               FallbackTC{0, crypto::ThresholdSig{1}},
                               {CoinQC{0, crypto::ThresholdSig{2}}},
                               {}};
-  sign_message(*sys, 0, msg);
-  const Bytes wire = encode_message(msg);
+  const Bytes wire = encode_signed(*sys, 0, msg);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_FALSE(decode_message(BytesView(wire.data(), len)).has_value()) << len;
   }

@@ -12,9 +12,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "core/fallback.h"
+#include "obs/span.h"
 #include "test_ports.h"
 #include "transport/node.h"
 
@@ -32,9 +34,13 @@ struct Cluster {
   std::shared_ptr<const crypto::CryptoSystem> crypto;
   std::vector<std::unique_ptr<storage::FileWal>> wals;
   std::vector<std::unique_ptr<TcpNode>> nodes;
+  /// One wall-clock event ring per node; empty unless traced.
+  std::vector<std::shared_ptr<obs::TraceRing>> rings;
 
-  /// One node per port in `ports`.
-  explicit Cluster(const std::vector<std::uint16_t>& ports, bool with_wal = false) {
+  /// One node per port in `ports`; a nonzero `trace_capacity` gives each
+  /// node its own event ring of that many events.
+  explicit Cluster(const std::vector<std::uint16_t>& ports, bool with_wal = false,
+                   std::size_t trace_capacity = 0) {
     const auto n = static_cast<std::uint32_t>(ports.size());
     crypto = crypto::CryptoSystem::deal(QuorumParams::for_n(n), 99);
     for (const std::uint16_t port : ports) peers.push_back(PeerAddress{"127.0.0.1", port});
@@ -49,6 +55,10 @@ struct Cluster {
         wals.push_back(std::make_unique<storage::FileWal>(
             ::testing::TempDir() + "tcp_wal_" + std::to_string(ports[i]) + ".log"));
         cfg.wal = wals.back().get();
+      }
+      if (trace_capacity > 0) {
+        rings.push_back(std::make_shared<obs::TraceRing>(trace_capacity, /*wall_clock=*/true));
+        cfg.trace = rings.back();
       }
       nodes.push_back(std::make_unique<TcpNode>(cfg, fallback_factory()));
     }
@@ -147,6 +157,54 @@ TEST(TcpCluster, NodeCrashAndWalRecoveryOverTcp) {
   cluster.stop_all();
   EXPECT_TRUE(cluster.ledgers_consistent());
   EXPECT_TRUE(dynamic_cast<const core::ReplicaBase&>(cluster.nodes[3]->replica()).recovered());
+}
+
+TEST(TcpCluster, TracedProposalFramesStitchIntoCriticalPaths) {
+  // With recording on, each proposal frame's send-queue flush carries the
+  // content key of its wire bytes, computed once per multicast; the
+  // proposer's kProposalSent carries the same key in aux. The rings are
+  // sized so that nothing is overwritten: the run stops early once any
+  // ring is half full.
+  constexpr std::size_t kCapacity = 1 << 16;
+  Cluster cluster(kernel_ports(4), /*with_wal=*/false, kCapacity);
+  cluster.start_all();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  const auto half_full = [&cluster] {
+    for (const auto& ring : cluster.rings) {
+      if (ring->recorded() > kCapacity / 2) return true;
+    }
+    return false;
+  };
+  while (std::chrono::steady_clock::now() < deadline && !half_full()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  cluster.stop_all();
+  ASSERT_GE(cluster.nodes[0]->replica().ledger().size(), 1u);
+
+  std::vector<std::vector<obs::TraceEvent>> per_node;
+  for (const auto& ring : cluster.rings) {
+    EXPECT_EQ(ring->dropped(), 0u);
+    per_node.push_back(ring->events());
+  }
+  const std::vector<obs::TraceEvent> events = obs::merge_traces(per_node);
+  std::set<std::uint64_t> sent_keys;
+  for (const auto& ev : events) {
+    if (ev.kind == obs::EventKind::kProposalSent && ev.aux != 0) sent_keys.insert(ev.aux);
+  }
+  std::size_t flushes = 0;
+  for (const auto& ev : events) {
+    if (ev.kind != obs::EventKind::kSendFlush) continue;
+    ++flushes;
+    EXPECT_EQ(sent_keys.count(ev.key), 1u) << "flush from " << ev.replica << " to " << ev.peer;
+  }
+  EXPECT_GT(flushes, 0u);
+
+  const obs::SpanReport report = obs::analyze_spans(events);
+  std::size_t with_transport = 0;
+  for (const obs::SpanChain& chain : report.chains) {
+    if (chain.t[1] != 0 && chain.t[2] != 0) ++with_transport;  // flush and read
+  }
+  EXPECT_GE(with_transport, 1u) << report.chains.size() << " chains";
 }
 
 // ---- per-peer send queue ----------------------------------------------------
@@ -299,6 +357,22 @@ TEST(RealtimeExecutor, TimersFireInOrder) {
   exec.run_due();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(exec.next_deadline(), kSimTimeNever);
+}
+
+TEST(RealtimeExecutor, CancellingAFiredIdLeavesTheSlotsNextTimerAlone) {
+  RealtimeExecutor exec;
+  int first = 0, second = 0;
+  const sim::EventId fired = exec.schedule_at(exec.now(), [&] { ++first; });
+  EXPECT_EQ(exec.run_due(), 1u);
+  // The next timer reuses the freed slot; the stale id must not reach it.
+  const sim::EventId next = exec.schedule_at(exec.now(), [&] { ++second; });
+  EXPECT_NE(next, fired);
+  EXPECT_EQ(next & 0xffffffffu, fired & 0xffffffffu);  // same slot, next generation
+  exec.cancel(fired);
+  EXPECT_NE(exec.next_deadline(), kSimTimeNever);
+  EXPECT_EQ(exec.run_due(), 1u);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(RealtimeExecutor, DueEventsOnlyFireWhenDue) {

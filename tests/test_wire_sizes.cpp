@@ -21,7 +21,7 @@ Certificate make_qc(const crypto::CryptoSystem& sys, Round r) {
   return *combine_certificate(sys, CertKind::kQuorum, b.id, r, 0, 0, 0, shares);
 }
 
-std::size_t encoded_size(const Certificate& c) {
+std::size_t certificate_wire_size(const Certificate& c) {
   Encoder enc;
   c.encode(enc);
   return enc.size();
@@ -33,15 +33,15 @@ TEST(WireSizes, CertificateSizeIndependentOfN) {
   std::size_t size4 = 0, size31 = 0, size100 = 0;
   {
     auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 1);
-    size4 = encoded_size(make_qc(*sys, 1));
+    size4 = certificate_wire_size(make_qc(*sys, 1));
   }
   {
     auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(31), 2);
-    size31 = encoded_size(make_qc(*sys, 1));
+    size31 = certificate_wire_size(make_qc(*sys, 1));
   }
   {
     auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(100), 3);
-    size100 = encoded_size(make_qc(*sys, 1));
+    size100 = certificate_wire_size(make_qc(*sys, 1));
   }
   EXPECT_EQ(size4, size31);
   EXPECT_EQ(size31, size100);
@@ -60,9 +60,8 @@ TEST(WireSizes, EmptyProposalOverheadIsBounded) {
   const Certificate qc = make_qc(*sys, 1);
   Block b = Block::make(qc, 2, 0, 0, 0, Bytes{});
   Message msg = ProposalMsg{std::move(b), std::nullopt, {}, {}};
-  sign_message(*sys, 0, msg);
   // Tag + block (id + parent cert + numbers) + flags + signature.
-  EXPECT_LE(encode_message(msg).size(), 220u);
+  EXPECT_LE(encode_signed(*sys, 0, msg).size(), 220u);
 }
 
 TEST(WireSizes, ProposalScalesOnlyWithPayload) {
@@ -71,8 +70,7 @@ TEST(WireSizes, ProposalScalesOnlyWithPayload) {
   auto size_for = [&](std::size_t payload) {
     Block b = Block::make(qc, 2, 0, 0, 0, Bytes(payload, 0x7));
     Message msg = ProposalMsg{std::move(b), std::nullopt, {}, {}};
-    sign_message(*sys, 0, msg);
-    return encode_message(msg).size();
+    return encode_signed(*sys, 0, msg).size();
   };
   const std::size_t s0 = size_for(0);
   const std::size_t s1k = size_for(1024);
@@ -86,8 +84,7 @@ TEST(WireSizes, TimeoutMessageConstantSize) {
   m.view_share = sys->quorum_sigs.sign_share(2, ftc_signing_message(3));
   m.qc_high = make_qc(*sys, 9);
   Message msg = m;
-  sign_message(*sys, 2, msg);
-  EXPECT_LE(encode_message(msg).size(), 180u);
+  EXPECT_LE(encode_signed(*sys, 2, msg).size(), 180u);
 }
 
 TEST(WireSizes, MeasuredSyncTrafficMatchesLinearModel) {
